@@ -67,14 +67,14 @@ func (d *daemon) promote(t *testing.T, ifEpoch uint64) roleChange {
 		body["if_epoch"] = ifEpoch
 	}
 	var out roleChange
-	d.post(t, "/v1/promote", body, &out)
+	d.post(t, "/v1/cluster/promote", body, &out)
 	return out
 }
 
 func (d *daemon) repoint(t *testing.T, upstream string) roleChange {
 	t.Helper()
 	var out roleChange
-	d.post(t, "/v1/repoint", map[string]any{"upstream": upstream}, &out)
+	d.post(t, "/v1/cluster/repoint", map[string]any{"upstream": upstream}, &out)
 	return out
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adminrefine/internal/api"
-	"adminrefine/internal/command"
 	"adminrefine/internal/wire"
 	"adminrefine/internal/workload"
 )
@@ -84,12 +83,15 @@ func wantCode(t *testing.T, err error, code string) *api.Error {
 	return e
 }
 
-// TestWireDaemonEndToEnd drives a live rbacd's binary port end to end:
-// durable submits with generation tokens, read-your-writes authorizes, the
-// deadline field, bounded staleness, the session lifecycle — and finally
-// SIGTERM with a request still parked on the wire, which must be answered
-// and flushed (the drain) before the connection closes and the process
-// exits cleanly.
+// TestWireDaemonEndToEnd drives a live rbacd's binary port end to end: the
+// -wire-addr listener serves the daemon's one request core (a durable submit,
+// its token read back, a session checked), and SIGTERM with a request still
+// parked on the wire must answer and flush it (the drain) before the
+// connection closes and the process exits cleanly. The contract's scenarios
+// — deadlines, staleness, sheds, fencing, misroutes — run over this
+// transport in internal/server's conformance suite; the daemon's admission
+// and fencing flags are proven at process level by the HTTP e2es, which
+// cross the same core.
 func TestWireDaemonEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes")
@@ -133,29 +135,7 @@ func TestWireDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("wire authorize: %+v at generation %d, want allowed at >= %d", resp.Authz, resp.Generation, gen)
 	}
 
-	// An unreachable token with a tight deadline answers deadline, not a
-	// 2s park: the binary twin of X-Request-Deadline.
-	req.Reset()
-	req.Op = wire.OpAuthorize
-	req.Tenant = "acme"
-	req.MinGen = 1 << 60
-	req.DeadlineMS = 30
-	req.Cmds = append(req.Cmds[:0], workload.ChurnGrant(1, 8, 8))
-	start := time.Now()
-	wantCode(t, c.Do(&req, &resp), api.CodeDeadline)
-	if waited := time.Since(start); waited > 300*time.Millisecond {
-		t.Fatalf("deadline answer took %v, want ~30ms", waited)
-	}
-
-	// Without a deadline the same token waits out -min-gen-wait and answers
-	// the typed staleness code with the demanded generation echoed.
-	req.DeadlineMS = 0
-	e := wantCode(t, c.Do(&req, &resp), api.CodeStaleGeneration)
-	if e.MinGeneration != 1<<60 {
-		t.Fatalf("stale envelope echoed min_generation %d, want %d", e.MinGeneration, uint64(1)<<60)
-	}
-
-	// Session lifecycle over the wire: create, check, delete, double delete.
+	// A session created over the wire checks over the wire.
 	req.Reset()
 	req.Op = wire.OpSessionCreate
 	req.Tenant = "acme"
@@ -176,18 +156,6 @@ func TestWireDaemonEndToEnd(t *testing.T) {
 	if len(resp.Allowed) != 1 || !resp.Allowed[0] {
 		t.Fatalf("session check: %v, want [true]", resp.Allowed)
 	}
-	req.Reset()
-	req.Op = wire.OpSessionDelete
-	req.Tenant = "acme"
-	req.Session = sess
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("session delete: %v", err)
-	}
-	req.Reset()
-	req.Op = wire.OpSessionDelete
-	req.Tenant = "acme"
-	req.Session = sess
-	wantCode(t, c.Do(&req, &resp), api.CodeNotFound)
 
 	// SIGTERM drain: park a min-generation read on the wire, then terminate.
 	// The drain must answer it (staleness after the 400ms wait) rather than
@@ -216,152 +184,4 @@ func TestWireDaemonEndToEnd(t *testing.T) {
 	if err := d.cmd.Wait(); err != nil {
 		t.Fatalf("graceful shutdown exited with: %v", err)
 	}
-}
-
-// TestWireDaemonAdmissionShed proves the binary port sits behind the same
-// admission control as HTTP: with one read slot, a parked min-generation
-// read occupies it and a probe on a separate connection sheds with the
-// typed overload code instead of queueing.
-func TestWireDaemonAdmissionShed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns child processes")
-	}
-	d := startWireDaemon(t, "-addr", "127.0.0.1:0", "-data", t.TempDir(),
-		"-max-inflight-reads", "1", "-min-gen-wait", "5s")
-	d.putChurnPolicy(t, "acme")
-
-	// Separate clients: pipelined requests on one connection drain
-	// sequentially and would never contend for the slot.
-	parker, err := wire.Dial(d.wireAddr, wire.ClientOptions{Conns: 1, CallTimeout: 15 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parker.Close()
-	prober, err := wire.Dial(d.wireAddr, wire.ClientOptions{Conns: 1, CallTimeout: 15 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prober.Close()
-
-	parked := make(chan error, 1)
-	go func() {
-		var req wire.Request
-		var resp wire.Response
-		req.Op = wire.OpAuthorize
-		req.Tenant = "acme"
-		req.MinGen = 1 << 60 // unreachable: parks in the generation wait
-		req.DeadlineMS = 1500
-		req.Cmds = append(req.Cmds, workload.ChurnGrant(0, 8, 8))
-		parked <- parker.Do(&req, &resp)
-	}()
-
-	// While the slot is held, probes must shed. The park needs a moment to
-	// claim it, so tolerate initial successes.
-	deadline := time.Now().Add(time.Second)
-	var shedErr error
-	for time.Now().Before(deadline) && shedErr == nil {
-		var req wire.Request
-		var resp wire.Response
-		req.Op = wire.OpAuthorize
-		req.Tenant = "acme"
-		req.Cmds = append(req.Cmds, workload.ChurnGrant(0, 8, 8))
-		if err := prober.Do(&req, &resp); err != nil {
-			shedErr = err
-		}
-	}
-	e := wantCode(t, shedErr, api.CodeOverloaded)
-	if e.RetryAfter == 0 {
-		t.Fatalf("shed envelope %+v carries no retry hint", e)
-	}
-
-	// The parked read itself ends on its deadline, not the 5s wait bound.
-	select {
-	case err := <-parked:
-		wantCode(t, err, api.CodeDeadline)
-	case <-time.After(10 * time.Second):
-		t.Fatal("parked read never returned")
-	}
-	d.terminate(t)
-}
-
-// TestWireDaemonFencedAfterPromotion replays the coup against the binary
-// port: a follower is promoted (epoch 1) and re-pointed at the old primary,
-// whose next served pull fences it. The fenced ex-primary must refuse wire
-// submits with the typed fenced code and its deposing epoch — no ack — while
-// still stamping epoch 1 on the reads it serves.
-func TestWireDaemonFencedAfterPromotion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns child processes")
-	}
-	prim := startWireDaemon(t, "-addr", "127.0.0.1:0", "-data", t.TempDir())
-	prim.putChurnPolicy(t, "acme")
-
-	c, err := wire.Dial(prim.wireAddr, wire.ClientOptions{Conns: 1, CallTimeout: 15 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var req wire.Request
-	var resp wire.Response
-	req.Op = wire.OpSubmit
-	req.Tenant = "acme"
-	req.Cmds = append(req.Cmds[:0], workload.ChurnGrant(0, 8, 8))
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("wire submit on healthy primary: %v", err)
-	}
-	if resp.Epoch != 0 {
-		t.Fatalf("healthy primary stamped epoch %d, want 0", resp.Epoch)
-	}
-
-	// The coup: two followers replicate from the primary; A is promoted to
-	// epoch 1, B re-points at A and adopts the epoch from its first pull,
-	// then B re-points back at the old primary — whose next served pull
-	// carries the higher peer epoch and deposes it on the spot.
-	a := startDaemon(t, "-addr", "127.0.0.1:0", "-data", t.TempDir(),
-		"-role", "follower", "-upstream", prim.base)
-	b := startDaemon(t, "-addr", "127.0.0.1:0", "-data", t.TempDir(),
-		"-role", "follower", "-upstream", prim.base)
-	waitForGeneration(t, a, "acme", 1)
-	waitForGeneration(t, b, "acme", 1)
-	if pr := a.promote(t, 0); pr.Role != "primary" || pr.Epoch != 1 {
-		t.Fatalf("promote follower A: %+v, want primary at epoch 1", pr)
-	}
-	b.repoint(t, a.base)
-	adopted := time.Now().Add(15 * time.Second)
-	for b.health(t).Epoch != 1 {
-		if time.Now().After(adopted) {
-			t.Fatal("follower B never adopted epoch 1 from the promoted primary")
-		}
-		// Pulls are lazy: reads keep the loop moving.
-		b.authorizeMin(t, "acme", 0, []command.Command{deniedProbe()})
-		time.Sleep(25 * time.Millisecond)
-	}
-	b.repoint(t, prim.base)
-	b.authorizeMin(t, "acme", 0, []command.Command{deniedProbe()})
-	waitForRole(t, prim.daemon, "fenced")
-
-	// Writes: typed fenced refusal with the deposing epoch, nothing applied.
-	req.Reset()
-	req.Op = wire.OpSubmit
-	req.Tenant = "acme"
-	req.Cmds = append(req.Cmds[:0], workload.ChurnGrant(1, 8, 8))
-	e := wantCode(t, c.Do(&req, &resp), api.CodeFenced)
-	if e.Epoch != 1 {
-		t.Fatalf("fenced envelope carries epoch %d, want 1", e.Epoch)
-	}
-
-	// Reads still serve, now stamped with the adopted epoch.
-	req.Reset()
-	req.Op = wire.OpAuthorize
-	req.Tenant = "acme"
-	req.Cmds = append(req.Cmds[:0], workload.ChurnGrant(1, 8, 8))
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("read on fenced node: %v", err)
-	}
-	if resp.Epoch != 1 {
-		t.Fatalf("fenced node stamped epoch %d on a read, want 1", resp.Epoch)
-	}
-	b.terminate(t)
-	a.terminate(t)
-	prim.terminate(t)
 }

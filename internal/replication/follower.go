@@ -203,7 +203,7 @@ func NewFollower(reg *tenant.Registry, opts FollowerOptions) *Follower {
 
 // WithUpstream builds a fresh follower over the same registry and options
 // pointed at a different primary — the repoint primitive (see the server's
-// /v1/repoint). The receiver is left untouched; the caller closes it once
+// /v1/cluster/repoint). The receiver is left untouched; the caller closes it once
 // the replacement is in place, and each tenant's new pull loop resumes from
 // the durable local WAL position.
 func (f *Follower) WithUpstream(upstream string) *Follower {

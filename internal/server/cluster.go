@@ -3,16 +3,17 @@
 //
 // In cluster mode (Config.Placement + Config.NodeID set) every node holds a
 // versioned placement map (see internal/placement) assigning each tenant to
-// exactly one primary. Any node answers any tenant: requests for tenants it
-// owns run locally, reads for foreign tenants answer 307 to the owner, and
-// writes (bodies a redirect cannot be trusted to replay) are forwarded
-// transparently over a per-peer circuit breaker. A forwarded request landing
-// on a node that does not own the tenant either — the two nodes hold
-// different map versions — answers 421 with api.CodeMisrouted carrying the
-// owner and the answering node's placement version, the same re-point
-// discipline fencing epochs established for failover. Every response is
-// stamped with X-Placement-Version so clients and peers learn about newer
-// maps passively.
+// exactly one primary. The ownership check itself is the request core's
+// (service.Core.Owner — both planes answer misrouted for a foreign tenant);
+// this file is what HTTP does with that answer so that any node serves any
+// tenant: body-less requests answer 307 to the owner, and writes (bodies a
+// redirect cannot be trusted to replay) are forwarded transparently over a
+// per-peer circuit breaker. A forwarded request landing on a node that does
+// not own the tenant either — the two nodes hold different map versions —
+// gets the core's 421 misrouted verbatim (owner + placement version), the
+// same re-point discipline fencing epochs established for failover. Every
+// response is stamped with X-Placement-Version so clients and peers learn
+// about newer maps passively.
 //
 // Control plane (all CAS mutations answer 409 api.CodeConflict on a version
 // miss, mirroring if_epoch):
@@ -24,9 +25,7 @@
 //	                                                   address (post-promotion), CAS + gossip
 //	POST /v1/cluster/migrate    {tenant,to,if_version} → live tenant migration (below)
 //	POST /v1/cluster/adopt      {tenant,from}        → internal: target-side catch-up
-//	POST /v1/cluster/promote, /v1/cluster/repoint    → the PR 6 role transitions
-//	                                                   (/v1/promote, /v1/repoint remain
-//	                                                   as deprecated aliases)
+//	POST /v1/cluster/promote, /v1/cluster/repoint    → the role transitions
 //
 // Migration protocol (source-side orchestration, handleMigrate): bulk
 // catch-up on the target while writes keep flowing (adopt #1), fence the
@@ -35,8 +34,8 @@
 // the placement override and gossip it, then retire the source copy (drop
 // its sessions, evict the resident tenant). Failures before the CAS unfence
 // and leave ownership unchanged; after the CAS the new map is the truth and
-// the stale source copy is unreachable for writes (the routing front checks
-// ownership before the registry ever sees a request).
+// the stale source copy is unreachable for writes (the request core checks
+// ownership before the registry ever sees a request, on either plane).
 package server
 
 import (
@@ -54,8 +53,12 @@ import (
 	"adminrefine/internal/api"
 	"adminrefine/internal/placement"
 	"adminrefine/internal/replication"
+	"adminrefine/internal/service"
 	"adminrefine/internal/tenant"
 )
+
+// errNoPlacement answers the cluster endpoints of a node holding no map.
+var errNoPlacement = errors.New("no placement map installed")
 
 // forwardHopHeaders are the request headers a routed forward preserves.
 var forwardHopHeaders = []string{"Content-Type", HeaderRequestDeadline, replication.HeaderEpoch}
@@ -88,43 +91,22 @@ func tenantPathName(p string) (string, bool) {
 	return rest, rest != ""
 }
 
-// routeTenant applies the placement map to one data-plane request. It
-// reports whether the request was fully answered here (redirected,
-// forwarded, or refused); false means this node owns the tenant (or routing
-// is disabled) and the local handlers proceed.
-func (s *Server) routeTenant(w http.ResponseWriter, r *http.Request, m *placement.Map) bool {
-	name, ok := tenantPathName(r.URL.Path)
-	if !ok {
-		return false
-	}
-	owner, ok := m.Owner(name)
-	if !ok || owner.ID == s.nodeID {
-		return false
-	}
-	if r.Header.Get(api.HeaderRoutedBy) != "" {
+// routeToOwner answers a data-plane request for a tenant the core says
+// another node owns (misrouted carries the owner's address).
+func (s *Server) routeToOwner(w http.ResponseWriter, r *http.Request, misrouted *api.Error) {
+	switch {
+	case r.Header.Get(api.HeaderRoutedBy) != "":
 		// Already forwarded once: the forwarding peer routed by a map that
 		// disagrees with ours. Answer the typed re-point signal instead of
 		// bouncing the request around the cluster.
-		api.Write(w, http.StatusMisdirectedRequest, &api.Error{
-			Code:             api.CodeMisrouted,
-			Message:          fmt.Sprintf("tenant %s is owned by node %s under placement version %d", name, owner.ID, m.Version),
-			Node:             owner.Addr,
-			PlacementVersion: m.Version,
-		})
-		return true
-	}
-	if r.Method == http.MethodGet || r.Method == http.MethodDelete {
+		writeError(w, admission.Read, misrouted)
+	case r.Method == http.MethodGet || r.Method == http.MethodDelete:
 		// Body-less methods redirect: the client re-issues against the owner
 		// and its later requests can go direct.
-		target := owner.Addr + r.URL.Path
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, target, http.StatusTemporaryRedirect)
-		return true
+		redirect(w, r, misrouted.Node)
+	default:
+		s.forwardToOwner(w, r, misrouted.Node)
 	}
-	s.forwardToOwner(w, r, owner)
-	return true
 }
 
 // forwardToOwner proxies one request (method + body + relevant headers) to
@@ -132,25 +114,21 @@ func (s *Server) routeTenant(w http.ResponseWriter, r *http.Request, m *placemen
 // circuit breaker so a dead peer costs one fast 503 instead of a connect
 // timeout per request. Redirect responses pass through untouched (the
 // client follows them exactly as it would a follower's 307).
-func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, owner placement.Node) {
-	br := s.peerBreaker(owner.ID)
+func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, owner string) {
+	br := s.peerBreaker(owner)
 	if err := br.Allow(); err != nil {
-		s.breakerFastFail.Add(1)
-		api.Write(w, http.StatusServiceUnavailable, &api.Error{
+		s.peerFastFail.Add(1)
+		writeError(w, admission.Write, &api.Error{
 			Code:       api.CodeUnavailable,
-			Message:    fmt.Sprintf("owner %s (%s) unreachable (circuit open)", owner.ID, owner.Addr),
-			RetryAfter: retryAfterSecondsInt(br.RetryAfter()),
-			Node:       owner.Addr,
+			Message:    fmt.Sprintf("owner %s unreachable (circuit open)", owner),
+			RetryAfter: service.RetryAfterSeconds(br.RetryAfter()),
+			Node:       owner,
 		})
 		return
 	}
-	target := owner.Addr + r.URL.Path
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, target, r.Body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, nodeURL(owner, r), r.Body)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, api.CodeInternal, err)
 		return
 	}
 	for _, h := range forwardHopHeaders {
@@ -164,9 +142,9 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, owner pl
 		br.Failure()
 		api.Write(w, http.StatusBadGateway, &api.Error{
 			Code:       api.CodeUnavailable,
-			Message:    fmt.Sprintf("forward to owner %s (%s): %v", owner.ID, owner.Addr, err),
+			Message:    fmt.Sprintf("forward to owner %s: %v", owner, err),
 			RetryAfter: 1,
-			Node:       owner.Addr,
+			Node:       owner,
 		})
 		return
 	}
@@ -182,35 +160,23 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, owner pl
 }
 
 // peerBreaker resolves (lazily creating) the circuit breaker guarding
-// forwards to one peer node ID.
-func (s *Server) peerBreaker(id string) *admission.Breaker {
+// forwards to one peer address.
+func (s *Server) peerBreaker(addr string) *admission.Breaker {
 	s.peersMu.Lock()
 	defer s.peersMu.Unlock()
-	br, ok := s.peerBreakers[id]
+	br, ok := s.peerBreakers[addr]
 	if !ok {
 		br = admission.NewBreaker(s.peerBreakerOpts)
-		s.peerBreakers[id] = br
+		s.peerBreakers[addr] = br
 	}
 	return br
-}
-
-// retryAfterSecondsInt is retryAfterSeconds for the envelope's integer field.
-func retryAfterSecondsInt(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // clusterEnabled guards the cluster mutations; outside cluster mode they
 // answer a typed 400 (GETs answer 404, see handlePlacementGet).
 func (s *Server) clusterEnabled(w http.ResponseWriter) bool {
 	if s.placement == nil || s.nodeID == "" {
-		api.Write(w, http.StatusBadRequest, &api.Error{
-			Code:    api.CodeBadRequest,
-			Message: "node is not in cluster mode (start with -node-id and -cluster-seed)",
-		})
+		httpError(w, api.CodeBadRequest, errors.New("node is not in cluster mode (start with -node-id and -cluster-seed)"))
 		return false
 	}
 	return true
@@ -219,12 +185,12 @@ func (s *Server) clusterEnabled(w http.ResponseWriter) bool {
 func (s *Server) handlePlacementGet(w http.ResponseWriter, r *http.Request) {
 	m := s.placementMap()
 	if m == nil {
-		api.Write(w, http.StatusNotFound, &api.Error{Code: api.CodeNotFound, Message: "no placement map installed"})
+		httpError(w, api.CodeNotFound, errNoPlacement)
 		return
 	}
 	data, err := m.Encode()
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, api.CodeInternal, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -244,17 +210,17 @@ func (s *Server) handlePlacementPush(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
 	m, err := placement.DecodeMap(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, api.CodeBadRequest, err)
 		return
 	}
 	adopted, err := s.placement.Install(m)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, api.CodeInternal, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, placementPushResponse{Version: s.PlacementVersion(), Adopted: adopted})
@@ -272,11 +238,11 @@ type nodesResponse struct {
 func (s *Server) handleNodesGet(w http.ResponseWriter, r *http.Request) {
 	m := s.placementMap()
 	if m == nil {
-		api.Write(w, http.StatusNotFound, &api.Error{Code: api.CodeNotFound, Message: "no placement map installed"})
+		httpError(w, api.CodeNotFound, errNoPlacement)
 		return
 	}
 	writeJSON(w, http.StatusOK, nodesResponse{
-		Version: m.Version, Self: s.nodeID, Role: s.Role(), Epoch: s.epoch.Current(), Nodes: m.Nodes,
+		Version: m.Version, Self: s.nodeID, Role: s.Role(), Epoch: s.Epoch(), Nodes: m.Nodes,
 	})
 }
 
@@ -297,12 +263,12 @@ func (s *Server) handleNodeRepoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req NodeRepointRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(r, &req); err != nil {
+		httpError(w, api.CodeBadRequest, err)
 		return
 	}
 	if req.ID == "" || req.Addr == "" {
-		httpError(w, http.StatusBadRequest, errors.New("node repoint needs id and addr"))
+		httpError(w, api.CodeBadRequest, errors.New("node repoint needs id and addr"))
 		return
 	}
 	addr := strings.TrimRight(req.Addr, "/")
@@ -336,15 +302,15 @@ func (s *Server) placementCAS(ifVersion uint64, mutate func(*placement.Map) (*pl
 func (s *Server) placementCASError(w http.ResponseWriter, err error) {
 	switch {
 	case placement.IsVersionConflict(err):
-		api.Write(w, http.StatusConflict, &api.Error{
+		writeError(w, admission.Write, &api.Error{
 			Code:             api.CodeConflict,
 			Message:          err.Error(),
 			PlacementVersion: s.PlacementVersion(),
 		})
 	case strings.Contains(err.Error(), "unknown node"):
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, api.CodeBadRequest, err)
 	default:
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, api.CodeInternal, err)
 	}
 }
 
@@ -406,27 +372,27 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MigrateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(r, &req); err != nil {
+		httpError(w, api.CodeBadRequest, err)
 		return
 	}
 	if !tenant.ValidName(req.Tenant) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("tenant %q: %w", req.Tenant, tenant.ErrBadName))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("tenant %q: %w", req.Tenant, tenant.ErrBadName))
 		return
 	}
 	m := s.placementMap()
 	if m == nil {
-		api.Write(w, http.StatusNotFound, &api.Error{Code: api.CodeNotFound, Message: "no placement map installed"})
+		httpError(w, api.CodeNotFound, errNoPlacement)
 		return
 	}
 	target, ok := m.NodeByID(req.To)
 	if !ok {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("placement: unknown node %q", req.To))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("placement: unknown node %q", req.To))
 		return
 	}
 	owner, ok := m.Owner(req.Tenant)
 	if !ok {
-		api.Write(w, http.StatusNotFound, &api.Error{Code: api.CodeNotFound, Message: "placement map has no nodes"})
+		httpError(w, api.CodeNotFound, errors.New("placement map has no nodes"))
 		return
 	}
 	if owner.ID != s.nodeID {
@@ -434,7 +400,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		// must fence and verify the head): forward there, loop-guarded like
 		// any routed request.
 		if r.Header.Get(api.HeaderRoutedBy) != "" {
-			api.Write(w, http.StatusMisdirectedRequest, &api.Error{
+			writeError(w, admission.Write, &api.Error{
 				Code:             api.CodeMisrouted,
 				Message:          fmt.Sprintf("tenant %s is owned by node %s", req.Tenant, owner.ID),
 				Node:             owner.Addr,
@@ -444,11 +410,11 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		}
 		body, err := json.Marshal(req)
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+			httpError(w, api.CodeInternal, err)
 			return
 		}
 		r.Body = io.NopCloser(strings.NewReader(string(body)))
-		s.forwardToOwner(w, r, owner)
+		s.forwardToOwner(w, r, owner.Addr)
 		return
 	}
 	if owner.ID == req.To {
@@ -457,7 +423,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	self, ok := m.NodeByID(s.nodeID)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("placement: node %s not in its own map", s.nodeID))
+		httpError(w, api.CodeInternal, fmt.Errorf("placement: node %s not in its own map", s.nodeID))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), migrateTimeout)
@@ -478,13 +444,13 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// Phase 2 — fence and drain: after FenceWrites returns, no commit group
 	// can land, so the head we read is the head the target must reach.
 	if err := s.reg.FenceWrites(req.Tenant); err != nil {
-		tenantError(w, err)
+		writeError(w, admission.Write, s.core.Fail(admission.Write, err))
 		return
 	}
 	head, _, err := s.reg.ReplicaPosition(req.Tenant)
 	if err != nil {
 		s.reg.UnfenceWrites(req.Tenant)
-		tenantError(w, err)
+		writeError(w, admission.Write, s.core.Fail(admission.Write, err))
 		return
 	}
 	gen, err := s.adoptOnTarget(ctx, target, req.Tenant, self.Addr)
@@ -499,7 +465,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	}
 	if gen != head {
 		s.reg.UnfenceWrites(req.Tenant)
-		httpError(w, http.StatusInternalServerError,
+		httpError(w, api.CodeInternal,
 			fmt.Errorf("migrate %s: target caught up to %d, fenced head is %d", req.Tenant, gen, head))
 		return
 	}
@@ -519,7 +485,7 @@ func (s *Server) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// a fossil (the routing front answers for this tenant from now on); its
 	// sessions die here exactly as they would in a failover.
 	s.gossipPlacement(next)
-	if tbl, ok := s.sessions.Peek(req.Tenant); ok {
+	if tbl, ok := s.core.Sessions().Peek(req.Tenant); ok {
 		tbl.Drain()
 	}
 	s.reg.UnfenceWrites(req.Tenant)
@@ -546,21 +512,21 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AdoptRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(r, &req); err != nil {
+		httpError(w, api.CodeBadRequest, err)
 		return
 	}
 	if !tenant.ValidName(req.Tenant) || req.From == "" {
-		httpError(w, http.StatusBadRequest, errors.New("adopt needs a tenant and a from address"))
+		httpError(w, api.CodeBadRequest, errors.New("adopt needs a tenant and a from address"))
 		return
 	}
 	gen, err := replication.CatchUp(r.Context(), s.reg, req.Tenant, replication.CatchUpOptions{
 		Upstream: strings.TrimRight(req.From, "/"),
-		Epoch:    s.epoch,
+		Epoch:    s.core.Epoch(),
 	})
 	if err != nil {
 		if tenant.IsNotFound(err) {
-			tenantError(w, err)
+			writeError(w, admission.Write, s.core.Fail(admission.Write, err))
 			return
 		}
 		api.Write(w, http.StatusBadGateway, &api.Error{

@@ -90,70 +90,6 @@ func noRedirect() *http.Client {
 	}
 }
 
-func TestRoutingFrontRedirectsForwardsAndStamps(t *testing.T) {
-	nodes := newCluster(t, 2)
-	m := nodes[0].table.Current()
-	name := ownedBy(t, m, "n2") // owned by node 2; we talk to node 1
-
-	// A foreign write forwards transparently: PUT policy + POST submit at n1
-	// land on n2 and answer as if direct.
-	if code := putPolicy(t, nodes[0].ts.URL, name, workload.ChurnPolicy(8, 8)); code != http.StatusNoContent {
-		t.Fatalf("routed put policy: %d", code)
-	}
-	var sub struct {
-		Results    []SubmitResult `json:"results"`
-		Generation uint64         `json:"generation"`
-	}
-	if code := doJSON(t, http.MethodPost, nodes[0].ts.URL+"/v1/tenants/"+name+"/submit",
-		wire(t, workload.ChurnGrant(0, 8, 8)), &sub); code != http.StatusOK || sub.Generation == 0 {
-		t.Fatalf("routed submit: %d gen %d", code, sub.Generation)
-	}
-	// The tenant materialised on the owner, not on the routing node.
-	if _, err := nodes[1].reg.Stats(name); err != nil {
-		t.Fatalf("tenant missing on owner: %v", err)
-	}
-	if _, err := nodes[0].reg.Stats(name); !tenant.IsNotFound(err) {
-		t.Fatalf("tenant materialised on the routing node: %v", err)
-	}
-
-	// A foreign read answers 307 with the owner's address; a redirect-following
-	// client reads its write back through either node.
-	req, _ := http.NewRequest(http.MethodGet, nodes[0].ts.URL+"/v1/tenants/"+name+"/audit", nil)
-	resp, err := noRedirect().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("foreign read: %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != nodes[1].ts.URL+"/v1/tenants/"+name+"/audit" {
-		t.Fatalf("redirect location %q", loc)
-	}
-	// Every response is stamped with the answering node's placement version.
-	if v := resp.Header.Get(api.HeaderPlacementVersion); v != strconv.FormatUint(m.Version, 10) {
-		t.Fatalf("placement stamp %q, want %d", v, m.Version)
-	}
-
-	// The loop guard: a request already marked as forwarded is answered 421
-	// misrouted with the owner and version, never forwarded again.
-	var envl struct {
-		Error api.Error `json:"error"`
-	}
-	req2, _ := http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/v1/tenants/"+name+"/submit", nil)
-	req2.Header.Set(api.HeaderRoutedBy, "n2")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := decodeInto(t, resp2, &envl); code != http.StatusMisdirectedRequest {
-		t.Fatalf("loop-guarded misroute: %d", code)
-	}
-	if envl.Error.Code != api.CodeMisrouted || envl.Error.Node != nodes[1].ts.URL || envl.Error.PlacementVersion != m.Version {
-		t.Fatalf("misrouted envelope %+v", envl.Error)
-	}
-}
-
 func TestClusterEndpointsAndCAS(t *testing.T) {
 	nodes := newCluster(t, 3)
 	m := nodes[0].table.Current()

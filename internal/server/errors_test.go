@@ -20,10 +20,9 @@ import (
 // one server and asserts the v1 contract: every non-2xx response is the
 // unified envelope {"error":{"code":...,"message":...}} with the documented
 // machine code — never a bare string, never a code invented per-handler.
-// Error paths needing special topology (fenced 421s, follower staleness,
-// misroutes, breaker 503s) are covered with the same typed assertions in
-// failover_test.go, replica_test.go, cluster_test.go and overload e2es; this
-// is the single-node catalogue.
+// Error paths needing special topology or load (fenced 421s, staleness,
+// misroutes, breaker and shed 503s/429s) are the conformance suite's, over
+// both transports; this is the single-node HTTP catalogue.
 func TestErrorEnvelopeCatalog(t *testing.T) {
 	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
 	srv := NewWithConfig(Config{Registry: reg, MinGenWait: 50 * time.Millisecond})
@@ -76,11 +75,13 @@ func TestErrorEnvelopeCatalog(t *testing.T) {
 		{"audit bad limit", "GET", "/v1/tenants/acme/audit?limit=all", "", 400, api.CodeBadRequest},
 		{"audit unknown tenant", "GET", "/v1/tenants/ghost/audit", "", 404, api.CodeNotFound},
 		{"stats unknown tenant", "GET", "/v1/tenants/ghost/stats", "", 404, api.CodeNotFound},
+		{"stats bad tenant name", "GET", "/v1/tenants/bad..name/stats", "", 400, api.CodeBadRequest},
 		{"policy parse error", "PUT", "/v1/tenants/fresh/policy", "role r1 {", 400, api.CodeBadRequest},
 		{"policy with do statements", "PUT", "/v1/tenants/fresh/policy", "do grant(a, user:b, role:c)", 400, api.CodeBadRequest},
 		{"policy re-upload conflict", "PUT", "/v1/tenants/acme/policy", "", 409, api.CodeConflict},
 		{"promote stale epoch", "POST", "/v1/cluster/promote", `{"if_epoch":41}`, 409, api.CodeConflict},
-		{"promote stale epoch (deprecated alias)", "POST", "/v1/promote", `{"if_epoch":41}`, 409, api.CodeConflict},
+		{"promote via the removed alias", "POST", "/v1/promote", `{"if_epoch":41}`, 404, api.CodeNotFound},
+		{"repoint via the removed alias", "POST", "/v1/repoint", `{"upstream":"http://x:1"}`, 404, api.CodeNotFound},
 		{"repoint without upstream", "POST", "/v1/cluster/repoint", `{}`, 400, api.CodeBadRequest},
 		{"repoint a primary", "POST", "/v1/cluster/repoint", `{"upstream":"http://x:1"}`, 409, api.CodeConflict},
 		{"migrate outside cluster mode", "POST", "/v1/cluster/migrate", `{"tenant":"acme","to":"n1"}`, 400, api.CodeBadRequest},

@@ -6,9 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"adminrefine/internal/api"
 	"adminrefine/internal/engine"
-	"adminrefine/internal/policy"
 	"adminrefine/internal/replication"
 	"adminrefine/internal/tenant"
 	"adminrefine/internal/workload"
@@ -80,16 +78,22 @@ func TestPromoteFlipsFollowerToPrimary(t *testing.T) {
 		wire(t, workload.ChurnGrant(3, 8, 8)), &sub); code != http.StatusOK || sub.Generation != 4 {
 		t.Fatalf("redirected write: %d gen %d", code, sub.Generation)
 	}
+	// Chase the redirected write's token on the follower: the promotion below
+	// must start from generation 4, not race the pull that ships it.
+	req.MinGeneration = 4
+	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/tenants/acme/authorize", req, &auth); code != http.StatusOK {
+		t.Fatalf("follower read at the redirected write's token: %d", code)
+	}
 	if folSrv.Role() != "follower" {
 		t.Fatalf("role %q", folSrv.Role())
 	}
 
 	// The CAS guard refuses a promotion conditioned on a stale epoch, and a
 	// serving primary refuses to be repointed out from under its followers.
-	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/promote", map[string]any{"if_epoch": 99}, nil); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/cluster/promote", map[string]any{"if_epoch": 99}, nil); code != http.StatusConflict {
 		t.Fatalf("stale-epoch promote: %d, want 409", code)
 	}
-	if code := doJSON(t, http.MethodPost, primTS.URL+"/v1/repoint", map[string]any{"upstream": folTS.URL}, nil); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodPost, primTS.URL+"/v1/cluster/repoint", map[string]any{"upstream": folTS.URL}, nil); code != http.StatusConflict {
 		t.Fatalf("repoint of serving primary: %d, want 409", code)
 	}
 	if folSrv.Role() != "follower" || folSrv.Epoch() != 0 {
@@ -102,10 +106,10 @@ func TestPromoteFlipsFollowerToPrimary(t *testing.T) {
 		Role  string `json:"role"`
 		Epoch uint64 `json:"epoch"`
 	}
-	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/promote", nil, &rc); code != http.StatusOK || rc.Role != "primary" || rc.Epoch != 1 {
+	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/cluster/promote", nil, &rc); code != http.StatusOK || rc.Role != "primary" || rc.Epoch != 1 {
 		t.Fatalf("promote: %d %+v", code, rc)
 	}
-	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/promote", nil, &rc); code != http.StatusOK || rc.Epoch != 1 {
+	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/cluster/promote", nil, &rc); code != http.StatusOK || rc.Epoch != 1 {
 		t.Fatalf("repeated promote: %d %+v, want idempotent epoch 1", code, rc)
 	}
 
@@ -120,100 +124,13 @@ func TestPromoteFlipsFollowerToPrimary(t *testing.T) {
 	}
 }
 
-// TestServerFencesOnDeposedEpoch pins the demotion path: a replication
-// request proving a higher epoch flips a serving primary to fenced — writes
-// answer 421 with the adopted epoch, open sessions are drained, reads keep
-// serving — and an operator promotion brings it back above the deposing
-// epoch.
-func TestServerFencesOnDeposedEpoch(t *testing.T) {
-	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
-	srv := NewWithConfig(Config{Registry: reg, Epoch: replication.NewEpoch(0, nil)})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		reg.Close()
-	})
-
-	if code := putPolicy(t, ts.URL, "acme", policy.Figure1()); code != http.StatusNoContent {
-		t.Fatalf("put policy: %d", code)
-	}
-	var sess sessionEnvelope
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/sessions",
-		map[string]any{"user": policy.UserDiana, "activate": []string{policy.RoleNurse}}, &sess); code != http.StatusOK {
-		t.Fatalf("create session: %d", code)
-	}
-
-	// A pull carrying epoch 5 deposes the node: 421 out, role fenced,
-	// sessions drained (node-local state must not outlive the authority to
-	// serve writes that could depend on it).
-	pull, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/replicate/acme/pull?after_seq=0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pull.Header.Set(replication.HeaderEpoch, "5")
-	resp, err := http.DefaultClient.Do(pull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("deposing pull: %d, want 421", resp.StatusCode)
-	}
-	if srv.Role() != "fenced" || srv.Epoch() != 5 {
-		t.Fatalf("after deposing pull: role %q epoch %d, want fenced at 5", srv.Role(), srv.Epoch())
-	}
-
-	var health struct {
-		Role     string `json:"role"`
-		Epoch    uint64 `json:"epoch"`
-		Sessions int    `json:"sessions"`
-	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &health); code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
-	}
-	if health.Role != "fenced" || health.Epoch != 5 || health.Sessions != 0 {
-		t.Fatalf("fenced healthz %+v, want fenced at epoch 5 with 0 sessions", health)
-	}
-
-	// Writes are refused with the fencing signal; reads keep serving the
-	// local state (stale but available, same as a follower).
-	var errBody struct {
-		Error api.Error `json:"error"`
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/submit",
-		wire(t, workload.ChurnGrant(0, 8, 8)), &errBody); code != http.StatusMisdirectedRequest ||
-		errBody.Error.Code != api.CodeFenced || errBody.Error.Epoch != 5 {
-		t.Fatalf("write on fenced node: %d %+v, want 421 code fenced at epoch 5", code, errBody.Error)
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/authorize",
-		wire(t, workload.ChurnGrant(0, 8, 8)), nil); code != http.StatusOK {
-		t.Fatalf("read on fenced node: %d", code)
-	}
-
-	// Promotion un-fences: the node mints the next epoch above the one that
-	// deposed it and serves writes again.
-	var rc struct {
-		Role  string `json:"role"`
-		Epoch uint64 `json:"epoch"`
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/promote", nil, &rc); code != http.StatusOK || rc.Role != "primary" || rc.Epoch != 6 {
-		t.Fatalf("promote fenced node: %d %+v, want primary at epoch 6", code, rc)
-	}
-	var sub batchResponse
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/submit",
-		wire(t, workload.ChurnGrant(0, 8, 8)), &sub); code != http.StatusOK || sub.Epoch != 6 {
-		t.Fatalf("write after re-promotion: %d epoch %d", code, sub.Epoch)
-	}
-}
-
 // TestRepointValidation pins the repoint endpoint's input contract.
 func TestRepointValidation(t *testing.T) {
 	_, folTS, _ := failoverPair(t)
-	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/repoint", map[string]any{}, nil); code != http.StatusBadRequest {
+	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/cluster/repoint", map[string]any{}, nil); code != http.StatusBadRequest {
 		t.Fatalf("repoint without upstream: %d, want 400", code)
 	}
-	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/repoint", map[string]any{"upstream": "http://x", "if_epoch": 42}, nil); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodPost, folTS.URL+"/v1/cluster/repoint", map[string]any{"upstream": "http://x", "if_epoch": 42}, nil); code != http.StatusConflict {
 		t.Fatalf("stale-epoch repoint: %d, want 409", code)
 	}
 }

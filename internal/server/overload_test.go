@@ -2,23 +2,21 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"adminrefine/internal/admission"
 	"adminrefine/internal/engine"
-	"adminrefine/internal/replication"
 	"adminrefine/internal/tenant"
 	"adminrefine/internal/workload"
 )
 
-// overloadServer builds a primary with an admission controller and returns
-// both the live Server (for same-package peeks at slots and counters) and
-// its listener, with one provisioned tenant "t".
+// overloadServer builds a primary and returns both the live Server and its
+// listener, with one provisioned tenant "t". The overload contract itself
+// (sheds, deadlines, the breaker) is the conformance suite's; what stays
+// here is the HTTP codec's own: the deadline header.
 func overloadServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
@@ -34,227 +32,6 @@ func overloadServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatalf("put policy: %d", code)
 	}
 	return srv, ts
-}
-
-// Reads beyond the read class's capacity shed with 429 + Retry-After while
-// /stats — never admission-gated — keeps serving and accounts the shed.
-func TestSaturatedReadsShedWith429StatsKeepServing(t *testing.T) {
-	srv, ts := overloadServer(t, Config{
-		Admission: admission.New(admission.Config{
-			Read: admission.Limits{MaxInFlight: 1, MaxQueue: 0},
-		}),
-	})
-
-	// Hold the class's only slot as an in-flight read would.
-	release, err := srv.admission.Acquire(context.Background(), admission.Read)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req := wire(t, workload.ChurnGrant(0, 8, 8))
-	resp := postJSON(t, ts.URL+"/v1/tenants/t/authorize", req, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated read got %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-
-	// Observability survives saturation: /stats is not gated and reports
-	// the shed plus the still-held slot.
-	var st statsResponse
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/tenants/t/stats", nil, &st); code != http.StatusOK {
-		t.Fatalf("stats during saturation: %d", code)
-	}
-	if st.Overload.ShedRead != 1 {
-		t.Fatalf("shed_read %d, want 1", st.Overload.ShedRead)
-	}
-	if st.Overload.Admission == nil || st.Overload.Admission.Read.InFlight != 1 {
-		t.Fatalf("admission stats during saturation: %+v", st.Overload.Admission)
-	}
-	if st.Overload.Admission.Read.ShedOverload != 1 {
-		t.Fatalf("read shed_overload %d, want 1", st.Overload.Admission.Read.ShedOverload)
-	}
-
-	// Releasing the slot re-admits.
-	release()
-	if resp := postJSON(t, ts.URL+"/v1/tenants/t/authorize", req, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("read after release: %d", resp.StatusCode)
-	}
-}
-
-// A write whose budget expires while queued for a write slot sheds with 503
-// (never 429 — the client must know the node could not take the write).
-func TestQueuedWriteDeadlineShedsWith503(t *testing.T) {
-	srv, ts := overloadServer(t, Config{
-		Admission: admission.New(admission.Config{
-			Write: admission.Limits{MaxInFlight: 1, MaxQueue: 4},
-		}),
-	})
-	release, err := srv.admission.Acquire(context.Background(), admission.Write)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-
-	body := wire(t, workload.ChurnGrant(0, 8, 8))
-	resp := postJSON(t, ts.URL+"/v1/tenants/t/submit", body, map[string]string{
-		HeaderRequestDeadline: "50",
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("expired queued write got %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	if got := srv.shedDeadline.Load(); got != 1 {
-		t.Fatalf("shed_deadline %d, want 1", got)
-	}
-
-	// Writes past the queue cap shed immediately with 503.
-	payload, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		go func() {
-			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/tenants/t/submit", bytes.NewReader(payload))
-			if err != nil {
-				return
-			}
-			req.Header.Set(HeaderRequestDeadline, "2000")
-			if resp, err := http.DefaultClient.Do(req); err == nil {
-				resp.Body.Close()
-			}
-		}()
-	}
-	waitForCond(t, "write queue full", func() bool {
-		return srv.admission.Stats().Write.Queued == 4
-	})
-	resp = postJSON(t, ts.URL+"/v1/tenants/t/submit", body, nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("over-cap write got %d, want 503", resp.StatusCode)
-	}
-	if st := srv.admission.Stats(); st.Write.ShedOverload != 1 {
-		t.Fatalf("write shed_overload %d, want 1", st.Write.ShedOverload)
-	}
-}
-
-// A min_generation wait cut by the request's deadline is 503 (overload /
-// stalled replica), not 409 (staleness): the client should retry, not
-// treat its token as unreachable.
-func TestDeadlineDuringGenerationWaitIs503Not409(t *testing.T) {
-	_, ts := overloadServer(t, Config{
-		MinGenWait: 5 * time.Second,
-	})
-	req := wire(t, workload.ChurnGrant(0, 8, 8))
-	req.MinGeneration = 1000 // unreachable
-	start := time.Now()
-	resp := postJSON(t, ts.URL+"/v1/tenants/t/authorize", req, map[string]string{
-		HeaderRequestDeadline: "100ms",
-	})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("deadline-cut wait got %d, want 503", resp.StatusCode)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline-cut wait took %v, want ~100ms", elapsed)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-
-	// Without a client budget, MaxRequestTime bounds the same wait.
-	_, ts2 := overloadServer(t, Config{
-		MinGenWait:     5 * time.Second,
-		MaxRequestTime: 100 * time.Millisecond,
-	})
-	req2 := wire(t, workload.ChurnGrant(0, 8, 8))
-	req2.MinGeneration = 1000
-	if resp := postJSON(t, ts2.URL+"/v1/tenants/t/authorize", req2, nil); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("MaxRequestTime-cut wait got %d, want 503", resp.StatusCode)
-	}
-
-	// An unreachable token with time left on the clock stays 409.
-	_, ts3 := overloadServer(t, Config{MinGenWait: 50 * time.Millisecond})
-	req3 := wire(t, workload.ChurnGrant(0, 8, 8))
-	req3.MinGeneration = 1000
-	if resp := postJSON(t, ts3.URL+"/v1/tenants/t/authorize", req3, nil); resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale read with budget left got %d, want 409", resp.StatusCode)
-	}
-}
-
-// A follower whose breaker is open answers writes 503 + Retry-After instead
-// of redirecting clients at an upstream it knows is dead; a repoint resets
-// the verdict.
-func TestOpenBreakerFastFailsWriteForwarding(t *testing.T) {
-	br := admission.NewBreaker(admission.BreakerOptions{
-		Threshold: 3,
-		Cooldown:  time.Minute, // stays open for the whole test
-	})
-	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
-	fol := replication.NewFollower(reg, replication.FollowerOptions{
-		Upstream: "http://127.0.0.1:1",
-		Breaker:  br,
-	})
-	srv := NewWithConfig(Config{Registry: reg, Follower: fol, Breaker: br})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-		fol.Close()
-		reg.Close()
-	})
-	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-
-	// Breaker closed: writes forward with 307 as before.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/tenants/t/submit", nil)
-	resp, err := noRedirect.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("write with closed breaker got %d, want 307", resp.StatusCode)
-	}
-
-	// Trip it the way the pull loop would.
-	for i := 0; i < 3; i++ {
-		br.Failure()
-	}
-	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/tenants/t/submit", nil)
-	resp, err = noRedirect.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("write with open breaker got %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("breaker fast-fail without Retry-After")
-	}
-	if got := srv.breakerFastFail.Load(); got != 1 {
-		t.Fatalf("breaker_fast_fail %d, want 1", got)
-	}
-	var hz map[string]any
-	if code := doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, &hz); code != http.StatusOK {
-		t.Fatalf("healthz with open breaker: %d", code)
-	}
-	ov, _ := hz["overload"].(map[string]any)
-	if ov == nil || ov["breaker_fast_fail"] != float64(1) {
-		t.Fatalf("healthz overload block %v", hz["overload"])
-	}
-
-	// Repointing at a (nominally) new upstream resets the breaker: old
-	// failures must not damn the successor.
-	if err := srv.Repoint("http://127.0.0.1:2", 0); err != nil {
-		t.Fatal(err)
-	}
-	if br.Open() {
-		t.Fatal("breaker still open after repoint")
-	}
 }
 
 // The deadline header is strict: garbage and non-positive budgets are 400.
@@ -275,36 +52,6 @@ func TestRequestDeadlineHeaderValidation(t *testing.T) {
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("deadline %q got %d, want 200", good, resp.StatusCode)
-		}
-	}
-}
-
-// classify routes every endpoint to the right class and leaves the control
-// plane ungated.
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		method, path string
-		class        admission.Class
-		gated        bool
-	}{
-		{http.MethodPost, "/v1/tenants/t/authorize", admission.Read, true},
-		{http.MethodPost, "/v1/tenants/t/check", admission.Read, true},
-		{http.MethodGet, "/v1/tenants/t/audit", admission.Read, true},
-		{http.MethodPost, "/v1/tenants/t/sessions", admission.Read, true},
-		{http.MethodDelete, "/v1/tenants/t/sessions/7", admission.Read, true},
-		{http.MethodPost, "/v1/tenants/t/submit", admission.Write, true},
-		{http.MethodPut, "/v1/tenants/t/policy", admission.Write, true},
-		{http.MethodGet, "/v1/replicate/t/wal", admission.Replication, true},
-		{http.MethodGet, "/v1/tenants/t/stats", 0, false},
-		{http.MethodGet, "/healthz", 0, false},
-		{http.MethodPost, "/v1/promote", 0, false},
-		{http.MethodPost, "/v1/repoint", 0, false},
-	}
-	for _, c := range cases {
-		r := httptest.NewRequest(c.method, c.path, nil)
-		cl, gated := classify(r)
-		if gated != c.gated || (gated && cl != c.class) {
-			t.Errorf("classify(%s %s) = (%v, %v), want (%v, %v)", c.method, c.path, cl, gated, c.class, c.gated)
 		}
 	}
 }

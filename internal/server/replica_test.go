@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
@@ -50,111 +49,6 @@ type genEnvelope struct {
 	Results    []AuthorizeResult `json:"results"`
 	Generation uint64            `json:"generation"`
 	Error      string            `json:"error,omitempty"`
-}
-
-func TestReadYourWritesAcrossReplicas(t *testing.T) {
-	primary, follower := replicaPair(t)
-	if code := putPolicy(t, primary.URL, "acme", workload.ChurnPolicy(16, 16)); code != http.StatusNoContent {
-		t.Fatalf("put policy: %d", code)
-	}
-
-	// Write on the primary; the response carries the generation token.
-	var sub struct {
-		Results    []SubmitResult `json:"results"`
-		Generation uint64         `json:"generation"`
-	}
-	cmds := wire(t, workload.ChurnGrant(0, 16, 16), workload.ChurnGrant(1, 16, 16))
-	if code := doJSON(t, http.MethodPost, primary.URL+"/v1/tenants/acme/submit", cmds, &sub); code != http.StatusOK {
-		t.Fatalf("submit: %d", code)
-	}
-	if sub.Generation != 2 {
-		t.Fatalf("submit generation token %d, want 2", sub.Generation)
-	}
-
-	// Read on the follower demanding that generation: the follower waits for
-	// replication to catch up and never serves a staler answer.
-	read := wire(t, workload.ChurnGrant(2, 16, 16))
-	read.MinGeneration = sub.Generation
-	var auth genEnvelope
-	if code := doJSON(t, http.MethodPost, follower.URL+"/v1/tenants/acme/authorize", read, &auth); code != http.StatusOK {
-		t.Fatalf("follower authorize: %d", code)
-	}
-	if auth.Generation < sub.Generation {
-		t.Fatalf("follower served generation %d below token %d", auth.Generation, sub.Generation)
-	}
-	if len(auth.Results) != 1 || !auth.Results[0].Allowed {
-		t.Fatalf("follower decision %+v", auth.Results)
-	}
-}
-
-func TestMinGenerationUnreachableIs409(t *testing.T) {
-	primary, follower := replicaPair(t)
-	if code := putPolicy(t, primary.URL, "acme", workload.ChurnPolicy(8, 8)); code != http.StatusNoContent {
-		t.Fatalf("put policy: %d", code)
-	}
-	// Sync the follower once so the tenant exists there.
-	var auth genEnvelope
-	if code := doJSON(t, http.MethodPost, follower.URL+"/v1/tenants/acme/authorize",
-		wire(t, workload.ChurnGrant(0, 8, 8)), &auth); code != http.StatusOK {
-		t.Fatalf("follower warmup authorize: %d", code)
-	}
-
-	// Demand a generation the primary never produced: bounded wait, then 409
-	// with the replica's current generation — never a stale 200.
-	req := wire(t, workload.ChurnGrant(0, 8, 8))
-	req.MinGeneration = 1 << 40
-	var stale struct {
-		Error api.Error `json:"error"`
-	}
-	code := doJSON(t, http.MethodPost, follower.URL+"/v1/tenants/acme/authorize", req, &stale)
-	if code != http.StatusConflict {
-		t.Fatalf("unreachable min_generation: status %d, want 409", code)
-	}
-	if stale.Error.Code != api.CodeStaleGeneration || stale.Error.MinGeneration != req.MinGeneration {
-		t.Fatalf("409 body %+v", stale.Error)
-	}
-}
-
-func TestFollowerRedirectsWrites(t *testing.T) {
-	primary, follower := replicaPair(t)
-	if code := putPolicy(t, primary.URL, "acme", workload.ChurnPolicy(8, 8)); code != http.StatusNoContent {
-		t.Fatalf("put policy: %d", code)
-	}
-
-	// A redirect-following client (the default) transparently writes to the
-	// primary through the follower.
-	var sub struct {
-		Results    []SubmitResult `json:"results"`
-		Generation uint64         `json:"generation"`
-	}
-	code := doJSON(t, http.MethodPost, follower.URL+"/v1/tenants/acme/submit",
-		wire(t, workload.ChurnGrant(0, 8, 8)), &sub)
-	if code != http.StatusOK {
-		t.Fatalf("submit via follower: %d", code)
-	}
-	if len(sub.Results) != 1 || sub.Results[0].Outcome != "applied" || sub.Generation != 1 {
-		t.Fatalf("submit via follower: %+v", sub)
-	}
-
-	// A non-following client sees the 307 and the upstream Location.
-	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	req, err := http.NewRequest(http.MethodPut, follower.URL+"/v1/tenants/acme/policy", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := noRedirect.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("follower PUT policy: status %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != primary.URL+"/v1/tenants/acme/policy" {
-		t.Fatalf("redirect location %q", loc)
-	}
 }
 
 func TestFollowerStatsCarryReplication(t *testing.T) {

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/policy"
+	"adminrefine/internal/service"
 	"adminrefine/internal/tenant"
 )
 
@@ -27,11 +29,12 @@ var scratchCoverage = map[string]string{
 	"req":      "decode target: struct rebuilt and element storage cleared by reset()",
 	"checkReq": "decode target: struct rebuilt and element storage cleared by reset()",
 	"adminReq": "decode target: scalar struct zeroed by reset() (a leaked IfEpoch would veto a promotion; a leaked Upstream would redirect a repoint)",
-	"cmds":     "overwrite-before-read result buffer: length zeroed by reset()",
-	"results":  "overwrite-before-read result buffer: length zeroed by reset()",
-	"authOut":  "overwrite-before-read result buffer: length zeroed by reset()",
-	"subOut":   "overwrite-before-read result buffer: length zeroed by reset()",
-	"checkOut": "overwrite-before-read result buffer: length zeroed by reset()",
+	"reqs":     "the core request the decoders fill: every scalar zeroed and every slice emptied by service.Request.Reset()",
+	"resps":    "the core's answer: zeroed by reset() and rebuilt from scratch by service.Core.Do",
+	"core":     "engine result buffers behind resps: emptied by service.Core.Do on entry (its check-privilege cache is request-independent)",
+	"authOut":  "append-from-zero result buffer: length zeroed by reset()",
+	"subOut":   "append-from-zero result buffer: length zeroed by reset()",
+	"checkOut": "append-from-zero result buffer: length zeroed by reset()",
 }
 
 // TestScratchFieldsZeroedBetweenRequests is the table-driven, reflection
@@ -66,8 +69,12 @@ func TestScratchFieldsZeroedBetweenRequests(t *testing.T) {
 			MinGeneration: 42,
 		},
 		adminReq: AdminRequest{Upstream: "http://leak:1", IfEpoch: 3},
-		cmds:     make([]command.Command, 3),
-		results:  make([]engine.AuthzResult, 3),
+		reqs: [1]service.Request{{
+			Op: service.OpCheck, MinGen: 99, DeadlineMS: 5, Tenant: "leak", Session: 7, User: "leak",
+			Cmds: make([]command.Command, 3), Checks: []service.Check{{Action: "read", Object: "t1"}},
+			Roles: []string{"leak"}, Activate: []string{"leak"}, Deactivate: []string{"leak"},
+		}},
+		resps:    [1]service.Response{{Err: &api.Error{Code: api.CodeInternal}, Generation: 9, Allowed: []bool{true}, Session: 7}},
 		authOut:  []AuthorizeResult{{Allowed: true, Justification: "leak"}},
 		subOut:   []SubmitResult{{Outcome: "applied"}},
 		checkOut: []CheckResult{{Allowed: true}},
@@ -95,8 +102,14 @@ func TestScratchFieldsZeroedBetweenRequests(t *testing.T) {
 			t.Fatalf("checkReq.Checks backing element %d survived reset: %+v", i, q)
 		}
 	}
+	if req := &sc.reqs[0]; !reflect.DeepEqual(*req, service.Request{Cmds: req.Cmds[:0], Checks: req.Checks[:0],
+		Roles: req.Roles[:0], Activate: req.Activate[:0], Deactivate: req.Deactivate[:0]}) {
+		t.Fatalf("core request not reset: %+v", *req)
+	}
+	if !reflect.DeepEqual(sc.resps[0], service.Response{}) {
+		t.Fatalf("core response not reset: %+v", sc.resps[0])
+	}
 	for name, n := range map[string]int{
-		"cmds": len(sc.cmds), "results": len(sc.results),
 		"authOut": len(sc.authOut), "subOut": len(sc.subOut), "checkOut": len(sc.checkOut),
 	} {
 		if n != 0 {

@@ -20,12 +20,21 @@
 //	GET  /v1/tenants/{tenant}/stats                                                   → tenant.Stats (+ "replication", "sessions")
 //	GET  /healthz                                                                     → liveness + uptime + role
 //	GET  /v1/replicate/{tenant}/...                                                   → log shipping (primary only; see internal/replication)
-//	GET|POST /v1/cluster/...                                                          → multi-primary control plane (see cluster.go);
-//	                                                                                    /v1/promote and /v1/repoint remain as deprecated aliases
+//	GET|POST /v1/cluster/...                                                          → role transitions + multi-primary control plane (see cluster.go)
 //
-// Every non-2xx data-plane response body is the unified error envelope of
-// internal/api: {"error":{"code":...,"message":...,...}} — clients dispatch
-// on the code, never on message text.
+// Every non-2xx response body is the unified error envelope of internal/api:
+// {"error":{"code":...,"message":...,...}} — clients dispatch on the code,
+// never on message text.
+//
+// This package is the JSON codec of the request core (internal/service): the
+// seven data-plane ops decode into a service.Request, cross service.Core.Do —
+// the same pipeline the binary plane (internal/wire) crosses — and encode
+// from its Response; one table maps the core's error codes onto HTTP
+// statuses. What stays here is what only HTTP can do: stream-forward a
+// non-owner's write, 307 a body-less request or a follower's write, parse
+// X-Request-Deadline, stamp placement-version and epoch headers — plus the
+// HTTP-only endpoints (explain, audit, policy upload), which pass the same
+// gates by calling the core's exported steps, and the control plane.
 //
 // Reads (authorize, explain, stats, sessions, check, audit) of a tenant with
 // no durable state return 404 and never create one; writes (submit, policy)
@@ -59,10 +68,10 @@
 // is a deposed ex-primary with no upstream yet: reads keep serving, writes
 // answer 421.
 //
-// Transitions: POST /v1/promote flips a follower (or fenced node) to
-// primary — the fencing epoch advances durably BEFORE the first write is
+// Transitions: POST /v1/cluster/promote flips a follower (or fenced node)
+// to primary — the fencing epoch advances durably BEFORE the first write is
 // accepted, the pull loops stop, and the source starts serving. POST
-// /v1/repoint points a follower (or rejoins a fenced ex-primary) at a new
+// /v1/cluster/repoint points a follower (or rejoins a fenced ex-primary) at a new
 // upstream; each tenant resumes pulling from its durable local WAL position,
 // and any history the dead primary acknowledged but never replicated is
 // discarded by a rewinding snapshot bootstrap (see internal/replication).
@@ -83,6 +92,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -94,11 +104,11 @@ import (
 	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/constraints"
-	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/parser"
 	"adminrefine/internal/placement"
 	"adminrefine/internal/replication"
+	"adminrefine/internal/service"
 	"adminrefine/internal/session"
 	"adminrefine/internal/storage"
 	"adminrefine/internal/tenant"
@@ -113,10 +123,11 @@ const maxBodyBytes = 8 << 20
 // client may tighten its deadline but never extend the server's.
 const HeaderRequestDeadline = "X-Request-Deadline"
 
-// batchScratch is the per-request working set of the batched data-plane
-// handlers: decode targets and result buffers recycled through a pool so a
-// steady request stream reuses storage instead of allocating per call. A
-// scratch is only pooled again after the response is written.
+// batchScratch is the per-request working set of the data-plane handlers:
+// JSON decode targets, the one-request drain handed to the core, and the
+// JSON result buffers, recycled through a pool so a steady request stream
+// reuses storage instead of allocating per call. A scratch is only pooled
+// again after the response is written.
 //
 // Every field is request-scoped state and MUST be covered by reset():
 // encoding/json merges into existing values, so a decode target carrying a
@@ -130,10 +141,14 @@ type batchScratch struct {
 	checkReq CheckRequest
 	// adminReq is the decode target of the promote/repoint control plane.
 	adminReq AdminRequest
-	// Result buffers: overwritten index-by-index up to the current request's
-	// length before any read, so only their lengths are reset.
-	cmds     []command.Command
-	results  []engine.AuthzResult
+	// The drain of one the core answers: the request is Reset (every scalar
+	// zeroed, slices emptied), the response rebuilt by Do.
+	reqs  [1]service.Request
+	resps [1]service.Response
+	// core holds the engine result buffers the response aliases; Do empties
+	// them on entry.
+	core service.Scratch
+	// JSON result buffers: rebuilt by append from length zero.
 	authOut  []AuthorizeResult
 	subOut   []SubmitResult
 	checkOut []CheckResult
@@ -154,8 +169,8 @@ func (sc *batchScratch) reset() {
 	clear(checks)
 	sc.checkReq = CheckRequest{Checks: checks[:0]}
 	sc.adminReq = AdminRequest{}
-	sc.cmds = sc.cmds[:0]
-	sc.results = sc.results[:0]
+	sc.reqs[0].Reset()
+	sc.resps[0] = service.Response{}
 	sc.authOut = sc.authOut[:0]
 	sc.subOut = sc.subOut[:0]
 	sc.checkOut = sc.checkOut[:0]
@@ -200,14 +215,14 @@ type Config struct {
 	Epoch *replication.Epoch
 	// FollowerOptions is the template the server uses to build a follower it
 	// was not constructed with: a fenced ex-primary rejoining the cluster via
-	// /v1/repoint (Upstream is overwritten per repoint). When Follower is
-	// non-nil its own options take precedence as the template.
+	// /v1/cluster/repoint (Upstream is overwritten per repoint). When
+	// Follower is non-nil its own options take precedence as the template.
 	FollowerOptions replication.FollowerOptions
 	// PromoteOnUpstreamLoss, on a follower, self-promotes this node after its
 	// upstream's /healthz fails ProbeThreshold consecutive probes — unattended
 	// failover for two-node deployments. Leave it off when an external
-	// orchestrator calls /v1/promote (two followers probing the same dead
-	// primary would both promote).
+	// orchestrator calls /v1/cluster/promote (two followers probing the same
+	// dead primary would both promote).
 	PromoteOnUpstreamLoss bool
 	// ProbeInterval is the upstream health-probe period (default 1s).
 	ProbeInterval time.Duration
@@ -215,7 +230,7 @@ type Config struct {
 	// upstream (default 5).
 	ProbeThreshold int
 	// MaxRequestTime is the server-side time budget every data-plane request
-	// runs under: the handler's context expires after this long, so a request
+	// runs under: the request's context expires after this long, so a request
 	// stuck behind a stalled fsync or a saturated queue is cut loose with 503
 	// instead of holding its goroutine (and its admission slot) indefinitely.
 	// A client's X-Request-Deadline header tightens (never extends) the
@@ -224,10 +239,10 @@ type Config struct {
 	// ReplicationMaxWait.
 	MaxRequestTime time.Duration
 	// Admission, when non-nil, gates data-plane requests by class
-	// (read / write / replication) before any handler work: a class at its
-	// concurrency limit queues up to its queue cap, and beyond that sheds
-	// immediately — reads with 429, writes with 503, both with Retry-After.
-	// Nil admits everything (no limits, no accounting).
+	// (read / write / replication): a class at its concurrency limit queues
+	// up to its queue cap, and beyond that sheds immediately — reads with
+	// 429, writes with 503, both with Retry-After. Nil admits everything (no
+	// limits, no accounting).
 	Admission *admission.Controller
 	// Breaker, when non-nil, fast-fails the follower's write-forwarding path
 	// while the upstream primary is unreachable: instead of a 307 redirect
@@ -237,10 +252,11 @@ type Config struct {
 	// what trip it. Repoint resets it (new upstream, fresh verdict).
 	Breaker *admission.Breaker
 	// Placement, together with NodeID, switches the node into cluster mode:
-	// the routing front consults the table's current map on every data-plane
-	// request (see cluster.go) and the /v1/cluster/* mutations operate on it.
-	// Nil (or a table holding no map) disables routing — the single-primary
-	// deployments of earlier PRs.
+	// the request core consults the table's current map on every data-plane
+	// request (see cluster.go for what HTTP does with a non-owner's answer)
+	// and the /v1/cluster/* mutations operate on it. Nil (or a table holding
+	// no map) disables routing — the single-primary deployments of earlier
+	// PRs.
 	Placement *placement.Table
 	// NodeID is this node's stable placement identity. In a primary/follower
 	// pair both nodes carry the SAME ID: the follower serves the ID's reads
@@ -255,52 +271,26 @@ type Config struct {
 	PeerBreakerOptions admission.BreakerOptions
 }
 
-// Server is the HTTP facade over a tenant registry — a role state machine
-// over primary (serving writes and its WAL), follower (serving replicated
-// reads) and fenced (a deposed ex-primary awaiting a repoint).
+// Server is the HTTP facade over a node's request core (internal/service),
+// which owns the data-plane pipeline and the role state machine; the facade
+// adds the JSON codec, HTTP-only routing actions and the control plane.
 type Server struct {
-	reg        *tenant.Registry
-	epoch      *replication.Epoch
-	source     *replication.Source
-	sessions   *session.Registry
-	minGenWait time.Duration
-	mux        *http.ServeMux
-	start      time.Time
-
-	// Overload machinery (see Config.MaxRequestTime/Admission/Breaker).
-	maxRequestTime time.Duration
-	admission      *admission.Controller
-	breaker        *admission.Breaker
-	// Wire-level shed accounting: what this server refused and how. shedRead
-	// counts 429s, shedWrite counts overload 503s (write and replication
-	// classes plus tenant-queue caps), shedDeadline counts requests cut by an
-	// expired budget, breakerFastFail counts writes answered 503 instead of a
-	// redirect to a dead upstream.
-	shedRead        atomic.Uint64
-	shedWrite       atomic.Uint64
-	shedDeadline    atomic.Uint64
-	breakerFastFail atomic.Uint64
+	core  *service.Core
+	reg   *tenant.Registry
+	mux   *http.ServeMux
+	start time.Time
 
 	// Cluster plane (see cluster.go): nil placement (or one holding no map)
-	// disables the routing front and the /v1/cluster mutations.
+	// disables routing and the /v1/cluster mutations.
 	placement       *placement.Table
 	nodeID          string
 	peerClient      *http.Client
 	peerBreakerOpts admission.BreakerOptions
 	peersMu         sync.Mutex
 	peerBreakers    map[string]*admission.Breaker
-
-	// roleMu guards the role state below. Handlers take a read lock only to
-	// resolve the current role; transitions (Promote, Repoint, fence) take
-	// the write lock — including across follower.Close, which is fast
-	// (cancelling the pull context aborts in-flight requests).
-	roleMu sync.RWMutex
-	// follower is non-nil exactly in follower role.
-	follower *replication.Follower
-	// fenced marks a deposed ex-primary: no upstream, writes answer 421.
-	fenced bool
-	// followerTmpl seeds replacement followers (repoint from fenced).
-	followerTmpl replication.FollowerOptions
+	// peerFastFail counts forwards answered 503 on an open peer breaker; it
+	// is reported inside the core's breaker_fast_fail.
+	peerFastFail atomic.Uint64
 
 	probeThreshold int
 	probeInterval  time.Duration
@@ -314,16 +304,10 @@ func New(reg *tenant.Registry) *Server {
 	return NewWithConfig(Config{Registry: reg})
 }
 
-// NewWithConfig builds the server in the role cfg implies: a primary mounts
+// NewWithConfig builds the server in the role cfg implies: a primary serves
 // the replication source endpoints, a follower (cfg.Follower non-nil)
 // redirects writes upstream instead.
 func NewWithConfig(cfg Config) *Server {
-	if cfg.MinGenWait <= 0 {
-		cfg.MinGenWait = 2 * time.Second
-	}
-	if cfg.Epoch == nil {
-		cfg.Epoch = replication.NewEpoch(0, nil)
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
@@ -331,22 +315,26 @@ func NewWithConfig(cfg Config) *Server {
 		cfg.ProbeThreshold = 5
 	}
 	s := &Server{
-		reg:      cfg.Registry,
-		epoch:    cfg.Epoch,
-		follower: cfg.Follower,
-		sessions: session.NewRegistry(session.Options{
-			Constraints: cfg.Constraints,
-			CacheSlots:  cfg.SessionCacheSlots,
+		core: service.New(service.Config{
+			Registry:           cfg.Registry,
+			Constraints:        cfg.Constraints,
+			SessionCacheSlots:  cfg.SessionCacheSlots,
+			Epoch:              cfg.Epoch,
+			Admission:          cfg.Admission,
+			Breaker:            cfg.Breaker,
+			MinGenWait:         cfg.MinGenWait,
+			MaxRequestTime:     cfg.MaxRequestTime,
+			Placement:          cfg.Placement,
+			NodeID:             cfg.NodeID,
+			Follower:           cfg.Follower,
+			FollowerOptions:    cfg.FollowerOptions,
+			ReplicationMaxWait: cfg.ReplicationMaxWait,
 		}),
-		minGenWait:      cfg.MinGenWait,
+		reg:             cfg.Registry,
 		mux:             http.NewServeMux(),
 		start:           time.Now(),
-		followerTmpl:    cfg.FollowerOptions,
 		probeInterval:   cfg.ProbeInterval,
 		probeThreshold:  cfg.ProbeThreshold,
-		maxRequestTime:  cfg.MaxRequestTime,
-		admission:       cfg.Admission,
-		breaker:         cfg.Breaker,
 		placement:       cfg.Placement,
 		nodeID:          cfg.NodeID,
 		peerClient:      cfg.PeerClient,
@@ -361,31 +349,18 @@ func NewWithConfig(cfg Config) *Server {
 			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 		}
 	}
-	if cfg.Follower != nil {
-		s.followerTmpl = cfg.Follower.Options()
-	}
-	if s.followerTmpl.Epoch == nil {
-		s.followerTmpl.Epoch = s.epoch
-	}
-	if s.followerTmpl.Breaker == nil {
-		// A repoint-built follower shares the write path's breaker, so its
-		// pull failures are what trip the 503 fast-fail.
-		s.followerTmpl.Breaker = cfg.Breaker
-	}
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/authorize", s.handleAuthorize)
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/submit", s.handleSubmit)
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/authorize", s.serveOp(service.OpAuthorize, decodeBatch))
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/submit", s.serveOp(service.OpSubmit, decodeBatch))
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions", s.serveOp(service.OpSessionCreate, decodeSession))
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions/{sid}", s.serveOp(service.OpSessionUpdate, decodeSession))
+	s.mux.HandleFunc("DELETE /v1/tenants/{tenant}/sessions/{sid}", s.serveOp(service.OpSessionDelete, decodeSession))
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/check", s.serveOp(service.OpCheck, decodeCheck))
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/explain", s.handleExplain)
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions", s.handleSessionCreate)
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions/{sid}", s.handleSessionUpdate)
-	s.mux.HandleFunc("DELETE /v1/tenants/{tenant}/sessions/{sid}", s.handleSessionDelete)
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/check", s.handleCheck)
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/audit", s.handleAudit)
 	s.mux.HandleFunc("PUT /v1/tenants/{tenant}/policy", s.handlePutPolicy)
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	// Control plane: role transitions and cluster topology live under
-	// /v1/cluster/*; the bare /v1/promote and /v1/repoint paths remain as
-	// deprecated aliases for pre-cluster operators and harnesses.
+	// Control plane: role transitions and cluster topology.
 	s.mux.HandleFunc("POST /v1/cluster/promote", s.handlePromote)
 	s.mux.HandleFunc("POST /v1/cluster/repoint", s.handleRepoint)
 	s.mux.HandleFunc("GET /v1/cluster/placement", s.handlePlacementGet)
@@ -394,19 +369,15 @@ func NewWithConfig(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/cluster/nodes", s.handleNodeRepoint)
 	s.mux.HandleFunc("POST /v1/cluster/migrate", s.handleMigrate)
 	s.mux.HandleFunc("POST /v1/cluster/adopt", s.handleAdopt)
-	s.mux.HandleFunc("POST /v1/promote", s.handlePromote)
-	s.mux.HandleFunc("POST /v1/repoint", s.handleRepoint)
+	// Unknown paths answer the envelope too, not net/http's plain text.
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		httpError(w, api.CodeNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+	})
 	// The source is always mounted: a non-primary answers its endpoints 421
 	// plus its epoch — exactly the re-point signal a stray puller (or a
 	// resurrected ex-primary's follower) needs.
-	s.source = replication.NewSource(s.reg, replication.SourceOptions{
-		MaxWait:  cfg.ReplicationMaxWait,
-		Epoch:    s.epoch,
-		OnFenced: s.fence,
-	})
-	s.source.Register(s.mux)
-	s.source.SetServing(s.follower == nil)
-	if s.follower != nil && cfg.PromoteOnUpstreamLoss {
+	s.core.Source().Register(s.mux)
+	if cfg.Follower != nil && cfg.PromoteOnUpstreamLoss {
 		ctx, cancel := context.WithCancel(context.Background())
 		s.probeCancel = cancel
 		s.probeWG.Add(1)
@@ -415,154 +386,33 @@ func NewWithConfig(cfg Config) *Server {
 	return s
 }
 
-// Close releases the server's serving-state resources: it stops the
-// auto-promotion probe, closes the current follower's pull loops (the server
-// owns the follower's lifecycle — repoints swap it at runtime), drains the
-// node-local session tables (sessions die with the node — before the
-// registry compacts and closes) and wakes every parked follower long-poll so
-// http.Server.Shutdown can drain without waiting out their poll budgets
-// (Shutdown does not cancel in-flight request contexts). Call it before or
-// alongside Shutdown.
+// Close stops the auto-promotion probe and releases the core's serving
+// state: the follower's pull loops, the node-local sessions, and every
+// parked replication long-poll (http.Server.Shutdown does not cancel
+// in-flight request contexts). Call it before or alongside Shutdown.
 func (s *Server) Close() {
 	if s.probeCancel != nil {
 		s.probeCancel()
 	}
 	s.probeWG.Wait()
-	s.roleMu.Lock()
-	f := s.follower
-	s.roleMu.Unlock()
-	if f != nil {
-		f.Close()
-	}
-	s.DrainSessions()
-	if s.source != nil {
-		s.source.Close()
-	}
+	s.core.Close()
 }
 
 // DrainSessions drops every open session on this node, returning how many
 // were live — the SIGTERM hook (idempotent; Close calls it too).
-func (s *Server) DrainSessions() int { return s.sessions.DrainAll() }
-
-// curFollower resolves the follower handle under the current role (nil on a
-// primary or fenced node).
-func (s *Server) curFollower() *replication.Follower {
-	s.roleMu.RLock()
-	defer s.roleMu.RUnlock()
-	return s.follower
-}
+func (s *Server) DrainSessions() int { return s.core.Sessions().DrainAll() }
 
 // Role names the server's replication role: "primary", "follower" or
 // "fenced" (a deposed ex-primary with no upstream yet).
-func (s *Server) Role() string {
-	s.roleMu.RLock()
-	defer s.roleMu.RUnlock()
-	return s.roleLocked()
-}
-
-func (s *Server) roleLocked() string {
-	switch {
-	case s.follower != nil:
-		return "follower"
-	case s.fenced:
-		return "fenced"
-	default:
-		return "primary"
-	}
-}
+func (s *Server) Role() string { return s.core.Role() }
 
 // Epoch reports the node's current fencing epoch.
-func (s *Server) Epoch() uint64 { return s.epoch.Current() }
+func (s *Server) Epoch() uint64 { return s.core.Epoch().Current() }
 
-// errStaleEpoch rejects a conditional transition whose if_epoch guard
-// missed: another transition won the race.
-var errStaleEpoch = errors.New("if_epoch does not match the node's epoch")
-
-// errPrimaryRepoint refuses to silently demote a serving primary by
-// repointing it; depose it first by promoting another node (which fences
-// this one) or restart it as a follower.
-var errPrimaryRepoint = errors.New("node is the serving primary; promote its successor first")
-
-// Promote flips this node to primary: the fencing epoch advances durably
-// BEFORE a single write is accepted (a crash between the two leaves a fenced
-// epoch on disk, never a split brain), the pull loops stop, and the
-// replication source starts serving. ifEpoch, when non-zero, is a
-// compare-and-swap guard: the promotion only proceeds while the node's epoch
-// is exactly that value. Promoting a serving primary is a no-op reporting
-// the current epoch.
-func (s *Server) Promote(ifEpoch uint64) (uint64, error) {
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	if ifEpoch != 0 && s.epoch.Current() != ifEpoch {
-		return s.epoch.Current(), errStaleEpoch
-	}
-	if s.follower == nil && !s.fenced {
-		return s.epoch.Current(), nil
-	}
-	next, err := s.epoch.Advance()
-	if err != nil {
-		return s.epoch.Current(), err
-	}
-	if s.follower != nil {
-		// Stop pulling before serving: a promoted node must not apply records
-		// from the old history after it started minting its own.
-		s.follower.Close()
-		s.follower = nil
-	}
-	s.fenced = false
-	s.source.SetServing(true)
-	return next, nil
-}
-
-// Repoint points this node at a new upstream primary: a follower swaps its
-// pull loops over (each tenant resumes from its durable local WAL position),
-// and a fenced ex-primary rejoins as a follower — its first pull carries its
-// stale (seq, epoch) cursor, and the new primary's prefix check turns any
-// forked suffix into a rewinding snapshot bootstrap. ifEpoch is the same CAS
-// guard Promote takes. A serving primary refuses (errPrimaryRepoint).
+// Promote and Repoint are the role transitions (see service.Core).
+func (s *Server) Promote(ifEpoch uint64) (uint64, error) { return s.core.Promote(ifEpoch) }
 func (s *Server) Repoint(upstream string, ifEpoch uint64) error {
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	if ifEpoch != 0 && s.epoch.Current() != ifEpoch {
-		return errStaleEpoch
-	}
-	if s.follower == nil && !s.fenced {
-		return errPrimaryRepoint
-	}
-	old := s.follower
-	if old != nil {
-		s.follower = old.WithUpstream(upstream)
-	} else {
-		tmpl := s.followerTmpl
-		tmpl.Upstream = upstream
-		s.follower = replication.NewFollower(s.reg, tmpl)
-	}
-	s.fenced = false
-	s.source.SetServing(false)
-	// New upstream, fresh verdict: failures against the dead primary must
-	// not fast-fail writes headed for its successor.
-	s.breaker.Reset()
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
-// fence demotes this node after a replication exchange proved a higher epoch
-// exists (the source's OnFenced hook): adopt the epoch durably, stop serving
-// writes and the WAL stream, and drop the node-local sessions — their
-// min_generation contracts were made against a primaryship that just ended.
-// On a follower this is just the adoption (a follower cannot be deposed).
-func (s *Server) fence(peer uint64) {
-	s.epoch.Observe(peer)
-	s.roleMu.Lock()
-	defer s.roleMu.Unlock()
-	if s.follower != nil || s.fenced {
-		return
-	}
-	s.fenced = true
-	s.source.SetServing(false)
-	s.sessions.DrainAll()
+	return s.core.Repoint(upstream, ifEpoch)
 }
 
 // probeUpstream is the unattended-failover loop: it probes the upstream's
@@ -581,7 +431,7 @@ func (s *Server) probeUpstream(ctx context.Context) {
 			return
 		case <-t.C:
 		}
-		f := s.curFollower()
+		f := s.core.Follower()
 		if f == nil {
 			// Promoted (by us or an operator) or fenced: nothing to probe.
 			// Keep ticking — a later repoint re-arms the probe.
@@ -621,128 +471,43 @@ func (s *Server) upstreamHealthy(ctx context.Context, client *http.Client, upstr
 	return resp.StatusCode == http.StatusOK
 }
 
-// ensureReplica starts/joins replication of the tenant in follower mode; a
-// no-op on primaries and fenced nodes (which keep serving their local
-// state). It reports whether the request may proceed.
-func (s *Server) ensureReplica(w http.ResponseWriter, name string) bool {
-	f := s.curFollower()
-	if f == nil {
-		return true
-	}
-	if err := f.Ensure(name); err != nil {
-		tenantError(w, err)
-		return false
-	}
-	return true
-}
-
-// awaitGeneration enforces a min_generation token: it waits (bounded by
-// MinGenWait and the request context) for the serving replica to reach min
-// and writes the 409 staleness answer when it cannot — the replica never
-// serves a read older than the client's token.
-func (s *Server) awaitGeneration(w http.ResponseWriter, r *http.Request, name string, min uint64) bool {
-	if min == 0 {
-		return true
-	}
-	gen, ok, err := s.reg.WaitGenerationCtx(r.Context(), name, min, s.minGenWait)
-	if err != nil {
-		tenantError(w, err)
-		return false
-	}
-	if !ok {
-		if r.Context().Err() != nil {
-			// The request's time budget ran out while waiting — that is
-			// overload (or a stalled replica), not staleness: 503 so the
-			// client retries instead of treating it as a consistency miss.
-			s.shedDeadline.Add(1)
-			api.Write(w, http.StatusServiceUnavailable, &api.Error{
-				Code:          api.CodeDeadline,
-				Message:       fmt.Sprintf("deadline expired at generation %d waiting for %d", gen, min),
-				Generation:    gen,
-				MinGeneration: min,
-				RetryAfter:    1,
-			})
-			return false
+// ServeHTTP implements http.Handler. Before any handler reads a body it
+// does the two things only this transport can: in cluster mode, stamp the
+// placement version and act on the core's ownership verdict — redirect,
+// forward, or 421 (see cluster.go) — without spending local admission
+// capacity; and admit replication long-polls under their own class (never
+// deadline-bounded: their hold time is the protocol). Everything else —
+// deadline, admission, role, generation — is the core's, inside the
+// handlers; the control plane, /healthz and /stats cross no gate, because
+// observability and operator intervention must keep working precisely when
+// the node is saturated.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	s.stampPlacement(w.Header())
+	if name, ok := tenantPathName(r.URL.Path); ok {
+		if e := s.core.Owner(name); e != nil {
+			s.routeToOwner(w, r, e)
+			return
 		}
-		api.Write(w, http.StatusConflict, &api.Error{
-			Code:          api.CodeStaleGeneration,
-			Message:       fmt.Sprintf("replica at generation %d, need %d", gen, min),
-			Generation:    gen,
-			MinGeneration: min,
-		})
-		return false
-	}
-	return true
-}
-
-// gateWrite resolves a write for the node's current role, reporting whether
-// it may proceed locally: a follower answers 307 to its upstream (the method
-// and body survive the redirect), a fenced ex-primary answers 421 plus its
-// epoch (it has no upstream to point at — the client must find the epoch's
-// primary), and a primary proceeds.
-func (s *Server) gateWrite(w http.ResponseWriter, r *http.Request) bool {
-	s.roleMu.RLock()
-	f, fenced := s.follower, s.fenced
-	s.roleMu.RUnlock()
-	switch {
-	case f != nil:
-		if s.breaker.Open() {
-			// The pull loop proved the upstream unreachable: a 307 would
-			// point the client at a dead node and burn its retry budget on a
-			// connect timeout. Fail fast here with the breaker's own horizon.
-			s.breakerFastFail.Add(1)
-			api.Write(w, http.StatusServiceUnavailable, &api.Error{
-				Code:       api.CodeUnavailable,
-				Message:    fmt.Sprintf("upstream primary %s unreachable (circuit open)", f.Upstream()),
-				RetryAfter: retryAfterSecondsInt(s.breaker.RetryAfter()),
-				Node:       f.Upstream(),
-			})
-			return false
+	} else if strings.HasPrefix(r.URL.Path, "/v1/replicate/") {
+		release, e := s.core.Admit(r.Context(), admission.Replication)
+		if e != nil {
+			writeError(w, admission.Replication, e)
+			return
 		}
-		target := f.Upstream() + r.URL.Path
-		if r.URL.RawQuery != "" {
-			target += "?" + r.URL.RawQuery
-		}
-		http.Redirect(w, r, target, http.StatusTemporaryRedirect)
-		return false
-	case fenced:
-		w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.epoch.Current(), 10))
-		api.Write(w, http.StatusMisdirectedRequest, &api.Error{
-			Code:    api.CodeFenced,
-			Message: fmt.Sprintf("node was deposed (epoch %d): not accepting writes", s.epoch.Current()),
-			Epoch:   s.epoch.Current(),
-		})
-		return false
-	default:
-		return true
+		defer release()
 	}
+	s.mux.ServeHTTP(w, r)
 }
 
-// classify maps a request onto its admission class and reports whether the
-// overload machinery (deadline + admission) applies to it at all. The
-// control plane (/healthz, /v1/promote, /v1/repoint) and the per-tenant
-// stats endpoint are never gated: observability and operator intervention
-// must keep working precisely when the node is saturated. Replication
-// endpoints are admission-gated (their class has its own limits) but never
-// deadline-bounded — a long-poll's hold time is the protocol.
-func classify(r *http.Request) (admission.Class, bool) {
-	p := r.URL.Path
-	if strings.HasPrefix(p, "/v1/replicate/") {
-		return admission.Replication, true
-	}
-	if !strings.HasPrefix(p, "/v1/tenants/") || strings.HasSuffix(p, "/stats") {
-		return admission.Read, false
-	}
-	if (r.Method == http.MethodPost && strings.HasSuffix(p, "/submit")) ||
-		(r.Method == http.MethodPut && strings.HasSuffix(p, "/policy")) {
-		return admission.Write, true
-	}
-	return admission.Read, true
-}
-
-// parseRequestDeadline parses an X-Request-Deadline value: a bare integer is
+// requestDeadline parses X-Request-Deadline into the core's millisecond
+// budget (rounded up; 0 without the header): a bare integer is
 // milliseconds, anything else a Go duration. The budget must be positive.
-func parseRequestDeadline(v string) (time.Duration, error) {
+func requestDeadline(r *http.Request) (uint32, error) {
+	v := r.Header.Get(HeaderRequestDeadline)
+	if v == "" {
+		return 0, nil
+	}
 	var d time.Duration
 	if ms, err := strconv.ParseInt(v, 10, 64); err == nil {
 		d = time.Duration(ms) * time.Millisecond
@@ -752,89 +517,87 @@ func parseRequestDeadline(v string) (time.Duration, error) {
 	if d <= 0 {
 		return 0, fmt.Errorf("bad %s %q: budget must be positive", HeaderRequestDeadline, v)
 	}
-	return d, nil
+	return uint32(min((d+time.Millisecond-1)/time.Millisecond, math.MaxUint32)), nil
 }
 
-// retryAfterSeconds renders a Retry-After header value: d rounded up to
-// whole seconds, at least 1.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-// shed answers a request the overload machinery refused. The status-code
-// contract: reads refused for capacity get 429 Too Many Requests (the node
-// is healthy, just busy — back off and retry here); writes refused for
-// capacity and anything cut by its deadline get 503 Service Unavailable.
-// Both carry Retry-After.
-func (s *Server) shed(w http.ResponseWriter, cl admission.Class, err error) {
-	status := http.StatusServiceUnavailable
-	code := api.CodeOverloaded
-	switch {
-	case admission.IsDeadline(err):
-		s.shedDeadline.Add(1)
-		code = api.CodeDeadline
-	case cl == admission.Read && admission.IsOverloaded(err):
-		status = http.StatusTooManyRequests
-		s.shedRead.Add(1)
+// statusFor is the one code × class → HTTP status table. The status-code
+// contract of a shed: reads refused for capacity get 429 Too Many Requests
+// (the node is healthy, just busy — back off and retry here); writes refused
+// for capacity and anything cut by its deadline get 503 Service Unavailable.
+func statusFor(code string, cl admission.Class) int {
+	switch code {
+	case api.CodeBadRequest:
+		return http.StatusBadRequest
+	case api.CodeNotFound:
+		return http.StatusNotFound
+	case api.CodeForbidden:
+		return http.StatusForbidden
+	case api.CodeConflict, api.CodeStaleGeneration:
+		return http.StatusConflict
+	case api.CodeOverloaded:
+		if cl == admission.Read {
+			return http.StatusTooManyRequests
+		}
+		return http.StatusServiceUnavailable
+	case api.CodeDeadline, api.CodeUnavailable:
+		return http.StatusServiceUnavailable
+	case api.CodeFenced, api.CodeMisrouted:
+		return http.StatusMisdirectedRequest
 	default:
-		s.shedWrite.Add(1)
+		return http.StatusInternalServerError
 	}
-	api.Write(w, status, &api.Error{Code: code, Message: err.Error(), RetryAfter: 1})
 }
 
-// ServeHTTP implements http.Handler. Every data-plane request passes the
-// overload gauntlet before its handler runs: derive the per-request deadline
-// from the server budget (tightened by the client's X-Request-Deadline),
-// then acquire an admission slot for the request's class — queueing bounded
-// by the class's queue cap and the deadline, shedding with 429/503 beyond
-// it. The slot is held for the handler's whole run, so in-flight work per
-// class is bounded no matter how slow the disk below it is.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	// Cluster mode: stamp the placement version on every response, and route
-	// data-plane requests for tenants this node does not own (redirect,
-	// forward, or 421 misrouted — see cluster.go) before spending any local
-	// admission capacity on them.
-	if m := s.placementMap(); m != nil {
-		s.stampPlacement(w.Header())
-		if s.routeTenant(w, r, m) {
-			return
-		}
+// writeError writes the unified error envelope (see internal/api) under the
+// table's status; a node-level fence also travels as the epoch header.
+func writeError(w http.ResponseWriter, cl admission.Class, e *api.Error) {
+	if e.Epoch > 0 {
+		w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(e.Epoch, 10))
 	}
-	cl, gated := classify(r)
-	if !gated {
-		s.mux.ServeHTTP(w, r)
-		return
+	api.Write(w, statusFor(e.Code, cl), e)
+}
+
+// httpError is writeError for the codec's and the control plane's own
+// failures, which have a code and a Go error but no richer context.
+func httpError(w http.ResponseWriter, code string, err error) {
+	writeError(w, admission.Write, &api.Error{Code: code, Message: err.Error()})
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// nodeURL is r's path and query on another node.
+func nodeURL(node string, r *http.Request) string {
+	if r.URL.RawQuery != "" {
+		return node + r.URL.Path + "?" + r.URL.RawQuery
 	}
-	if cl != admission.Replication {
-		budget := s.maxRequestTime
-		if h := r.Header.Get(HeaderRequestDeadline); h != "" {
-			d, err := parseRequestDeadline(h)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, err)
-				return
-			}
-			if budget <= 0 || d < budget {
-				budget = d
-			}
-		}
-		if budget > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), budget)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
+	return node + r.URL.Path
+}
+
+// redirect answers 307 to the same path on another node: the method and
+// body survive, so a redirect-following client can talk to any node.
+func redirect(w http.ResponseWriter, r *http.Request, node string) {
+	http.Redirect(w, r, nodeURL(node, r), http.StatusTemporaryRedirect)
+}
+
+// gateWrite consults the core's write gate before a write's body is read,
+// reporting whether the write may proceed here. What a follower's misrouted
+// means on this transport is a 307 to its upstream; every other refusal
+// (open breaker, fence) is the envelope.
+func (s *Server) gateWrite(w http.ResponseWriter, r *http.Request) bool {
+	e := s.core.GateWrite()
+	switch {
+	case e == nil:
+		return true
+	case e.Code == api.CodeMisrouted:
+		redirect(w, r, e.Node)
+	default:
+		writeError(w, admission.Write, e)
 	}
-	release, err := s.admission.Acquire(r.Context(), cl)
-	if err != nil {
-		s.shed(w, cl, err)
-		return
-	}
-	defer release()
-	s.mux.ServeHTTP(w, r)
+	return false
 }
 
 // WireCommand is the JSON form of an administrative command.
@@ -952,35 +715,6 @@ type CheckResult struct {
 	Allowed bool `json:"allowed"`
 }
 
-// decodeBatch decodes the request body into the scratch's reused command
-// slice. The returned commands alias sc's storage and are valid until the
-// scratch is pooled again.
-func (s *Server) decodeBatch(sc *batchScratch, w http.ResponseWriter, r *http.Request) ([]command.Command, bool) {
-	// The scratch arrived reset (see getScratch): decode targets hold no
-	// previous request's data for encoding/json to merge with.
-	if err := json.NewDecoder(r.Body).Decode(&sc.req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return nil, false
-	}
-	if len(sc.req.Commands) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("empty command batch"))
-		return nil, false
-	}
-	if cap(sc.cmds) < len(sc.req.Commands) {
-		sc.cmds = make([]command.Command, len(sc.req.Commands))
-	}
-	sc.cmds = sc.cmds[:len(sc.req.Commands)]
-	for i, wc := range sc.req.Commands {
-		c, err := wc.Command()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("command %d: %w", i, err))
-			return nil, false
-		}
-		sc.cmds[i] = c
-	}
-	return sc.cmds, true
-}
-
 // batchResponse is the wire envelope of the batched endpoints. Generation
 // is the engine generation the batch was served at: on authorize, the
 // staleness bound of every decision; on submit, the read-your-writes token
@@ -997,264 +731,190 @@ type batchResponse struct {
 	Error *api.Error `json:"error,omitempty"`
 }
 
-func (s *Server) handleAuthorize(w http.ResponseWriter, r *http.Request) {
-	sc := getScratch()
-	defer putScratch(sc)
-	cmds, ok := s.decodeBatch(sc, w, r)
-	if !ok {
-		return
+// The decoders below fill the scratch's core request from one HTTP request.
+// The scratch arrived reset (see getScratch): decode targets hold no
+// previous request's data for encoding/json to merge with. What they build
+// aliases the scratch and is valid until it is pooled again.
+
+func decodeJSON(r *http.Request, v any) error {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
 	}
-	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) || !s.awaitGeneration(w, r, name, sc.req.MinGeneration) {
-		return
-	}
-	results, gen, err := s.reg.AuthorizeBatchInto(name, cmds, sc.results[:0])
-	if err != nil {
-		tenantError(w, err)
-		return
-	}
-	sc.results = results
-	if cap(sc.authOut) < len(results) {
-		sc.authOut = make([]AuthorizeResult, len(results))
-	}
-	out := sc.authOut[:len(results)]
-	for i, res := range results {
-		out[i] = AuthorizeResult{Allowed: res.OK}
-		if res.Justification != nil {
-			out[i].Justification = res.Justification.String()
-		}
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: out, Generation: gen})
+	return nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrite(w, r) {
-		return
+func decodeBatch(sc *batchScratch, r *http.Request) error {
+	if err := decodeJSON(r, &sc.req); err != nil {
+		return err
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	cmds, ok := s.decodeBatch(sc, w, r)
-	if !ok {
-		return
+	req := &sc.reqs[0]
+	req.MinGen = sc.req.MinGeneration
+	for i, wc := range sc.req.Commands {
+		c, err := wc.Command()
+		if err != nil {
+			return fmt.Errorf("command %d: %w", i, err)
+		}
+		req.Cmds = append(req.Cmds, c)
 	}
-	name := r.PathValue("tenant")
-	results, gen, err := s.reg.SubmitBatchCtx(r.Context(), name, cmds)
-	if err != nil && len(results) == 0 {
-		// Backpressure from the tenant's commit-group queue (hard cap, or
-		// the request's budget expiring while queued) is a shed, not a
-		// server fault: 503 + Retry-After, slot already reclaimed.
-		if admission.IsOverloaded(err) || admission.IsDeadline(err) {
-			s.shed(w, admission.Write, err)
+	return nil
+}
+
+func decodeCheck(sc *batchScratch, r *http.Request) error {
+	if err := decodeJSON(r, &sc.checkReq); err != nil {
+		return err
+	}
+	req := &sc.reqs[0]
+	req.Session, req.MinGen = sc.checkReq.Session, sc.checkReq.MinGeneration
+	for _, q := range sc.checkReq.Checks {
+		req.Checks = append(req.Checks, service.Check(q))
+	}
+	return nil
+}
+
+// decodeSession serves all three session ops: create and update carry a
+// SessionRequest body, update and delete a {sid} path value.
+func decodeSession(sc *batchScratch, r *http.Request) error {
+	req := &sc.reqs[0]
+	if sid := r.PathValue("sid"); sid != "" {
+		var err error
+		if req.Session, err = strconv.ParseUint(sid, 10, 64); err != nil {
+			return fmt.Errorf("bad session id %q", sid)
+		}
+	}
+	if r.Method == http.MethodDelete {
+		return nil
+	}
+	var body SessionRequest
+	if err := decodeJSON(r, &body); err != nil {
+		return err
+	}
+	// A create's initial role set travels as "activate", like an update's.
+	req.User, req.Roles, req.MinGen = body.User, body.Activate, body.MinGeneration
+	req.Activate, req.Deactivate = body.Activate, body.Deactivate
+	return nil
+}
+
+// serveOp is the handler of the seven core ops: decode one request, cross
+// the core, encode its answer. A submit asks the write gate first — a
+// follower redirects without ever reading the body.
+func (s *Server) serveOp(op service.Op, decode func(*batchScratch, *http.Request) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if op == service.OpSubmit && !s.gateWrite(w, r) {
 			return
 		}
-		if tenant.IsFenced(err) {
-			// The tenant's writes are fenced for a migration flip — a short
-			// window; the retry lands after the flip and gets routed to the
-			// new owner.
-			api.Write(w, http.StatusMisdirectedRequest, &api.Error{
-				Code:       api.CodeFenced,
-				Message:    err.Error(),
-				RetryAfter: 1,
-			})
+		sc := getScratch()
+		defer putScratch(sc)
+		req := &sc.reqs[0]
+		var err error
+		if req.DeadlineMS, err = requestDeadline(r); err == nil {
+			err = decode(sc, r)
+		}
+		if err != nil {
+			httpError(w, api.CodeBadRequest, err)
 			return
 		}
-		tenantError(w, err)
+		// HTTP always renders justifications.
+		req.Op, req.Tenant, req.Flags = op, r.PathValue("tenant"), service.FlagJustify
+		s.core.Do(r.Context(), sc.reqs[:], sc.resps[:], &sc.core)
+		s.writeResult(w, op, sc)
+	}
+}
+
+// writeResult encodes the core's answer to the scratch's request.
+func (s *Server) writeResult(w http.ResponseWriter, op service.Op, sc *batchScratch) {
+	resp := &sc.resps[0]
+	if resp.Err != nil && resp.Steps == nil {
+		writeError(w, op.Class(), resp.Err)
 		return
 	}
-	if cap(sc.subOut) < len(results) {
-		sc.subOut = make([]SubmitResult, len(results))
-	}
-	out := sc.subOut[:len(results)]
-	for i, res := range results {
-		out[i] = SubmitResult{Outcome: res.Outcome.WireName()}
-		if res.Justification != nil {
-			out[i].Justification = res.Justification.String()
-		}
-	}
-	// Write acks carry the fencing epoch (header + body): the token a client
-	// or proxy uses to notice a failover happened between its writes.
-	body := batchResponse{Results: out, Generation: gen, Epoch: s.epoch.Current()}
-	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(body.Epoch, 10))
+	body := batchResponse{Generation: resp.Generation}
 	status := http.StatusOK
-	if err != nil {
-		// Commit-hook (durability) failure mid-batch: report what was
-		// processed together with the fault.
-		body.Error = &api.Error{Code: api.CodeInternal, Message: err.Error()}
-		status = http.StatusInternalServerError
+	switch op {
+	case service.OpAuthorize:
+		for _, res := range resp.Authz {
+			sc.authOut = append(sc.authOut, AuthorizeResult{Allowed: res.OK, Justification: justification(res.Justification)})
+		}
+		body.Results = sc.authOut
+	case service.OpSubmit:
+		for _, res := range resp.Steps {
+			sc.subOut = append(sc.subOut, SubmitResult{Outcome: res.Outcome.WireName(), Justification: justification(res.Justification)})
+		}
+		// Write acks carry the fencing epoch (header + body): the token a
+		// client or proxy uses to notice a failover happened between its
+		// writes.
+		body.Results, body.Epoch = sc.subOut, resp.Epoch
+		w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(resp.Epoch, 10))
+		if resp.Err != nil {
+			// Commit-hook (durability) failure mid-batch: report what was
+			// processed together with the fault.
+			body.Error, status = resp.Err, statusFor(resp.Err.Code, admission.Write)
+		}
+	case service.OpCheck:
+		for _, ok := range resp.Allowed {
+			sc.checkOut = append(sc.checkOut, CheckResult{Allowed: ok})
+		}
+		body.Results = sc.checkOut
+	case service.OpSessionCreate, service.OpSessionUpdate:
+		body.Results = SessionResponse{Session: resp.Session, User: resp.User, Roles: resp.Roles}
+	case service.OpSessionDelete:
+		w.WriteHeader(http.StatusNoContent)
+		return
 	}
 	writeJSON(w, status, body)
 }
 
+func justification(p model.Privilege) string {
+	if p == nil {
+		return ""
+	}
+	return p.String()
+}
+
+// begin opens an HTTP-only data-plane endpoint (explain, audit, policy
+// upload) through the same gates the core ops pass — ownership, budget,
+// admission, role — by calling the same step. On refusal the response has
+// been written.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, cl admission.Class) (service.Grant, bool) {
+	ms, err := requestDeadline(r)
+	if err != nil {
+		httpError(w, api.CodeBadRequest, err)
+		return service.Grant{}, false
+	}
+	g, e := s.core.Begin(r.Context(), r.PathValue("tenant"), cl, ms)
+	if e != nil {
+		writeError(w, cl, e)
+		return service.Grant{}, false
+	}
+	return g, true
+}
+
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	g, ok := s.begin(w, r, admission.Read)
+	if !ok {
 		return
 	}
-	c, err := req.Command.Command()
+	defer g.Release()
+	var req ExplainRequest
+	err := decodeJSON(r, &req)
+	var c command.Command
+	if err == nil {
+		c, err = req.Command.Command()
+	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		httpError(w, api.CodeBadRequest, err)
 		return
 	}
 	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) || !s.awaitGeneration(w, r, name, req.MinGeneration) {
+	if e := s.core.AwaitGeneration(g.Ctx, name, req.MinGeneration); e != nil {
+		writeError(w, admission.Read, e)
 		return
 	}
 	text, gen, err := s.reg.Explain(name, c)
 	if err != nil {
-		tenantError(w, err)
+		writeError(w, admission.Read, s.core.Fail(admission.Read, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"explanation": text, "generation": gen})
-}
-
-// sessionResponse renders a session's state inside the batch envelope with
-// the generation it was validated at. Earlier revisions answered a bare
-// SessionResponse with an inline generation — the one data-plane response
-// that dodged the envelope; unified here.
-func sessionResponse(sess *session.Session, gen uint64) batchResponse {
-	return batchResponse{
-		Results:    SessionResponse{Session: sess.ID, User: sess.User, Roles: sess.Roles()},
-		Generation: gen,
-	}
-}
-
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if req.User == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("session create needs a user"))
-		return
-	}
-	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) || !s.awaitGeneration(w, r, name, req.MinGeneration) {
-		return
-	}
-	snap, release, err := s.reg.View(name)
-	if err != nil {
-		tenantError(w, err)
-		return
-	}
-	defer release()
-	sess, err := s.sessions.Table(name).Create(snap, req.User, req.Activate)
-	if err != nil {
-		// Capacity pressure is retryable elsewhere/later; everything else
-		// that survives the validation above is an activation denial.
-		if session.IsTableFull(err) {
-			api.Write(w, http.StatusServiceUnavailable, &api.Error{
-				Code: api.CodeOverloaded, Message: err.Error(), RetryAfter: 1,
-			})
-			return
-		}
-		httpError(w, http.StatusForbidden, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sessionResponse(sess, snap.Generation()))
-}
-
-// resolveSession parses the {sid} path value and the tenant's table.
-func (s *Server) resolveSession(w http.ResponseWriter, r *http.Request) (*session.Table, uint64, bool) {
-	sid, err := strconv.ParseUint(r.PathValue("sid"), 10, 64)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad session id %q", r.PathValue("sid")))
-		return nil, 0, false
-	}
-	tbl, ok := s.sessions.Peek(r.PathValue("tenant"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no session %d (sessions are node-local)", sid))
-		return nil, 0, false
-	}
-	return tbl, sid, true
-}
-
-func (s *Server) handleSessionUpdate(w http.ResponseWriter, r *http.Request) {
-	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) || !s.awaitGeneration(w, r, name, req.MinGeneration) {
-		return
-	}
-	tbl, sid, ok := s.resolveSession(w, r)
-	if !ok {
-		return
-	}
-	snap, release, err := s.reg.View(name)
-	if err != nil {
-		tenantError(w, err)
-		return
-	}
-	defer release()
-	// One atomic role-set change: a rejected update (unknown role, DSD
-	// veto, …) leaves the session exactly as it was.
-	sess, err := tbl.Update(snap, sid, req.Activate, req.Deactivate)
-	if err != nil {
-		if session.IsNoSession(err) {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		httpError(w, http.StatusForbidden, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sessionResponse(sess, snap.Generation()))
-}
-
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	tbl, sid, ok := s.resolveSession(w, r)
-	if !ok {
-		return
-	}
-	if err := tbl.Drop(sid); err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	sc := getScratch()
-	defer putScratch(sc)
-	if err := json.NewDecoder(r.Body).Decode(&sc.checkReq); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	if len(sc.checkReq.Checks) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("empty check batch"))
-		return
-	}
-	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) || !s.awaitGeneration(w, r, name, sc.checkReq.MinGeneration) {
-		return
-	}
-	tbl, ok := s.sessions.Peek(name)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no session %d (sessions are node-local)", sc.checkReq.Session))
-		return
-	}
-	snap, release, err := s.reg.View(name)
-	if err != nil {
-		tenantError(w, err)
-		return
-	}
-	defer release()
-	if cap(sc.checkOut) < len(sc.checkReq.Checks) {
-		sc.checkOut = make([]CheckResult, len(sc.checkReq.Checks))
-	}
-	out := sc.checkOut[:len(sc.checkReq.Checks)]
-	for i, q := range sc.checkReq.Checks {
-		allowed, err := tbl.Check(snap, sc.checkReq.Session, model.Perm(q.Action, q.Object))
-		if err != nil {
-			httpError(w, http.StatusNotFound, err)
-			return
-		}
-		out[i] = CheckResult{Allowed: allowed}
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: out, Generation: snap.Generation()})
 }
 
 // auditResponse is the audit endpoint's envelope: the retained records, the
@@ -1267,15 +927,16 @@ type auditResponse struct {
 }
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) {
+	g, ok := s.begin(w, r, admission.Read)
+	if !ok {
 		return
 	}
+	defer g.Release()
 	after, limit := uint64(0), 256
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad after %q", v))
+			httpError(w, api.CodeBadRequest, fmt.Errorf("bad after %q", v))
 			return
 		}
 		after = n
@@ -1283,14 +944,14 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", v))
+			httpError(w, api.CodeBadRequest, fmt.Errorf("bad limit %q", v))
 			return
 		}
 		limit = n
 	}
-	records, total, gen, err := s.reg.Audit(name, after, limit)
+	records, total, gen, err := s.reg.Audit(r.PathValue("tenant"), after, limit)
 	if err != nil {
-		tenantError(w, err)
+		writeError(w, admission.Read, s.core.Fail(admission.Read, err))
 		return
 	}
 	if records == nil {
@@ -1303,29 +964,30 @@ func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 	if !s.gateWrite(w, r) {
 		return
 	}
+	g, ok := s.begin(w, r, admission.Write)
+	if !ok {
+		return
+	}
+	defer g.Release()
 	src, err := io.ReadAll(r.Body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
 	doc, err := parser.Parse(string(src))
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("parse policy: %w", err))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("parse policy: %w", err))
 		return
 	}
 	if len(doc.Queue) > 0 || len(doc.Checks) > 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("policy upload must not contain do/expect statements"))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("policy upload must not contain do/expect statements"))
 		return
 	}
 	if err := s.reg.InstallPolicy(r.PathValue("tenant"), doc.Policy); err != nil {
-		if tenant.IsProvisioned(err) {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		tenantError(w, err)
+		writeError(w, admission.Write, s.core.Fail(admission.Write, err))
 		return
 	}
-	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.epoch.Current(), 10))
+	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.Epoch(), 10))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -1341,59 +1003,35 @@ type statsResponse struct {
 	Epoch uint64 `json:"epoch"`
 	// Overload is the node's shed accounting — served even (especially)
 	// while saturated, since /stats is never admission-gated.
-	Overload overloadStats `json:"overload"`
+	Overload service.Overload `json:"overload"`
 }
 
-// overloadStats is the wire shape of the node's overload telemetry: the
-// admission controller's per-class gauges and counters, the upstream
-// breaker's state, and the server's own shed counters.
-type overloadStats struct {
-	Admission *admission.Stats        `json:"admission,omitempty"`
-	Breaker   *admission.BreakerStats `json:"breaker,omitempty"`
-	// ShedRead counts 429s, ShedWrite overload 503s, ShedDeadline
-	// budget-expiry 503s, BreakerFastFail 503s served in place of a redirect
-	// to an unreachable upstream.
-	ShedRead        uint64 `json:"shed_read"`
-	ShedWrite       uint64 `json:"shed_write"`
-	ShedDeadline    uint64 `json:"shed_deadline"`
-	BreakerFastFail uint64 `json:"breaker_fast_fail"`
-}
-
-func (s *Server) overloadStats() overloadStats {
-	o := overloadStats{
-		ShedRead:        s.shedRead.Load(),
-		ShedWrite:       s.shedWrite.Load(),
-		ShedDeadline:    s.shedDeadline.Load(),
-		BreakerFastFail: s.breakerFastFail.Load(),
-	}
-	if s.admission != nil {
-		st := s.admission.Stats()
-		o.Admission = &st
-	}
-	if s.breaker != nil {
-		st := s.breaker.Stats()
-		o.Breaker = &st
-	}
+// overloadStats is the core's overload telemetry plus this transport's own
+// fast-fails (forwards refused on an open peer breaker).
+func (s *Server) overloadStats() service.Overload {
+	o := s.core.Overload()
+	o.BreakerFastFail += s.peerFastFail.Load()
 	return o
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	if !s.ensureReplica(w, name) {
+	if e := s.core.EnsureReplica(name); e != nil {
+		writeError(w, admission.Read, e)
 		return
 	}
 	st, err := s.reg.Stats(name)
 	if err != nil {
-		tenantError(w, err)
+		writeError(w, admission.Read, s.core.Fail(admission.Read, err))
 		return
 	}
-	out := statsResponse{Stats: st, Role: s.Role(), Epoch: s.epoch.Current(), Overload: s.overloadStats()}
-	if f := s.curFollower(); f != nil {
+	out := statsResponse{Stats: st, Role: s.Role(), Epoch: s.Epoch(), Overload: s.overloadStats()}
+	if f := s.core.Follower(); f != nil {
 		if lag, ok := f.LagStats(name); ok {
 			out.Replication = &lag
 		}
 	}
-	if tbl, ok := s.sessions.Peek(name); ok {
+	if tbl, ok := s.core.Sessions().Peek(name); ok {
 		sst := tbl.Stats()
 		out.Sessions = &sst
 	}
@@ -1404,13 +1042,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":   "ok",
 		"role":     s.Role(),
-		"epoch":    s.epoch.Current(),
+		"epoch":    s.Epoch(),
 		"uptime":   time.Since(s.start).Round(time.Millisecond).String(),
 		"resident": s.reg.Resident(),
-		"sessions": s.sessions.Sessions(),
+		"sessions": s.core.Sessions().Sessions(),
 		"overload": s.overloadStats(),
 	}
-	if f := s.curFollower(); f != nil {
+	if f := s.core.Follower(); f != nil {
 		body["upstream"] = f.Upstream()
 	}
 	if s.nodeID != "" {
@@ -1423,7 +1061,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // AdminRequest is the body of the role-transition control endpoints
-// (/v1/promote, /v1/repoint).
+// (/v1/cluster/promote, /v1/cluster/repoint).
 type AdminRequest struct {
 	// Upstream is the new primary's base URL (repoint only).
 	Upstream string `json:"upstream,omitempty"`
@@ -1440,11 +1078,25 @@ type adminResponse struct {
 	Upstream string `json:"upstream,omitempty"`
 }
 
+// transition answers a role-transition attempt: CAS misses and refused
+// demotions are conflicts, anything else the node's fault.
+func (s *Server) transition(w http.ResponseWriter, err error, out adminResponse) {
+	switch {
+	case err == nil:
+		out.Role = s.Role()
+		writeJSON(w, http.StatusOK, out)
+	case errors.Is(err, service.ErrStaleEpoch), errors.Is(err, service.ErrPrimaryRepoint):
+		httpError(w, api.CodeConflict, err)
+	default:
+		httpError(w, api.CodeInternal, err)
+	}
+}
+
 // decodeAdmin decodes an AdminRequest body (an empty body is a zero
 // request — unconditional promote).
-func (s *Server) decodeAdmin(sc *batchScratch, w http.ResponseWriter, r *http.Request) bool {
+func decodeAdmin(sc *batchScratch, w http.ResponseWriter, r *http.Request) bool {
 	if err := json.NewDecoder(r.Body).Decode(&sc.adminReq); err != nil && !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("decode request: %w", err))
 		return false
 	}
 	return true
@@ -1453,91 +1105,24 @@ func (s *Server) decodeAdmin(sc *batchScratch, w http.ResponseWriter, r *http.Re
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if !s.decodeAdmin(sc, w, r) {
+	if !decodeAdmin(sc, w, r) {
 		return
 	}
 	epoch, err := s.Promote(sc.adminReq.IfEpoch)
-	if err != nil {
-		if errors.Is(err, errStaleEpoch) {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, adminResponse{Role: s.Role(), Epoch: epoch})
+	s.transition(w, err, adminResponse{Epoch: epoch})
 }
 
 func (s *Server) handleRepoint(w http.ResponseWriter, r *http.Request) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if !s.decodeAdmin(sc, w, r) {
+	if !decodeAdmin(sc, w, r) {
 		return
 	}
 	upstream := strings.TrimRight(sc.adminReq.Upstream, "/")
 	if upstream == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("repoint needs an upstream"))
+		httpError(w, api.CodeBadRequest, fmt.Errorf("repoint needs an upstream"))
 		return
 	}
-	if err := s.Repoint(upstream, sc.adminReq.IfEpoch); err != nil {
-		if errors.Is(err, errStaleEpoch) || errors.Is(err, errPrimaryRepoint) {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, adminResponse{Role: s.Role(), Epoch: s.epoch.Current(), Upstream: upstream})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// tenantError maps registry errors onto status codes: bad names are the
-// client's fault, unknown tenants are 404 (reads never create tenants),
-// everything else is the server's.
-func tenantError(w http.ResponseWriter, err error) {
-	switch {
-	case tenant.IsBadName(err):
-		httpError(w, http.StatusBadRequest, err)
-	case tenant.IsNotFound(err):
-		httpError(w, http.StatusNotFound, err)
-	default:
-		httpError(w, http.StatusInternalServerError, err)
-	}
-}
-
-// httpError writes the unified error envelope (see internal/api) with the
-// status's default code. Paths that carry richer context (staleness tokens,
-// fencing epochs, owner addresses) call api.Write directly instead.
-func httpError(w http.ResponseWriter, status int, err error) {
-	api.Write(w, status, &api.Error{Code: codeForStatus(status), Message: err.Error()})
-}
-
-// codeForStatus is the default status→code mapping for error paths with no
-// richer context.
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return api.CodeBadRequest
-	case http.StatusNotFound:
-		return api.CodeNotFound
-	case http.StatusForbidden:
-		return api.CodeForbidden
-	case http.StatusConflict:
-		return api.CodeConflict
-	case http.StatusTooManyRequests:
-		return api.CodeOverloaded
-	case http.StatusServiceUnavailable:
-		return api.CodeUnavailable
-	case http.StatusBadGateway:
-		return api.CodeUnavailable
-	case http.StatusMisdirectedRequest:
-		return api.CodeFenced
-	default:
-		return api.CodeInternal
-	}
+	err := s.Repoint(upstream, sc.adminReq.IfEpoch)
+	s.transition(w, err, adminResponse{Epoch: s.Epoch(), Upstream: upstream})
 }

@@ -167,56 +167,6 @@ func TestTenantIsolationOverHTTP(t *testing.T) {
 	}
 }
 
-func TestErrorStatuses(t *testing.T) {
-	ts := newTestServer(t)
-
-	// Invalid tenant name → 400.
-	var out map[string]any
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/tenants/bad..name/stats", nil, &out); code != http.StatusBadRequest {
-		t.Fatalf("bad name status %d", code)
-	}
-	// Read-only touch of a tenant that was never provisioned → 404, and it
-	// must not have minted durable state (a second read still 404s).
-	for i := 0; i < 2; i++ {
-		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/tenants/ghost/stats", nil, &out); code != http.StatusNotFound {
-			t.Fatalf("unknown tenant stats status %d (try %d), want 404", code, i)
-		}
-	}
-	probe := wire(t, command.Grant("jane", model.User("bob"), model.Role("staff")))
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/ghost/authorize", probe, &out); code != http.StatusNotFound {
-		t.Fatalf("unknown tenant authorize status %d, want 404", code)
-	}
-	// Empty batch → 400.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/ok/authorize", BatchRequest{}, &out); code != http.StatusBadRequest {
-		t.Fatalf("empty batch status %d", code)
-	}
-	// Undecodable body → 400.
-	resp, err := http.Post(ts.URL+"/v1/tenants/ok/authorize", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad json status %d", resp.StatusCode)
-	}
-	// Unknown op → 400.
-	bad := BatchRequest{Commands: []WireCommand{{Actor: "x", Op: "frobnicate", From: json.RawMessage(`{"kind":"user","name":"u"}`), To: json.RawMessage(`{"kind":"role","name":"r"}`)}}}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/ok/authorize", bad, &out); code != http.StatusBadRequest {
-		t.Fatalf("bad op status %d", code)
-	}
-	// Policy upload with do/expect statements → 400.
-	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/tenants/ok/policy",
-		strings.NewReader(parser.Print(policy.Figure2(), nil)+"\ndo grant(jane, bob, staff)\n"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("do-statement upload status %d", resp.StatusCode)
-	}
-}
-
 func TestWireCommandRoundTrip(t *testing.T) {
 	cmds := []command.Command{
 		command.Grant("jane", model.User("bob"), model.Role("staff")),

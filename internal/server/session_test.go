@@ -21,110 +21,6 @@ type sessionEnvelope struct {
 	Generation uint64          `json:"generation"`
 }
 
-func TestSessionAndCheckEndpoints(t *testing.T) {
-	ts := newTestServer(t)
-	if code := putPolicy(t, ts.URL, "acme", policy.Figure1()); code != http.StatusNoContent {
-		t.Fatalf("put policy status %d", code)
-	}
-
-	// Create: diana as nurse.
-	var env sessionEnvelope
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/sessions",
-		map[string]any{"user": policy.UserDiana, "activate": []string{policy.RoleNurse}}, &env); code != http.StatusOK {
-		t.Fatalf("create session status %d", code)
-	}
-	sess := env.Results
-	if sess.User != policy.UserDiana || len(sess.Roles) != 1 || sess.Roles[0] != policy.RoleNurse {
-		t.Fatalf("session = %+v", sess)
-	}
-
-	// An unactivatable role is refused.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/sessions",
-		map[string]any{"user": policy.UserDiana, "activate": []string{policy.RoleSO}}, nil); code != http.StatusForbidden {
-		t.Fatalf("SO activation status %d, want 403", code)
-	}
-
-	// Batched check: nurse reads t1/t2 but does not write t3.
-	check := func(queries []map[string]any, want []bool) {
-		t.Helper()
-		var out struct {
-			Results    []CheckResult `json:"results"`
-			Generation uint64        `json:"generation"`
-		}
-		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/check",
-			map[string]any{"session": sess.Session, "checks": queries}, &out); code != http.StatusOK {
-			t.Fatalf("check status %d", code)
-		}
-		if len(out.Results) != len(want) {
-			t.Fatalf("results %+v, want %d", out.Results, len(want))
-		}
-		for i, w := range want {
-			if out.Results[i].Allowed != w {
-				t.Fatalf("check %d (%v) = %v, want %v", i, queries[i], out.Results[i].Allowed, w)
-			}
-		}
-	}
-	check([]map[string]any{
-		{"action": "read", "object": "t1"},
-		{"action": "read", "object": "t2"},
-		{"action": "write", "object": "t3"},
-	}, []bool{true, true, false})
-
-	// Activate staff: write t3 opens up; deactivate: it closes again.
-	var upd sessionEnvelope
-	url := fmt.Sprintf("%s/v1/tenants/acme/sessions/%d", ts.URL, sess.Session)
-	if code := doJSON(t, http.MethodPost, url, map[string]any{"activate": []string{policy.RoleStaff}}, &upd); code != http.StatusOK {
-		t.Fatalf("activate status %d", code)
-	}
-	if len(upd.Results.Roles) != 2 {
-		t.Fatalf("roles after activate = %v", upd.Results.Roles)
-	}
-	check([]map[string]any{{"action": "write", "object": "t3"}}, []bool{true})
-	if code := doJSON(t, http.MethodPost, url, map[string]any{"deactivate": []string{policy.RoleStaff}}, &upd); code != http.StatusOK {
-		t.Fatalf("deactivate status %d", code)
-	}
-	check([]map[string]any{{"action": "write", "object": "t3"}}, []bool{false})
-
-	// Unknown session and empty batch are client errors.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/check",
-		map[string]any{"session": 999, "checks": []map[string]any{{"action": "read", "object": "t1"}}}, nil); code != http.StatusNotFound {
-		t.Fatalf("unknown session check status %d", code)
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/check",
-		map[string]any{"session": sess.Session}, nil); code != http.StatusBadRequest {
-		t.Fatalf("empty check batch status %d", code)
-	}
-
-	// Stats surfaces the session table; healthz counts live sessions.
-	var st struct {
-		Sessions *struct {
-			Sessions int    `json:"sessions"`
-			Checks   uint64 `json:"checks"`
-		} `json:"sessions"`
-	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/tenants/acme/stats", nil, &st); code != http.StatusOK {
-		t.Fatalf("stats status %d", code)
-	}
-	if st.Sessions == nil || st.Sessions.Sessions != 1 || st.Sessions.Checks == 0 {
-		t.Fatalf("stats sessions block = %+v", st.Sessions)
-	}
-
-	// Delete ends the session; further checks are 404.
-	req, _ := http.NewRequest(http.MethodDelete, url, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete status %d", resp.StatusCode)
-	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/tenants/acme/check",
-		map[string]any{"session": sess.Session, "checks": []map[string]any{{"action": "read", "object": "t1"}}}, nil); code != http.StatusNotFound {
-		t.Fatalf("check on deleted session status %d", code)
-	}
-}
-
 func TestSessionDSDConstraintOverHTTP(t *testing.T) {
 	cons, err := constraints.ParseJSON([]byte(fmt.Sprintf(
 		`[{"name":"nd","kind":"dsd","roles":[%q,%q],"n":2}]`, policy.RoleNurse, policy.RoleStaff)))

@@ -1,73 +1,9 @@
 package server
 
-import (
-	"fmt"
+import wirep "adminrefine/internal/wire"
 
-	wirep "adminrefine/internal/wire"
-)
-
-// WireConfig projects this server's machinery into a wire.Config, so the
-// binary listener (cmd/rbacd -wire-addr, the bench stack) serves the SAME
-// registry, session tables, epoch, admission controller, shed accounting and
-// role state as the HTTP facade — two sockets, one node. A session created
-// over HTTP checks over the wire and vice versa; a shed on either plane
-// shows up in /stats; a promotion fences both planes at once.
-func (s *Server) WireConfig() wirep.Config {
-	return wirep.Config{
-		Registry:       s.reg,
-		Sessions:       s.sessions,
-		Epoch:          s.epoch,
-		Admission:      s.admission,
-		MinGenWait:     s.minGenWait,
-		MaxRequestTime: s.maxRequestTime,
-		WriteGate:      s.wireWriteGate,
-		EnsureReplica:  s.wireEnsureReplica,
-		ShedRead:       &s.shedRead,
-		ShedWrite:      &s.shedWrite,
-		ShedDeadline:   &s.shedDeadline,
-	}
-}
-
-// wireWriteGate is gateWrite for the binary plane. The splits mirror the
-// HTTP statuses exactly, with one translation: a follower cannot 307 (the
-// binary protocol has no redirects), so it answers misrouted carrying the
-// upstream's address — the same "go there instead" contract the routing
-// front uses.
-func (s *Server) wireWriteGate() wirep.GateResult {
-	s.roleMu.RLock()
-	f, fenced := s.follower, s.fenced
-	s.roleMu.RUnlock()
-	switch {
-	case f != nil:
-		if s.breaker.Open() {
-			return wirep.GateResult{
-				Status:        wirep.StatusUnavailable,
-				Message:       fmt.Sprintf("upstream primary %s unreachable (circuit open)", f.Upstream()),
-				Node:          f.Upstream(),
-				RetryAfterSec: uint32(retryAfterSecondsInt(s.breaker.RetryAfter())),
-			}
-		}
-		return wirep.GateResult{
-			Status:  wirep.StatusMisrouted,
-			Message: "node is a follower: writes go to the primary",
-			Node:    f.Upstream(),
-		}
-	case fenced:
-		return wirep.GateResult{
-			Status:  wirep.StatusFenced,
-			Message: fmt.Sprintf("node was deposed (epoch %d): not accepting writes", s.epoch.Current()),
-		}
-	default:
-		return wirep.GateResult{Status: wirep.StatusOK}
-	}
-}
-
-// wireEnsureReplica gives the binary plane the follower's ensure-replica
-// read gate (no-op on a primary).
-func (s *Server) wireEnsureReplica(name string) error {
-	f := s.curFollower()
-	if f == nil {
-		return nil
-	}
-	return f.Ensure(name)
-}
+// WireConfig hands the binary listener (cmd/rbacd -wire-addr, the bench
+// stack) the request core this facade serves from — two sockets, one node.
+// A session created over HTTP checks over the wire and vice versa; a shed on
+// either plane shows up in /stats; a promotion fences both planes at once.
+func (s *Server) WireConfig() wirep.Config { return wirep.Config{Core: s.core} }

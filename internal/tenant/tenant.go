@@ -122,6 +122,10 @@ type shard struct {
 	// lru orders resident tenants, front = most recently used. Element
 	// values are *tenant.
 	lru *list.List
+	// closing holds the names of eviction victims between their unlinking
+	// (under mu) and the end of their shutdown (outside it); the channel
+	// closes when the directory is safe to reopen.
+	closing map[string]chan struct{}
 }
 
 // wlock is the tenant writer lock: a one-slot semaphore with mutex-shaped
@@ -203,7 +207,7 @@ func New(opts Options) *Registry {
 	opts = opts.withDefaults()
 	r := &Registry{opts: opts, guard: opts.Constraints.Guard(), shards: make([]*shard, opts.Shards)}
 	for i := range r.shards {
-		r.shards[i] = &shard{tenants: make(map[string]*tenant), lru: list.New()}
+		r.shards[i] = &shard{tenants: make(map[string]*tenant), lru: list.New(), closing: make(map[string]chan struct{})}
 	}
 	return r
 }
@@ -275,6 +279,14 @@ func (r *Registry) acquire(name string, create bool) (*tenant, error) {
 	}
 	sh := r.shardOf(name)
 	sh.mu.Lock()
+	// A name that is mid-shutdown must not be reopened yet: its directory is
+	// half-compacted, and recovering from it would serve a generation behind
+	// writes already acknowledged. Wait the shutdown out, off the lock.
+	for wait := sh.closing[name]; wait != nil; wait = sh.closing[name] {
+		sh.mu.Unlock()
+		<-wait
+		sh.mu.Lock()
+	}
 	// Re-check under the shard lock: Close sets the flag before sweeping the
 	// shards, so an acquire that raced past the first check cannot insert a
 	// tenant into a shard Close already swept.
@@ -303,6 +315,10 @@ func (r *Registry) acquire(name string, create bool) (*tenant, error) {
 	// lock: it is disk I/O and must not stall the shard's other tenants.
 	for _, v := range evicted {
 		v.shutdown()
+		sh.mu.Lock()
+		close(sh.closing[v.name])
+		delete(sh.closing, v.name)
+		sh.mu.Unlock()
 	}
 	return t, nil
 }
@@ -407,8 +423,9 @@ func (r *Registry) installAt(t *tenant, p *policy.Policy, seq, seqEpoch uint64, 
 
 // evictLocked shrinks the shard back to its residency budget, walking from
 // the LRU tail and skipping tenants with in-flight operations. It only
-// unlinks victims (map + LRU) — the caller shuts them down after releasing
-// the shard lock; unlinked-with-inuse==0 guarantees exclusivity.
+// unlinks victims (map + LRU) and marks them closing — the caller shuts them
+// down after releasing the shard lock and then clears the mark;
+// unlinked-with-inuse==0 plus the mark guarantees exclusivity.
 func (r *Registry) evictLocked(sh *shard) []*tenant {
 	if r.opts.MaxResident <= 0 {
 		return nil
@@ -420,6 +437,7 @@ func (r *Registry) evictLocked(sh *shard) []*tenant {
 		if t.inuse.Load() == 0 {
 			sh.lru.Remove(e)
 			delete(sh.tenants, t.name)
+			sh.closing[t.name] = make(chan struct{})
 			out = append(out, t)
 		}
 		e = prev
@@ -825,15 +843,33 @@ func (r *Registry) InstallPolicy(name string, p *policy.Policy) error {
 // tenant state: checks run lock-free against the snapshot while the tenant
 // stays resident. Exactly one release call per successful View.
 func (r *Registry) View(name string) (snap *engine.Snapshot, release func(), err error) {
-	t, err := r.acquire(name, false)
+	p, err := r.Pin(name)
 	if err != nil {
 		return nil, nil, err
+	}
+	return p.Snap, p.Release, nil
+}
+
+// Pinned is what View acquires, as a value: the per-request paths hold it
+// on the stack instead of paying for a release closure.
+type Pinned struct {
+	Snap *engine.Snapshot
+	t    *tenant
+}
+
+// Release closes the snapshot and unpins the tenant. Exactly once per Pin.
+func (p Pinned) Release() { p.Snap.Close(); p.t.release() }
+
+// Pin is View without the closure.
+func (r *Registry) Pin(name string) (Pinned, error) {
+	t, err := r.acquire(name, false)
+	if err != nil {
+		return Pinned{}, err
 	}
 	// Deliberately not counted under Stats.Authorizes: session/check
 	// traffic has its own counters (session.Stats.Checks), and mixing the
 	// two would make the authorize metric unusable for capacity planning.
-	s := t.engine().Snapshot()
-	return s, func() { s.Close(); t.release() }, nil
+	return Pinned{Snap: t.engine().Snapshot(), t: t}, nil
 }
 
 // Audit returns the tenant's retained audit records with audit indexes

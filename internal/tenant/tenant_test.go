@@ -389,3 +389,45 @@ func TestAuthorizeBatchIntoReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictionReopenNeverReadsBehindAnAck pins the eviction/reopen race: an
+// LRU victim is unlinked under the shard lock but compacted and closed
+// outside it, so a concurrent acquire of the same name must not reopen the
+// directory mid-shutdown — it would recover a half-compacted store and serve
+// a generation behind a write the registry already acknowledged.
+func TestEvictionReopenNeverReadsBehindAnAck(t *testing.T) {
+	reg := churnRegistry(t, t.TempDir(), Options{Shards: 1, MaxResident: 1, CompactEvery: -1})
+	defer reg.Close()
+	for i := 0; i < 100; i++ {
+		_, acked, err := reg.SubmitBatch("a", []command.Command{workload.ChurnGrant(i%256, 16, 16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Touching b evicts a (it has records to compact); reads of a race
+		// that shutdown until b's read returns.
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := reg.Stats("b"); err != nil {
+				t.Error(err)
+			}
+		}()
+		var st Stats
+		for racing := true; racing; {
+			select {
+			case <-done:
+				racing = false
+			default:
+			}
+			if st, err = reg.Stats("a"); err != nil {
+				t.Fatalf("iteration %d: read of a: %v", i, err)
+			}
+			if st.Generation < acked {
+				break
+			}
+		}
+		if st.Generation < acked {
+			t.Fatalf("iteration %d: a served generation %d behind acknowledged %d", i, st.Generation, acked)
+		}
+	}
+}

@@ -53,60 +53,35 @@ import (
 	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/model"
+	"adminrefine/internal/service"
 )
 
-// Opcode identifies the operation a request frame carries.
-type Opcode uint8
-
-const (
-	// OpAuthorize: hypothetical batch authorization (read).
-	OpAuthorize Opcode = 1
-	// OpCheck: session access checks (read).
-	OpCheck Opcode = 2
-	// OpSubmit: durable command batch (write; rides the commit-group queue).
-	OpSubmit Opcode = 3
-	// OpSessionCreate: activate a session for a user over roles (read class).
-	OpSessionCreate Opcode = 4
-	// OpSessionUpdate: activate/deactivate roles within a session.
-	OpSessionUpdate Opcode = 5
-	// OpSessionDelete: drop a session.
-	OpSessionDelete Opcode = 6
-	// OpPing: liveness/fence probe; returns role-independent OK with the
-	// node's current epoch and no tenant access.
-	OpPing Opcode = 7
+// The request vocabulary — ops, flags, the decoded Request — is the request
+// core's (internal/service): this package is its binary codec, and a drain
+// decodes straight into the slab the core consumes. The wire names stay.
+type (
+	// Opcode identifies the operation a request frame carries.
+	Opcode = service.Op
+	// Request is one decoded request frame. ParseRequest reuses its slices,
+	// so a pooled Request is safe to parse into repeatedly.
+	Request = service.Request
+	// Check is one session access-check item.
+	Check = service.Check
 )
 
-// String names the opcode for diagnostics.
-func (o Opcode) String() string {
-	switch o {
-	case OpAuthorize:
-		return "authorize"
-	case OpCheck:
-		return "check"
-	case OpSubmit:
-		return "submit"
-	case OpSessionCreate:
-		return "session_create"
-	case OpSessionUpdate:
-		return "session_update"
-	case OpSessionDelete:
-		return "session_delete"
-	case OpPing:
-		return "ping"
-	default:
-		return fmt.Sprintf("Opcode(%d)", uint8(o))
-	}
-}
-
-// Valid reports whether o is a known opcode.
-func (o Opcode) Valid() bool { return o >= OpAuthorize && o <= OpPing }
-
-// Request flags.
 const (
+	OpAuthorize     = service.OpAuthorize
+	OpCheck         = service.OpCheck
+	OpSubmit        = service.OpSubmit
+	OpSessionCreate = service.OpSessionCreate
+	OpSessionUpdate = service.OpSessionUpdate
+	OpSessionDelete = service.OpSessionDelete
+	OpPing          = service.OpPing
+
 	// FlagJustify asks the server to include authorization justifications in
 	// authorize/submit results. Off by default: rendering a justification
 	// allocates server-side, and the hot path stays allocation-free without.
-	FlagJustify uint8 = 1 << 0
+	FlagJustify = service.FlagJustify
 )
 
 // Status is the binary response status, mapped 1:1 onto the api error-code
@@ -384,12 +359,6 @@ func (in *Interner) putVertex(enc []byte, v model.Vertex) {
 	}
 }
 
-// Check is one session access-check item.
-type Check struct {
-	Action string
-	Object string
-}
-
 // AuthzResult is one authorize answer.
 type AuthzResult struct {
 	Allowed bool
@@ -404,49 +373,6 @@ type StepOutcome struct {
 	Outcome uint8
 	// Justification as for AuthzResult.
 	Justification string
-}
-
-// Request is one decoded request frame. Decode reuses the embedded slices,
-// so a Request obtained from a pool is safe to parse into repeatedly.
-type Request struct {
-	Op         Opcode
-	ID         uint64
-	MinGen     uint64
-	DeadlineMS uint32
-	Flags      uint8
-	Tenant     string
-
-	// Cmds carries the authorize/submit batch.
-	Cmds []command.Command
-	// Session targets check/session_update/session_delete.
-	Session uint64
-	// Checks carries the check batch.
-	Checks []Check
-	// User and Roles parameterize session_create.
-	User  string
-	Roles []string
-	// Activate and Deactivate parameterize session_update.
-	Activate   []string
-	Deactivate []string
-
-	// parseErr records a body-level decode failure (framing intact): the
-	// server answers that one request StatusBadRequest and keeps the
-	// connection.
-	parseErr error
-}
-
-// Reset clears r for reuse, keeping slice capacity — the pooled-request idiom
-// for clients that rebuild requests in place.
-func (r *Request) Reset() {
-	r.Op, r.ID, r.MinGen, r.DeadlineMS, r.Flags = 0, 0, 0, 0, 0
-	r.Tenant, r.User = "", ""
-	r.Cmds = r.Cmds[:0]
-	r.Session = 0
-	r.Checks = r.Checks[:0]
-	r.Roles = r.Roles[:0]
-	r.Activate = r.Activate[:0]
-	r.Deactivate = r.Deactivate[:0]
-	r.parseErr = nil
 }
 
 // Response is one decoded response frame.
@@ -635,11 +561,7 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	case resp.Authz != nil:
 		dst = appendUvarint(dst, uint64(len(resp.Authz)))
 		for _, a := range resp.Authz {
-			flag := byte(0)
-			if a.Allowed {
-				flag = 1
-			}
-			dst = append(dst, flag)
+			dst = appendBool(dst, a.Allowed)
 			dst = appendString(dst, a.Justification)
 		}
 	case resp.Steps != nil:
@@ -651,11 +573,7 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	case resp.Allowed != nil:
 		dst = appendUvarint(dst, uint64(len(resp.Allowed)))
 		for _, ok := range resp.Allowed {
-			b := byte(0)
-			if ok {
-				b = 1
-			}
-			dst = append(dst, b)
+			dst = appendBool(dst, ok)
 		}
 	case resp.Session != 0 || resp.User != "":
 		dst = appendU64(dst, resp.Session)

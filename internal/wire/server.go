@@ -5,71 +5,29 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"adminrefine/internal/admission"
-	"adminrefine/internal/command"
-	"adminrefine/internal/engine"
+	"adminrefine/internal/api"
 	"adminrefine/internal/model"
-	"adminrefine/internal/replication"
-	"adminrefine/internal/session"
-	"adminrefine/internal/tenant"
+	"adminrefine/internal/service"
 )
 
-// GateResult is a write gate's verdict. Status StatusOK means the node is
-// the serving primary and the write proceeds locally; anything else is
-// answered to every write in the gated group verbatim.
-type GateResult struct {
-	Status        Status
-	Message       string
-	Node          string
-	RetryAfterSec uint32
-}
-
-// Config wires a Server into a node's existing machinery. The HTTP facade
-// builds one via server.WireConfig so both planes share a single registry,
-// session table, epoch, admission controller, and role state.
+// Config wires a Server into a node: the request core owns the whole
+// data-plane contract (see internal/service), so the HTTP facade's
+// server.WireConfig hands over the same Core it serves from — two sockets,
+// one node, one pipeline.
 type Config struct {
-	// Registry is the tenant registry served (required).
-	Registry *tenant.Registry
-	// Sessions is the node-local session registry (required; shared with the
-	// HTTP facade so a session created on either plane checks on both).
-	Sessions *session.Registry
-	// Epoch is the node's fencing epoch, stamped on every response. Nil
-	// reads as epoch 0.
-	Epoch *replication.Epoch
-	// Admission gates requests by class exactly like the HTTP front:
-	// submits are Write class, everything else Read, pings ungated. A
-	// merged pipeline group costs one admission slot, like one HTTP batch.
-	// Nil admits everything.
-	Admission *admission.Controller
-	// MinGenWait bounds the min_generation catch-up wait (default 2s).
-	MinGenWait time.Duration
-	// MaxRequestTime is the server-side budget per request (group); the
-	// request header's deadline field tightens, never extends, it. Zero
-	// means no server-imposed deadline.
-	MaxRequestTime time.Duration
-	// WriteGate resolves the node's current role for a write. Nil means
-	// always primary. A follower returns StatusMisrouted plus its upstream
-	// (the binary plane cannot redirect); a fenced ex-primary returns
-	// StatusFenced (the 421 equivalent — the epoch header carries the fence).
-	WriteGate func() GateResult
-	// EnsureReplica, on a follower, ensures the tenant is replicated before
-	// a read serves it. Nil on primaries.
-	EnsureReplica func(name string) error
-	// ShedRead/ShedWrite/ShedDeadline, when non-nil, share the HTTP
-	// facade's shed accounting so /stats reports both planes.
-	ShedRead, ShedWrite, ShedDeadline *atomic.Uint64
+	Core *service.Core
 }
 
 // Server serves the binary protocol on persistent, pipelined connections.
 // Each connection gets one goroutine, one reusable read buffer, one pooled
-// request batch and one write buffer: a drain of queued frames is decoded,
-// processed (adjacent same-tenant authorize/submit runs merge into a single
-// engine pass), and answered with a single write.
+// request slab and one write buffer: a drain of queued frames is decoded,
+// handed to the core as one Do (which merges adjacent same-tenant
+// authorize/submit runs into single engine passes), and answered with a
+// single write.
 type Server struct {
-	cfg Config
+	core *service.Core
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -80,23 +38,7 @@ type Server struct {
 
 // NewServer builds a Server over cfg.
 func NewServer(cfg Config) *Server {
-	if cfg.MinGenWait <= 0 {
-		cfg.MinGenWait = 2 * time.Second
-	}
-	return &Server{cfg: cfg, conns: make(map[net.Conn]struct{})}
-}
-
-func (s *Server) epochNow() uint64 {
-	if s.cfg.Epoch == nil {
-		return 0
-	}
-	return s.cfg.Epoch.Current()
-}
-
-func bump(c *atomic.Uint64) {
-	if c != nil {
-		c.Add(1)
-	}
+	return &Server{core: cfg.Core, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections on ln until Close. It returns nil after a clean
@@ -186,16 +128,13 @@ type connState struct {
 	srv  *Server
 	conn net.Conn
 
-	in       []byte    // read buffer; complete frames are consumed from the front
-	reqs     []Request // decoded drain, slices reused across drains
-	nreq     int       // live requests in reqs (len tracks pooled capacity)
-	out      []byte    // response buffer, one conn.Write per drain
+	in       []byte             // read buffer; complete frames are consumed from the front
+	reqs     []Request          // decoded drain, slices reused across drains
+	nreq     int                // live requests in reqs (len tracks pooled capacity)
+	resps    []service.Response // the core's answers to reqs[:nreq]
+	scratch  service.Scratch    // the result buffers those answers alias
+	out      []byte             // response buffer, one conn.Write per drain
 	interner *Interner
-
-	// Engine scratch, reused across requests.
-	cmds    []command.Command
-	results []engine.AuthzResult
-	checks  []bool
 }
 
 func newConnState(s *Server, conn net.Conn) *connState {
@@ -243,13 +182,12 @@ func (c *connState) serve() {
 	}
 }
 
-// consume decodes every complete frame in the read buffer, processes the
-// drained requests (merging adjacent runs), and appends all responses to
-// the write buffer. It is the whole per-drain hot path minus the socket
-// syscalls, which is what the allocation test measures.
+// consume decodes every complete frame in the read buffer into the request
+// slab, hands the drain to the core, and appends all responses to the write
+// buffer. It is the whole per-drain hot path minus the socket syscalls,
+// which is what the allocation test measures.
 func (c *connState) consume() error {
 	off := 0
-	c.nreq = 0
 	for {
 		payload, n, ok, err := NextFrame(c.in[off:])
 		if err != nil {
@@ -258,491 +196,119 @@ func (c *connState) consume() error {
 		if !ok {
 			break
 		}
-		req := c.nextRequest()
+		if c.nreq == len(c.reqs) {
+			c.reqs = append(c.reqs, Request{})
+		}
+		req := &c.reqs[c.nreq]
 		if perr := ParseRequest(payload, req, c.interner); perr != nil {
-			// The frame was intact (CRC passed) but the body is nonsense:
-			// answer that request and keep the connection. The ID echoes
-			// whatever header prefix parsed (zero otherwise).
-			req.Op = 0
-			req.parseErr = perr
+			// The frame was intact (CRC passed) but the body is nonsense —
+			// the codec's own error, which the core never sees: answer what
+			// was decoded before it, then this request (the ID echoes
+			// whatever header prefix parsed), and keep the connection.
+			c.flush()
+			c.reply(req, &service.Response{
+				Err:   &api.Error{Code: api.CodeBadRequest, Message: perr.Error()},
+				Epoch: c.srv.core.Epoch().Current(),
+			})
+		} else {
+			c.nreq++
 		}
 		off += n
 	}
 	if off > 0 {
 		c.in = c.in[:copy(c.in, c.in[off:])]
 	}
-	if c.nreq > 0 {
-		c.process(c.reqs[:c.nreq])
-	}
+	c.flush()
 	return nil
 }
 
-// nextRequest hands out the next pooled Request slot.
-func (c *connState) nextRequest() *Request {
-	if c.nreq < len(c.reqs) {
-		c.nreq++
-		return &c.reqs[c.nreq-1]
+// flush runs the decoded drain through the core and encodes its answers.
+func (c *connState) flush() {
+	if c.nreq == 0 {
+		return
 	}
-	c.reqs = append(c.reqs, Request{})
-	c.nreq++
-	return &c.reqs[len(c.reqs)-1]
+	if cap(c.resps) < c.nreq {
+		c.resps = make([]service.Response, 2*c.nreq)
+	}
+	reqs, resps := c.reqs[:c.nreq], c.resps[:c.nreq]
+	c.srv.core.Do(context.Background(), reqs, resps, &c.scratch)
+	for i := range reqs {
+		c.reply(&reqs[i], &resps[i])
+	}
+	c.nreq = 0
 }
 
-// mergeable reports whether b can join a's engine pass: same batchable
-// opcode, same tenant, same deadline and flags, and no generation token
-// (a token forces an individual wait; submits ignore tokens but keeping the
-// predicate uniform keeps the merge reasoning simple).
-func mergeable(a, b *Request) bool {
-	if a.Op != b.Op || (a.Op != OpAuthorize && a.Op != OpSubmit) {
-		return false
+// reply appends one response frame to the write buffer straight from the
+// core's answer — no intermediate struct, and no rendering of justifications
+// the request did not ask for.
+func (c *connState) reply(req *Request, r *service.Response) {
+	status := StatusOK
+	if r.Err != nil {
+		status = StatusFromCode(r.Err.Code)
 	}
-	return a.Tenant == b.Tenant && a.DeadlineMS == b.DeadlineMS &&
-		a.Flags == b.Flags && a.MinGen == 0 && b.MinGen == 0 && a.parseErr == nil && b.parseErr == nil
-}
-
-// process answers reqs in order. Adjacent mergeable authorize/submit runs
-// collapse into one AuthorizeBatchInto/SubmitBatch pass under one admission
-// slot — the pipelining payoff: a connection's queued requests cost one
-// engine walk and one commit-group entry instead of N.
-func (c *connState) process(reqs []Request) {
-	for i := 0; i < len(reqs); {
-		j := i + 1
-		for j < len(reqs) && mergeable(&reqs[i], &reqs[j]) {
-			j++
-		}
-		c.processGroup(reqs[i:j])
-		i = j
-	}
-}
-
-// budget resolves a group's time budget: the server cap tightened by the
-// request's deadline field.
-func (c *connState) budget(req *Request) time.Duration {
-	b := c.srv.cfg.MaxRequestTime
-	if req.DeadlineMS > 0 {
-		d := time.Duration(req.DeadlineMS) * time.Millisecond
-		if b <= 0 || d < b {
-			b = d
-		}
-	}
-	return b
-}
-
-// processGroup runs one merged group (len 1 for everything non-batchable).
-func (c *connState) processGroup(group []Request) {
-	req := &group[0]
-	if req.parseErr != nil {
-		c.emitError(req.ID, StatusBadRequest, 0, 0, 0, req.parseErr.Error(), "")
-		return
-	}
-	if req.Op == OpPing {
-		// Ungated liveness: answers even on a saturated or fenced node,
-		// like /healthz.
-		c.emitEmpty(req.ID, c.srv.epochNow())
-		return
-	}
-
-	cl := admission.Read
-	if req.Op == OpSubmit {
-		cl = admission.Write
-	}
-	ctx := context.Background()
-	cancel := func() {}
-	if b := c.budget(req); b > 0 {
-		ctx, cancel = context.WithTimeout(ctx, b)
-	}
-	defer cancel()
-
-	release, err := c.srv.cfg.Admission.Acquire(ctx, cl)
-	if err != nil {
-		st := StatusOverloaded
-		switch {
-		case admission.IsDeadline(err):
-			st = StatusDeadline
-			bump(c.srv.cfg.ShedDeadline)
-		case cl == admission.Read:
-			bump(c.srv.cfg.ShedRead)
-		default:
-			bump(c.srv.cfg.ShedWrite)
-		}
-		for i := range group {
-			c.emitError(group[i].ID, st, 0, 1, 0, err.Error(), "")
-		}
-		return
-	}
-	defer release()
-
-	switch req.Op {
-	case OpAuthorize:
-		c.processAuthorize(ctx, group)
-	case OpSubmit:
-		c.processSubmit(ctx, group)
-	case OpCheck:
-		c.processCheck(ctx, req)
-	case OpSessionCreate:
-		c.processSessionCreate(ctx, req)
-	case OpSessionUpdate:
-		c.processSessionUpdate(ctx, req)
-	case OpSessionDelete:
-		c.processSessionDelete(req)
-	}
-}
-
-// ensureRead runs the follower-replica and min_generation gates shared by
-// every read. It reports whether the read may proceed; when it may not, the
-// error response has been emitted.
-func (c *connState) ensureRead(ctx context.Context, req *Request) bool {
-	if er := c.srv.cfg.EnsureReplica; er != nil {
-		if err := er(req.Tenant); err != nil {
-			c.emitTenantError(req.ID, err)
-			return false
-		}
-	}
-	if req.MinGen == 0 {
-		return true
-	}
-	return c.awaitGeneration(ctx, req)
-}
-
-// awaitGeneration enforces a min_generation token, bounded by MinGenWait
-// and the group's budget, answering staleness (or a blown deadline) when
-// the replica cannot catch up — the binary twin of the HTTP 409/503 pair.
-func (c *connState) awaitGeneration(ctx context.Context, req *Request) bool {
-	gen, ok, err := c.srv.cfg.Registry.WaitGenerationCtx(ctx, req.Tenant, req.MinGen, c.srv.cfg.MinGenWait)
-	if err != nil {
-		c.emitTenantError(req.ID, err)
-		return false
-	}
-	if !ok {
-		if ctx.Err() != nil {
-			// The budget ran out while waiting: overload (or a stalled
-			// replica), not staleness — same split as the HTTP 503/409 pair.
-			bump(c.srv.cfg.ShedDeadline)
-			c.emitStale(req.ID, StatusDeadline, gen, req.MinGen)
-			return false
-		}
-		c.emitStale(req.ID, StatusStaleGeneration, gen, req.MinGen)
-		return false
-	}
-	return true
-}
-
-func (c *connState) processAuthorize(ctx context.Context, group []Request) {
-	req := &group[0]
-	if er := c.srv.cfg.EnsureReplica; er != nil {
-		if err := er(req.Tenant); err != nil {
-			for i := range group {
-				c.emitTenantError(group[i].ID, err)
-			}
-			return
-		}
-	}
-	// A generation token is never merged (mergeable requires MinGen 0), so
-	// the wait below only ever answers for a single-request group.
-	if req.MinGen > 0 && !c.awaitGeneration(ctx, req) {
-		return
-	}
-	cmds := c.cmds[:0]
-	for i := range group {
-		cmds = append(cmds, group[i].Cmds...)
-	}
-	c.cmds = cmds[:0]
-	results, gen, err := c.srv.cfg.Registry.AuthorizeBatchInto(req.Tenant, cmds, c.results[:0])
-	if err != nil {
-		for i := range group {
-			c.emitTenantError(group[i].ID, err)
-		}
-		return
-	}
-	c.results = results[:0]
-	epoch := c.srv.epochNow()
-	justify := req.Flags&FlagJustify != 0
-	off := 0
-	for i := range group {
-		n := len(group[i].Cmds)
-		c.emitAuthz(group[i].ID, gen, epoch, results[off:off+n], justify)
-		off += n
-	}
-}
-
-func (c *connState) processSubmit(ctx context.Context, group []Request) {
-	req := &group[0]
-	if gate := c.srv.cfg.WriteGate; gate != nil {
-		if g := gate(); g.Status != StatusOK {
-			for i := range group {
-				c.emitError(group[i].ID, g.Status, 0, g.RetryAfterSec, 0, g.Message, g.Node)
-			}
-			return
-		}
-	}
-	cmds := c.cmds[:0]
-	for i := range group {
-		cmds = append(cmds, group[i].Cmds...)
-	}
-	c.cmds = cmds[:0]
-	results, gen, err := c.srv.cfg.Registry.SubmitBatchCtx(ctx, req.Tenant, cmds)
-	if err != nil && len(results) == 0 {
-		st, retry := StatusInternal, uint32(0)
-		switch {
-		case admission.IsOverloaded(err):
-			st, retry = StatusOverloaded, 1
-			bump(c.srv.cfg.ShedWrite)
-		case admission.IsDeadline(err):
-			st, retry = StatusDeadline, 1
-			bump(c.srv.cfg.ShedDeadline)
-		case tenant.IsFenced(err):
-			st, retry = StatusFenced, 1
-		case tenant.IsBadName(err):
-			st = StatusBadRequest
-		case tenant.IsNotFound(err):
-			st = StatusNotFound
-		}
-		for i := range group {
-			c.emitError(group[i].ID, st, 0, retry, 0, err.Error(), "")
-		}
-		return
-	}
-	epoch := c.srv.epochNow()
-	if err != nil {
-		// Mid-batch durability fault: the HTTP plane reports partial results
-		// alongside the typed error; the binary envelope is one-or-the-other,
-		// so every caller in the group gets the fault (nothing past the fault
-		// was acknowledged, and internal is never treated as success).
-		for i := range group {
-			c.emitError(group[i].ID, StatusInternal, gen, 0, 0, err.Error(), "")
-		}
-		return
-	}
-	justify := req.Flags&FlagJustify != 0
-	off := 0
-	for i := range group {
-		n := len(group[i].Cmds)
-		c.emitSteps(group[i].ID, gen, epoch, results[off:off+n], justify)
-		off += n
-	}
-}
-
-func (c *connState) processCheck(ctx context.Context, req *Request) {
-	if !c.ensureRead(ctx, req) {
-		return
-	}
-	tbl, ok := c.srv.cfg.Sessions.Peek(req.Tenant)
-	if !ok {
-		c.emitError(req.ID, StatusNotFound, 0, 0, 0, "no session (sessions are node-local)", "")
-		return
-	}
-	snap, release, err := c.srv.cfg.Registry.View(req.Tenant)
-	if err != nil {
-		c.emitTenantError(req.ID, err)
-		return
-	}
-	defer release()
-	allowed := c.checks[:0]
-	for _, q := range req.Checks {
-		ok, err := tbl.Check(snap, req.Session, model.Perm(q.Action, q.Object))
-		if err != nil {
-			c.emitError(req.ID, StatusNotFound, 0, 0, 0, err.Error(), "")
-			return
-		}
-		allowed = append(allowed, ok)
-	}
-	c.checks = allowed[:0]
-	c.emitChecks(req.ID, snap.Generation(), c.srv.epochNow(), allowed)
-}
-
-func (c *connState) processSessionCreate(ctx context.Context, req *Request) {
-	if req.User == "" {
-		c.emitError(req.ID, StatusBadRequest, 0, 0, 0, "session create needs a user", "")
-		return
-	}
-	if !c.ensureRead(ctx, req) {
-		return
-	}
-	snap, release, err := c.srv.cfg.Registry.View(req.Tenant)
-	if err != nil {
-		c.emitTenantError(req.ID, err)
-		return
-	}
-	defer release()
-	sess, err := c.srv.cfg.Sessions.Table(req.Tenant).Create(snap, req.User, req.Roles)
-	if err != nil {
-		if session.IsTableFull(err) {
-			c.emitError(req.ID, StatusOverloaded, 0, 1, 0, err.Error(), "")
-			return
-		}
-		c.emitError(req.ID, StatusForbidden, 0, 0, 0, err.Error(), "")
-		return
-	}
-	c.emitSession(req.ID, snap.Generation(), c.srv.epochNow(), sess.ID, sess.User, sess.Roles())
-}
-
-func (c *connState) processSessionUpdate(ctx context.Context, req *Request) {
-	if !c.ensureRead(ctx, req) {
-		return
-	}
-	tbl, ok := c.srv.cfg.Sessions.Peek(req.Tenant)
-	if !ok {
-		c.emitError(req.ID, StatusNotFound, 0, 0, 0, "no session (sessions are node-local)", "")
-		return
-	}
-	snap, release, err := c.srv.cfg.Registry.View(req.Tenant)
-	if err != nil {
-		c.emitTenantError(req.ID, err)
-		return
-	}
-	defer release()
-	sess, err := tbl.Update(snap, req.Session, req.Activate, req.Deactivate)
-	if err != nil {
-		if session.IsNoSession(err) {
-			c.emitError(req.ID, StatusNotFound, 0, 0, 0, err.Error(), "")
-			return
-		}
-		c.emitError(req.ID, StatusForbidden, 0, 0, 0, err.Error(), "")
-		return
-	}
-	c.emitSession(req.ID, snap.Generation(), c.srv.epochNow(), sess.ID, sess.User, sess.Roles())
-}
-
-func (c *connState) processSessionDelete(req *Request) {
-	tbl, ok := c.srv.cfg.Sessions.Peek(req.Tenant)
-	if !ok {
-		c.emitError(req.ID, StatusNotFound, 0, 0, 0, "no session (sessions are node-local)", "")
-		return
-	}
-	if err := tbl.Drop(req.Session); err != nil {
-		c.emitError(req.ID, StatusNotFound, 0, 0, 0, err.Error(), "")
-		return
-	}
-	c.emitEmpty(req.ID, c.srv.epochNow())
-}
-
-// --- response emitters (append to c.out, no intermediate structs) ---
-
-func (c *connState) respHeader(status Status, id, gen, epoch uint64) int {
 	off, out := beginFrame(c.out)
 	out = append(out, byte(status))
-	out = appendU64(out, id)
-	out = appendU64(out, gen)
-	out = appendU64(out, epoch)
-	c.out = out
-	return off
-}
-
-func (c *connState) finish(off int) {
-	out, err := endFrame(c.out, off)
-	if err != nil {
-		// A response overflowing the frame cap means a batch near the
-		// request cap with huge justifications; truncate to a plain error
-		// (the request was already fully applied server-side for submits —
-		// but a frame this large is unreachable with maxBatch × justification
-		// sizes; defend anyway).
-		c.out = c.out[:off]
-		hdr := c.respHeader(StatusInternal, 0, 0, 0)
-		c.out = appendString(c.out, "response exceeded frame cap")
-		c.out = appendUvarint(c.out, 0)
-		c.out = appendString(c.out, "")
-		c.out = appendU64(c.out, 0)
-		c.out, _ = endFrame(c.out, hdr)
-		return
-	}
-	c.out = out
-}
-
-func (c *connState) emitEmpty(id, epoch uint64) {
-	off := c.respHeader(StatusOK, id, 0, epoch)
-	c.finish(off)
-}
-
-func (c *connState) emitAuthz(id, gen, epoch uint64, results []engine.AuthzResult, justify bool) {
-	off := c.respHeader(StatusOK, id, gen, epoch)
-	c.out = appendUvarint(c.out, uint64(len(results)))
-	for i := range results {
-		flag := byte(0)
-		if results[i].OK {
-			flag = 1
-		}
-		c.out = append(c.out, flag)
-		if justify && results[i].Justification != nil {
-			c.out = appendString(c.out, results[i].Justification.String())
-		} else {
-			c.out = appendUvarint(c.out, 0)
-		}
-	}
-	c.finish(off)
-}
-
-func (c *connState) emitSteps(id, gen, epoch uint64, results []command.StepResult, justify bool) {
-	off := c.respHeader(StatusOK, id, gen, epoch)
-	c.out = appendUvarint(c.out, uint64(len(results)))
-	for i := range results {
-		c.out = append(c.out, OutcomeByte(results[i].Outcome))
-		if justify && results[i].Justification != nil {
-			c.out = appendString(c.out, results[i].Justification.String())
-		} else {
-			c.out = appendUvarint(c.out, 0)
-		}
-	}
-	c.finish(off)
-}
-
-func (c *connState) emitChecks(id, gen, epoch uint64, allowed []bool) {
-	off := c.respHeader(StatusOK, id, gen, epoch)
-	c.out = appendUvarint(c.out, uint64(len(allowed)))
-	for _, ok := range allowed {
-		b := byte(0)
-		if ok {
-			b = 1
-		}
-		c.out = append(c.out, b)
-	}
-	c.finish(off)
-}
-
-func (c *connState) emitSession(id, gen, epoch, sid uint64, user string, roles []string) {
-	off := c.respHeader(StatusOK, id, gen, epoch)
-	c.out = appendU64(c.out, sid)
-	c.out = appendString(c.out, user)
-	c.out = appendUvarint(c.out, uint64(len(roles)))
-	for _, r := range roles {
-		c.out = appendString(c.out, r)
-	}
-	c.finish(off)
-}
-
-func (c *connState) emitError(id uint64, st Status, gen uint64, retryAfterSec uint32, minGen uint64, msg, node string) {
-	off := c.respHeader(st, id, gen, c.srv.epochNow())
-	c.out = appendString(c.out, msg)
-	c.out = appendUvarint(c.out, uint64(retryAfterSec))
-	c.out = appendString(c.out, node)
-	c.out = appendU64(c.out, minGen)
-	c.finish(off)
-}
-
-// emitStale answers a min_generation miss with the replica's generation and
-// the requested token, the binary twin of the 409/503 staleness envelope.
-func (c *connState) emitStale(id uint64, st Status, gen, minGen uint64) {
-	retry := uint32(0)
-	if st == StatusDeadline {
-		retry = 1
-	}
-	off := c.respHeader(st, id, gen, c.srv.epochNow())
-	c.out = appendString(c.out, "replica behind requested generation")
-	c.out = appendUvarint(c.out, uint64(retry))
-	c.out = appendString(c.out, "")
-	c.out = appendU64(c.out, minGen)
-	c.finish(off)
-}
-
-// emitTenantError maps registry errors exactly like the HTTP tenantError.
-func (c *connState) emitTenantError(id uint64, err error) {
+	out = appendU64(out, req.ID)
+	out = appendU64(out, r.Generation)
+	out = appendU64(out, r.Epoch)
+	justify := req.Flags&FlagJustify != 0
 	switch {
-	case tenant.IsBadName(err):
-		c.emitError(id, StatusBadRequest, 0, 0, 0, err.Error(), "")
-	case tenant.IsNotFound(err):
-		c.emitError(id, StatusNotFound, 0, 0, 0, err.Error(), "")
-	case tenant.IsFenced(err):
-		c.emitError(id, StatusFenced, 0, 1, 0, err.Error(), "")
-	default:
-		c.emitError(id, StatusInternal, 0, 0, 0, err.Error(), "")
+	case r.Err != nil:
+		// The frame has no placement-version field: a misroute's message
+		// states it (see service.Core.Owner).
+		out = appendString(out, r.Err.Message)
+		out = appendUvarint(out, uint64(r.Err.RetryAfter))
+		out = appendString(out, r.Err.Node)
+		out = appendU64(out, r.Err.MinGeneration)
+	case req.Op == OpAuthorize:
+		out = appendUvarint(out, uint64(len(r.Authz)))
+		for i := range r.Authz {
+			out = appendBool(out, r.Authz[i].OK)
+			out = appendJustification(out, justify, r.Authz[i].Justification)
+		}
+	case req.Op == OpSubmit:
+		out = appendUvarint(out, uint64(len(r.Steps)))
+		for i := range r.Steps {
+			out = append(out, OutcomeByte(r.Steps[i].Outcome))
+			out = appendJustification(out, justify, r.Steps[i].Justification)
+		}
+	case req.Op == OpCheck:
+		out = appendUvarint(out, uint64(len(r.Allowed)))
+		for _, ok := range r.Allowed {
+			out = appendBool(out, ok)
+		}
+	case req.Op == OpSessionCreate || req.Op == OpSessionUpdate:
+		out = appendU64(out, r.Session)
+		out = appendString(out, r.User)
+		out = appendUvarint(out, uint64(len(r.Roles)))
+		for _, role := range r.Roles {
+			out = appendString(out, role)
+		}
 	}
+	var err error
+	if c.out, err = endFrame(out, off); err != nil {
+		// A response overflowing the frame cap means a batch near the
+		// request cap with huge justifications — unreachable with maxBatch ×
+		// justification sizes, but defend anyway: truncate to a plain error
+		// (a submit was already fully applied server-side).
+		c.out = c.out[:off]
+		c.reply(req, &service.Response{
+			Err:   &api.Error{Code: api.CodeInternal, Message: "response exceeded frame cap"},
+			Epoch: r.Epoch,
+		})
+	}
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+func appendJustification(dst []byte, justify bool, p model.Privilege) []byte {
+	if justify && p != nil {
+		return appendString(dst, p.String())
+	}
+	return appendUvarint(dst, 0)
 }

@@ -1,21 +1,18 @@
 package wire
 
 import (
-	"errors"
 	"net"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"adminrefine/internal/admission"
 	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
-	"adminrefine/internal/session"
+	"adminrefine/internal/service"
 	"adminrefine/internal/tenant"
 	"adminrefine/internal/workload"
 )
@@ -34,18 +31,15 @@ func testRegistry(t testing.TB) *tenant.Registry {
 	return reg
 }
 
-// startServer serves cfg on a loopback listener and tears it down with the
-// test, filling in a session registry when the test didn't bring one.
-func startServer(t testing.TB, cfg Config) (*Server, string) {
+// startServer serves a request core built from cfg on a loopback listener
+// and tears it down with the test.
+func startServer(t testing.TB, cfg service.Config) (*Server, string) {
 	t.Helper()
-	if cfg.Sessions == nil {
-		cfg.Sessions = session.NewRegistry(session.Options{})
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(cfg)
+	srv := NewServer(Config{Core: service.New(cfg)})
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -251,228 +245,22 @@ func TestDecodeFramesExactValidPrefix(t *testing.T) {
 	}
 }
 
-func TestEndToEnd(t *testing.T) {
-	reg := testRegistry(t)
-	_, addr := startServer(t, Config{Registry: reg, MinGenWait: 200 * time.Millisecond})
+// TestJustifyFlag is the one request bit that is the codec's own: the core
+// hands over the unrendered privilege either way, and only FlagJustify makes
+// the server render it into the frame. (The contract's scenarios run over
+// this transport in internal/server's conformance suite.)
+func TestJustifyFlag(t *testing.T) {
+	_, addr := startServer(t, service.Config{Registry: testRegistry(t)})
 	c := testClient(t, addr, ClientOptions{Conns: 1})
-
-	var req Request
-	var resp Response
-
-	// Ping: ungated, epoch 0 on a standalone node.
-	epoch, err := c.Ping()
-	if err != nil || epoch != 0 {
-		t.Fatalf("ping: epoch=%d err=%v", epoch, err)
-	}
-
-	// Durable submit: the churn grant is authorized and applies.
-	req = Request{Op: OpSubmit, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if len(resp.Steps) != 1 || resp.Steps[0].Outcome != OutcomeApplied {
-		t.Fatalf("submit: steps %+v", resp.Steps)
-	}
-	gen := resp.Generation
-	if gen == 0 {
-		t.Fatal("submit: generation 0")
-	}
-
-	// Authorize with the submit's generation as min_generation: read-your-writes.
-	req = Request{Op: OpAuthorize, MinGen: gen, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(1, 8, 8)}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("authorize: %v", err)
-	}
-	if len(resp.Authz) != 1 || !resp.Authz[0].Allowed || resp.Authz[0].Justification != "" {
-		t.Fatalf("authorize: %+v", resp.Authz)
-	}
-
-	// FlagJustify turns the justification on.
-	req = Request{Op: OpAuthorize, Flags: FlagJustify, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(1, 8, 8)}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("authorize justify: %v", err)
-	}
-	if len(resp.Authz) != 1 || !resp.Authz[0].Allowed || resp.Authz[0].Justification == "" {
-		t.Fatalf("authorize justify: %+v", resp.Authz)
-	}
-
-	// Unreachable min_generation, no deadline: stale within MinGenWait.
-	req = Request{Op: OpAuthorize, MinGen: gen + 1000, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(1, 8, 8)}}
-	err = c.Do(&req, &resp)
-	var apiErr *api.Error
-	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeStaleGeneration {
-		t.Fatalf("stale read: %v", err)
-	}
-	if apiErr.MinGeneration != gen+1000 || apiErr.Generation == 0 {
-		t.Fatalf("stale read envelope: %+v", apiErr)
-	}
-
-	// Same unreachable token with a deadline tighter than MinGenWait: the
-	// budget blows first and the binary twin of the 503 shed answers.
-	req = Request{Op: OpAuthorize, MinGen: gen + 1000, DeadlineMS: 30, Tenant: "t0",
-		Cmds: []command.Command{workload.ChurnGrant(1, 8, 8)}}
-	err = c.Do(&req, &resp)
-	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeDeadline {
-		t.Fatalf("deadline read: %v", err)
-	}
-
-	// Session lifecycle: create, check, update, delete — all one framing.
-	req = Request{Op: OpSessionCreate, Tenant: "t0", User: "u0", Roles: []string{"c0000"}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("session create: %v", err)
-	}
-	sid := resp.Session
-	if sid == 0 || resp.User != "u0" || len(resp.Roles) != 1 || resp.Roles[0] != "c0000" {
-		t.Fatalf("session create: %+v", resp)
-	}
-
-	req = Request{Op: OpCheck, Tenant: "t0", Session: sid,
-		Checks: []Check{{Action: "read", Object: "obj"}, {Action: "write", Object: "obj"}}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("check: %v", err)
-	}
-	if len(resp.Allowed) != 2 || !resp.Allowed[0] || resp.Allowed[1] {
-		t.Fatalf("check: %v", resp.Allowed)
-	}
-
-	req = Request{Op: OpSessionUpdate, Tenant: "t0", Session: sid, Deactivate: []string{"c0000"}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("session update: %v", err)
-	}
-	if len(resp.Roles) != 0 {
-		t.Fatalf("session update roles: %v", resp.Roles)
-	}
-
-	// With the role dropped, the read check denies.
-	req = Request{Op: OpCheck, Tenant: "t0", Session: sid, Checks: []Check{{Action: "read", Object: "obj"}}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("check after drop: %v", err)
-	}
-	if len(resp.Allowed) != 1 || resp.Allowed[0] {
-		t.Fatalf("check after drop: %v", resp.Allowed)
-	}
-
-	req = Request{Op: OpSessionDelete, Tenant: "t0", Session: sid}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("session delete: %v", err)
-	}
-	// Deleting again is an addressing miss, like the HTTP 404.
-	req = Request{Op: OpSessionDelete, Tenant: "t0", Session: sid}
-	if err := c.Do(&req, &resp); !errors.As(err, &apiErr) || apiErr.Code != api.CodeNotFound {
-		t.Fatalf("double delete: %v", err)
-	}
-
-	// Bad tenant name: the registry's refusal maps to bad_request.
-	req = Request{Op: OpAuthorize, Tenant: ".hidden", Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-	if err := c.Do(&req, &resp); !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
-		t.Fatalf("bad tenant: %v", err)
-	}
-
-	// Session create without a user is malformed at the semantic level.
-	req = Request{Op: OpSessionCreate, Tenant: "t0"}
-	if err := c.Do(&req, &resp); !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
-		t.Fatalf("userless session create: %v", err)
-	}
-}
-
-// TestWriteGate pins the binary write-path role gates: a fenced ex-primary
-// answers fenced (421 twin, epoch stamped), a follower answers misrouted
-// with its upstream, and reads keep flowing through both.
-func TestWriteGate(t *testing.T) {
-	reg := testRegistry(t)
-	gate := GateResult{Status: StatusOK}
-	var mu sync.Mutex
-	_, addr := startServer(t, Config{
-		Registry: reg,
-		WriteGate: func() GateResult {
-			mu.Lock()
-			defer mu.Unlock()
-			return gate
-		},
-	})
-	c := testClient(t, addr, ClientOptions{Conns: 1})
-
-	var req Request
-	var resp Response
-	var apiErr *api.Error
-
-	setGate := func(g GateResult) { mu.Lock(); gate = g; mu.Unlock() }
-
-	setGate(GateResult{Status: StatusFenced, Message: "node was deposed (epoch 3): not accepting writes"})
-	req = Request{Op: OpSubmit, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-	if err := c.Do(&req, &resp); !errors.As(err, &apiErr) || apiErr.Code != api.CodeFenced {
-		t.Fatalf("fenced submit: %v", err)
-	}
-
-	setGate(GateResult{Status: StatusMisrouted, Message: "node is a follower", Node: "127.0.0.1:9999"})
-	if err := c.Do(&req, &resp); !errors.As(err, &apiErr) || apiErr.Code != api.CodeMisrouted || apiErr.Node != "127.0.0.1:9999" {
-		t.Fatalf("follower submit: %v", err)
-	}
-
-	// Reads bypass the write gate entirely.
-	req = Request{Op: OpAuthorize, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("read under misrouted gate: %v", err)
-	}
-
-	setGate(GateResult{Status: StatusOK})
-	req = Request{Op: OpSubmit, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-	if err := c.Do(&req, &resp); err != nil {
-		t.Fatalf("submit after gate reopens: %v", err)
-	}
-}
-
-// TestAdmissionShed parks a min_generation wait on the single read slot and
-// drives a second read into it: the second answers overloaded immediately
-// and the shared shed counter moves — the binary twin of the 429.
-func TestAdmissionShed(t *testing.T) {
-	reg := testRegistry(t)
-	var shedRead atomic.Uint64
-	_, addr := startServer(t, Config{
-		Registry:   reg,
-		MinGenWait: 2 * time.Second,
-		Admission:  admission.New(admission.Config{Read: admission.Limits{MaxInFlight: 1}}),
-		ShedRead:   &shedRead,
-	})
-	// Two independent connections: pipelined requests on one connection are
-	// processed sequentially and would never contend for the slot.
-	parked := testClient(t, addr, ClientOptions{Conns: 1})
-	probe := testClient(t, addr, ClientOptions{Conns: 1})
-
-	done := make(chan error, 1)
-	go func() {
-		var req Request
+	for _, flags := range []uint8{0, FlagJustify} {
+		req := Request{Op: OpAuthorize, Flags: flags, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(1, 8, 8)}}
 		var resp Response
-		req = Request{Op: OpAuthorize, MinGen: 1 << 40, DeadlineMS: 800, Tenant: "t0",
-			Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-		done <- parked.Do(&req, &resp)
-	}()
-
-	// Wait until the parked read holds the slot, then probe.
-	var apiErr *api.Error
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var req Request
-		var resp Response
-		req = Request{Op: OpAuthorize, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(0, 8, 8)}}
-		err := probe.Do(&req, &resp)
-		if errors.As(err, &apiErr) && apiErr.Code == api.CodeOverloaded {
-			break
+		if err := c.Do(&req, &resp); err != nil {
+			t.Fatalf("authorize: %v", err)
 		}
-		if err != nil {
-			t.Fatalf("probe: %v", err)
+		if len(resp.Authz) != 1 || !resp.Authz[0].Allowed || (resp.Authz[0].Justification != "") != (flags == FlagJustify) {
+			t.Fatalf("authorize with flags %d: %+v", flags, resp.Authz)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("probe never shed while a read parked on the admission slot")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if shedRead.Load() == 0 {
-		t.Fatal("shed counter did not move")
-	}
-	err := <-done
-	if !errors.As(err, &apiErr) || apiErr.Code != api.CodeDeadline {
-		t.Fatalf("parked read: %v", err)
 	}
 }
 
@@ -481,7 +269,7 @@ func TestAdmissionShed(t *testing.T) {
 // survives for the next one.
 func TestMalformedPayloadKeepsConnection(t *testing.T) {
 	reg := testRegistry(t)
-	_, addr := startServer(t, Config{Registry: reg})
+	_, addr := startServer(t, service.Config{Registry: reg})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -548,7 +336,7 @@ func TestMalformedPayloadKeepsConnection(t *testing.T) {
 // written in one burst on one connection all answer correctly and in order.
 func TestPipelinedMerge(t *testing.T) {
 	reg := testRegistry(t)
-	_, addr := startServer(t, Config{Registry: reg})
+	_, addr := startServer(t, service.Config{Registry: reg})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -608,7 +396,7 @@ func TestPipelinedMerge(t *testing.T) {
 // the client's pipeline correlation.
 func TestConcurrentPipelinedLoad(t *testing.T) {
 	reg := testRegistry(t)
-	_, addr := startServer(t, Config{Registry: reg})
+	_, addr := startServer(t, service.Config{Registry: reg})
 	c := testClient(t, addr, ClientOptions{Conns: 2})
 
 	const goroutines = 8
@@ -654,7 +442,7 @@ func TestConcurrentPipelinedLoad(t *testing.T) {
 // the SIGTERM drain contract.
 func TestCloseDrainsInFlight(t *testing.T) {
 	reg := testRegistry(t)
-	srv, addr := startServer(t, Config{Registry: reg, MinGenWait: 300 * time.Millisecond})
+	srv, addr := startServer(t, service.Config{Registry: reg, MinGenWait: 300 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -704,45 +492,87 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestConsumeAllocs pins the per-request server-side allocation budget on
-// the steady-state hot path: consume() is the whole drain minus the socket
-// syscalls. After warmup (interner, vertex cache, scratch growth), a drain
-// of pipelined authorizes must not allocate per request.
-func TestConsumeAllocs(t *testing.T) {
+// TestDrainAllocs pins the steady-state allocation budget of the whole
+// per-drain hot path — decode into the slab, service.Core.Do, encode from
+// the core's response — which is everything a connection does minus the
+// socket syscalls. After warmup (interner, vertex cache, scratch growth),
+// no op on it may allocate per request: responses alias the connection's
+// scratch, and a merged run hands each response a sub-slice of one buffer.
+func TestDrainAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
 	}
 	reg := testRegistry(t)
-	srv := NewServer(Config{Registry: reg})
-	c := newConnState(srv, nil)
+	core := service.New(service.Config{Registry: reg})
+	snap, release, err := reg.View("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := core.Sessions().Table("t0").Create(snap, "u0", []string{"c0000"})
+	release()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const reqsPerDrain = 16
-	var frames []byte
-	var err error
-	for i := 0; i < reqsPerDrain; i++ {
-		req := Request{Op: OpAuthorize, ID: uint64(i + 1), Tenant: "t0",
-			Cmds: []command.Command{workload.ChurnGrant(i%4, 8, 8)}}
-		if frames, err = AppendRequest(frames, &req); err != nil {
-			t.Fatal(err)
-		}
+	authorize := func(i int) Request {
+		return Request{Op: OpAuthorize, Tenant: "t0", Cmds: []command.Command{workload.ChurnGrant(i%4, 8, 8)}}
 	}
-	drain := func() {
+	drains := map[string]func(i int) Request{
+		// Same tenant, no token: the whole drain merges into one engine pass.
+		"merged authorize run": authorize,
+		// Alternating tenants: every request is its own group.
+		"unmerged authorizes": func(i int) Request {
+			req := authorize(i)
+			req.Tenant = []string{"t0", "t1"}[i%2]
+			return req
+		},
+		"checks": func(i int) Request {
+			return Request{Op: OpCheck, Tenant: "t0", Session: sess.ID,
+				Checks: []Check{{Action: "read", Object: "obj"}, {Action: "write", Object: "obj"}}}
+		},
+	}
+	for name, mk := range drains {
+		c := newConnState(NewServer(Config{Core: core}), nil)
+		var frames []byte
+		for i := 0; i < reqsPerDrain; i++ {
+			req := mk(i)
+			req.ID = uint64(i + 1)
+			if frames, err = AppendRequest(frames, &req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain := func() {
+			c.in = append(c.in[:0], frames...)
+			if err := c.consume(); err != nil {
+				t.Fatal(err)
+			}
+			if len(c.out) == 0 {
+				t.Fatal("no responses emitted")
+			}
+			c.out = c.out[:0]
+		}
+		for i := 0; i < 100; i++ {
+			drain() // warm interner, vertex cache, scratch slices, engine caches
+		}
+		// The warm drain answered every request OK.
 		c.in = append(c.in[:0], frames...)
-		if err := c.consume(); err != nil {
-			t.Fatal(err)
-		}
-		if len(c.out) == 0 {
-			t.Fatal("no responses emitted")
-		}
+		c.consume()
+		_, payloads := DecodeFrames(c.out)
 		c.out = c.out[:0]
-	}
-	for i := 0; i < 100; i++ {
-		drain() // warm interner, vertex cache, scratch slices, engine caches
-	}
-	perDrain := testing.AllocsPerRun(200, drain)
-	perReq := perDrain / reqsPerDrain
-	t.Logf("allocs: %.1f per drain, %.3f per request", perDrain, perReq)
-	if perReq > 0.5 {
-		t.Fatalf("hot path allocates %.2f per request (want ~0)", perReq)
+		if len(payloads) != reqsPerDrain {
+			t.Fatalf("%s: %d responses for %d requests", name, len(payloads), reqsPerDrain)
+		}
+		for i, payload := range payloads {
+			var resp Response
+			if err := ParseResponse(payload, mk(i).Op, &resp); err != nil || resp.Status != StatusOK || resp.ID != uint64(i+1) {
+				t.Fatalf("%s: response %d: %+v (%v)", name, i, resp, err)
+			}
+		}
+		perDrain := testing.AllocsPerRun(200, drain)
+		t.Logf("%s: %.1f allocs per drain of %d", name, perDrain, reqsPerDrain)
+		if perDrain >= 1 {
+			t.Errorf("%s: hot path allocates %.2f per request (want 0)", name, perDrain/reqsPerDrain)
+		}
 	}
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Local one-shot gate without make: build + fmt + vet + tests + race pass
-# over the concurrent stack (engine, tenant registry, server, replication) +
-# the failure-path pass (daemon chaos e2e and storage fault injection, also
-# under -race) + a short hot-path benchmark smoke + a bounded serve-mode
+# Local one-shot gate without make: build + fmt + vet + tests (the program's
+# and, against it, the frozen reference benchmark's under bench/) + one race
+# pass over the whole tree (the concurrent stack, the daemon chaos e2es and
+# storage fault injection included) + a short hot-path benchmark smoke + a bounded serve-mode
 # smoke (open-loop socket load against a live in-process rbacd, HTTP and
 # binary wire passes; fails on any op error) + the overload saturation smoke (3x an admission-limited
 # stack's capacity; fails unless the degradation contract holds), then the
@@ -17,8 +17,9 @@ go build ./...
 test -z "$(gofmt -l .)"
 go vet ./...
 go test ./...
-go test -race ./internal/engine/ ./internal/graph/ ./internal/core/ ./internal/monitor/ ./internal/session/ ./internal/tenant/ ./internal/server/ ./internal/replication/ ./internal/decision/ ./internal/command/ ./internal/admission/ ./internal/placement/ ./internal/api/ ./internal/wire/
-go test -race ./cmd/rbacd/ ./internal/storage/ ./internal/fault/
+go vet -C bench ./...
+go test -C bench ./...
+go test -race ./...
 go test -run XXX -bench 'Incremental|BatchVsSingle|CachedAuthorize|AuthorizeAllocs|ReplicatedAuthorize|AccessCheck' -benchtime=100x .
 go run ./cmd/rbacbench -serve -wire -serve-rate 300 -serve-duration 3s
 go run ./cmd/rbacbench -serve -overload -serve-duration 3s
