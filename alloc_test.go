@@ -1,0 +1,178 @@
+package adminrefine
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"adminrefine/internal/command"
+	"adminrefine/internal/engine"
+	"adminrefine/internal/model"
+	"adminrefine/internal/replication"
+	"adminrefine/internal/tenant"
+	"adminrefine/internal/workload"
+)
+
+// TestAuthorizeAllocs pins the zero-allocation contract of every in-process
+// authorize path the service is built on: once the interner, fingerprint
+// tables and pooled deciders are warm, a decision allocates nothing — on a
+// decision-cache hit, through the full uncached Definition-5 and §4.1
+// procedures, through the tenant registry (single and batched), and on a
+// caught-up follower's replayed engine. Sibling pins: internal/session
+// TestCheckAllocs (access checks) and internal/wire TestDrainAllocs (the
+// request core under a wire drain).
+func TestAuthorizeAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	const roles, users = 256, 256
+	slab := workload.CommandSlab(4096, users, roles)
+
+	// snapshotPath measures Snapshot + Authorize + Close over cmds, after two
+	// warm passes: the first marks every command in the interner doorkeeper,
+	// the second admits and resolves it (and fills the cache when enabled).
+	snapshotPath := func(t *testing.T, e *engine.Engine, cmds []command.Command) func() {
+		s := e.Snapshot()
+		for pass := 0; pass < 2; pass++ {
+			for _, c := range cmds {
+				if _, ok := s.Authorize(c); !ok {
+					t.Fatal("warm query denied")
+				}
+			}
+		}
+		s.Close()
+		i := 0
+		return func() {
+			s := e.Snapshot()
+			_, ok := s.Authorize(cmds[i%len(cmds)])
+			s.Close()
+			i++
+			if !ok {
+				t.Fatal("query denied")
+			}
+		}
+	}
+	// registryBatch measures one k-command AuthorizeBatchInto against a
+	// resident tenant into a reused result buffer — the serving path.
+	registryBatch := func(t *testing.T, reg *tenant.Registry, name string, cmds []command.Command, k int) func() {
+		out := make([]engine.AuthzResult, 0, k)
+		batch := func(off int) {
+			results, _, err := reg.AuthorizeBatchInto(name, cmds[off:off+k], out[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, res := range results {
+				if !res.OK {
+					t.Fatalf("query %d denied", off+j)
+				}
+			}
+		}
+		for pass := 0; pass < 2; pass++ {
+			for off := 0; off+k <= len(cmds); off += k {
+				batch(off)
+			}
+		}
+		i := 0
+		return func() {
+			batch(i * k % (len(cmds) - k))
+			i++
+		}
+	}
+	// multiTenant stands up a disk-backed registry of resident churn tenants
+	// and returns it with one tenant's query slab.
+	multiTenant := func(t *testing.T) (*tenant.Registry, string, []command.Command) {
+		cfg := workload.DefaultMultiTenant(42)
+		cfg.Tenants = 4
+		cfg.SubmitFrac = 0
+		g := workload.NewMultiTenantGen(cfg)
+		reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined, Bootstrap: g.Bootstrap})
+		t.Cleanup(func() { reg.Close() })
+		name, cmds := g.QueryBatch(1024)
+		return reg, name, cmds
+	}
+
+	cases := []struct {
+		name  string
+		setup func(t *testing.T) func()
+	}{
+		{"engine/cache-hit", func(t *testing.T) func() {
+			return snapshotPath(t, engine.New(workload.ChurnPolicy(roles, users), engine.Refined), slab)
+		}},
+		{"engine/strict-uncached", func(t *testing.T) func() {
+			// The churn fixture's one strictly-held privilege (the admin's
+			// ¤(member, c0000)): the Definition-5 allow path, no cache.
+			e := engine.New(workload.ChurnPolicy(roles, users), engine.Strict)
+			e.SetCacheSlots(-1)
+			probe := command.Grant("churnadmin", model.Role("member"), model.Role("c0000"))
+			return snapshotPath(t, e, []command.Command{probe})
+		}},
+		{"engine/refined-uncached", func(t *testing.T) func() {
+			e := engine.New(workload.ChurnPolicy(roles, users), engine.Refined)
+			e.SetCacheSlots(-1)
+			return snapshotPath(t, e, slab)
+		}},
+		{"registry/single", func(t *testing.T) func() {
+			reg, name, cmds := multiTenant(t)
+			one := func(i int) {
+				res, err := reg.Authorize(name, cmds[i%len(cmds)])
+				if err != nil || !res.OK {
+					t.Fatalf("authorize: err=%v ok=%v", err, res.OK)
+				}
+			}
+			for i := 0; i < 2*len(cmds); i++ {
+				one(i)
+			}
+			i := 0
+			return func() { one(i); i++ }
+		}},
+		{"registry/batch=32", func(t *testing.T) func() {
+			reg, name, cmds := multiTenant(t)
+			return registryBatch(t, reg, name, cmds, 32)
+		}},
+		{"follower/batch=32", func(t *testing.T) func() {
+			// A follower replays the primary's WAL into a plain engine, so
+			// its reads must cost what they cost anywhere else.
+			const writes = 64
+			prim := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+			t.Cleanup(func() { prim.Close() })
+			if err := prim.InstallPolicy("t", workload.ChurnPolicy(roles, users)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < writes; i++ {
+				if res, err := prim.Submit("t", workload.ChurnGrant(i, users, roles)); err != nil || res.Outcome != command.Applied {
+					t.Fatalf("churn prefix %d: outcome=%v err=%v", i, res.Outcome, err)
+				}
+			}
+			mux := http.NewServeMux()
+			replication.NewSource(prim, replication.SourceOptions{}).Register(mux)
+			ts := httptest.NewServer(mux)
+			t.Cleanup(ts.Close)
+			folReg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+			t.Cleanup(func() { folReg.Close() })
+			// A long PollWait keeps the idle pull loop off the allocator
+			// while the reads are measured.
+			fol := replication.NewFollower(folReg, replication.FollowerOptions{
+				Upstream: ts.URL,
+				PollWait: 10 * time.Second,
+				Backoff:  20 * time.Millisecond,
+			})
+			t.Cleanup(fol.Close)
+			if err := fol.Ensure("t"); err != nil {
+				t.Fatal(err)
+			}
+			if gen, ok, err := folReg.WaitGeneration("t", writes, 30*time.Second); err != nil || !ok {
+				t.Fatalf("follower stuck at generation %d (err %v)", gen, err)
+			}
+			return registryBatch(t, folReg, "t", slab, 32)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.setup(t)
+			if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
+				t.Fatalf("steady-state %s allocates %v per op, want 0", tc.name, allocs)
+			}
+		})
+	}
+}
