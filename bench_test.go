@@ -1,6 +1,6 @@
 // Package adminrefine's root benchmark suite regenerates the quantitative
-// side of every experiment in EXPERIMENTS.md with testing.B. Each group
-// names the experiment it backs:
+// side of the paper's experiments (registry: rbacbench -list) with
+// testing.B. Each group names the experiment it backs:
 //
 //	L1  BenchmarkOrderingDepth, BenchmarkOrderingPolicySize, BenchmarkClosureBuild
 //	E6  BenchmarkWeakerSet
@@ -11,23 +11,20 @@
 //	C1  BenchmarkFlexibility, BenchmarkSaturation
 //	S1  BenchmarkMonitorSubmit, BenchmarkWALAppend, BenchmarkWALReplay
 //	H1  BenchmarkHRUSafety
-//	P1  BenchmarkIncrementalGrant, BenchmarkSnapshotAuthorizeParallel,
-//	    BenchmarkSnapshotAuthorizeUnderWriter
-//	P2  BenchmarkMultiTenantAuthorize, BenchmarkBatchVsSingle (tenant service)
-//	P3  BenchmarkCachedAuthorize, BenchmarkAuthorizeAllocs (decision cache +
-//	    zero-allocation authorize fast path)
+//	P1  BenchmarkSnapshotAuthorizeUnderWriter
 //	--  BenchmarkParse, BenchmarkPrint, BenchmarkPolicyClone (substrate costs)
+//
+// The service itself is measured by the reference benchmark under bench/
+// (bash bench/run.sh), not here.
 //
 // Run: go test -bench=. -benchmem
 package adminrefine
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"adminrefine/internal/analysis"
-	"adminrefine/internal/cli"
 	"adminrefine/internal/command"
 	"adminrefine/internal/core"
 	"adminrefine/internal/engine"
@@ -294,15 +291,13 @@ func BenchmarkWALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	entry := monitor.AuditEntry{
-		Seq:     1,
+	res := command.StepResult{
 		Cmd:     command.Grant(policy.UserJane, model.User(policy.UserBob), model.Role(policy.RoleStaff)),
 		Outcome: command.Applied,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		entry.Seq = i + 1
-		if err := st.Append(entry); err != nil {
+		if err := st.AppendStep(i+1, res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,7 +313,11 @@ func BenchmarkWALReplay(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := monitor.New(workload.Hospital(4), monitor.ModeStrict)
-	st.Attach(m, nil)
+	m.Observe(func(e monitor.AuditEntry) {
+		if err := st.AppendStep(e.Seq, command.StepResult{Cmd: e.Cmd, Outcome: e.Outcome}); err != nil {
+			b.Fatal(err)
+		}
+	})
 	m.SubmitQueue(workload.Queue(workload.Hospital(4), 500, 9))
 	st.Close()
 	b.ResetTimer()
@@ -444,46 +443,11 @@ func BenchmarkReachabilityModes(b *testing.B) {
 	})
 }
 
-// --- P1: incremental closure maintenance and concurrent snapshots ----------
+// --- P1: concurrent snapshots -------------------------------------------------
 
-// BenchmarkIncrementalGrant measures grant-then-query churn at 1024 roles:
-// each iteration submits one authorized UA grant and then answers one
-// refined authorization query against the resulting state.
-//
-//   - engine-incremental: the internal/engine snapshot engine; closures and
-//     memos refresh incrementally from the mutation delta.
-//   - seed-rebuild: the rebuild-everything baseline (the seed behaviour) — a
-//     single long-lived decider that rebuilds closure, memo and
-//     privilege-vertex tables on every generation change, exactly as before
-//     this engine existed.
-//
-// The acceptance target is ≥10x between the two. The bodies live in
-// cli.BenchSpecs so the rbacbench-emitted BENCH JSON measures identical code.
-func BenchmarkIncrementalGrant(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "IncrementalGrant/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-// BenchmarkSnapshotAuthorizeParallel measures lock-free read throughput:
-// GOMAXPROCS goroutines authorize against engine snapshots with no writer
-// running. Each worker keeps a pooled decider warm, so throughput scales
-// with available cores (run with -cpu 1,2,4,... on a multi-core host; on a
-// single-CPU host the per-op cost simply stays flat, which is the no-
-// contention signature). The body lives in cli.BenchSpecs so the
-// rbacbench-emitted BENCH JSON measures identical code.
-func BenchmarkSnapshotAuthorizeParallel(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if strings.HasPrefix(spec.Name, "SnapshotAuthorizeParallel/") {
-			spec.F(b)
-		}
-	}
-}
-
-// BenchmarkSnapshotAuthorizeUnderWriter is the mixed case: readers authorize
-// while one background writer churns grants through the engine.
+// BenchmarkSnapshotAuthorizeUnderWriter measures lock-free snapshot reads
+// under churn: readers authorize while one background writer churns grants
+// through the engine.
 func BenchmarkSnapshotAuthorizeUnderWriter(b *testing.B) {
 	const roles, users = 256, 256
 	e := engine.New(workload.ChurnPolicy(roles, users), engine.Refined)
@@ -521,98 +485,6 @@ func BenchmarkSnapshotAuthorizeUnderWriter(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	<-done
-}
-
-// --- P2: multi-tenant service -----------------------------------------------
-
-// BenchmarkMultiTenantAuthorize measures steady-state authorization through
-// the sharded tenant registry: 32 disk-backed tenants, Zipf-skewed tenant
-// picks (hot head, cold tail), one query per op. The body lives in
-// cli.BenchSpecs so the rbacbench-emitted BENCH JSON measures identical code.
-func BenchmarkMultiTenantAuthorize(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "MultiTenantAuthorize/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-// BenchmarkBatchVsSingle contrasts N single Authorize calls with one
-// AuthorizeBatch of N, normalised per query: the batch amortises tenant
-// resolution, snapshot acquisition and decider pool traffic across the
-// batch, so per-query cost drops as the batch grows.
-// BenchmarkAccessCheck measures the session access-check fast path (see
-// internal/session): one snapshot acquisition, one interned privilege-id
-// lookup and one check-verdict cache probe per op, 0 allocs steady-state.
-// The body lives in cli.BenchSpecs so the rbacbench-emitted BENCH JSON
-// measures identical code.
-func BenchmarkAccessCheck(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "AccessCheck/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-func BenchmarkBatchVsSingle(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "BatchVsSingle/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-// --- P3: decision cache and the zero-allocation authorize path -------------
-
-// BenchmarkCachedAuthorize measures the steady-state cache-hit cost of
-// Snapshot.Authorize: snapshot acquisition, fingerprint lookup and a
-// decision-cache probe per query (target ≤100 ns/op). The body lives in
-// cli.BenchSpecs so the rbacbench-emitted BENCH JSON measures identical code.
-func BenchmarkCachedAuthorize(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "CachedAuthorize/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-// BenchmarkAuthorizeAllocs measures the uncached single-query path with the
-// decision cache disabled — the full decision procedure per op. The
-// acceptance target is 0 allocs/op once fingerprint tables are warm; run
-// with -benchmem (or read allocs_per_op in BENCH_3.json).
-func BenchmarkAuthorizeAllocs(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "AuthorizeAllocs/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-// --- P4: WAL-streaming read replicas ----------------------------------------
-
-// BenchmarkReplicatedAuthorize measures steady-state read throughput on a
-// caught-up follower, per query, against the identical single-node loop: the
-// follower replays the primary's WAL into a plain engine, so its reads must
-// stay within 15% of single-node cost. The bodies live in cli.BenchSpecs so
-// the rbacbench-emitted BENCH JSON measures identical code.
-func BenchmarkReplicatedAuthorize(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "ReplicatedAuthorize/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
-}
-
-// BenchmarkReplicationLag measures end-to-end replication latency under
-// churn: one write on the primary until the follower's replayed engine
-// serves that generation (WAL append, long-poll wake, HTTP ship, replay,
-// publication).
-func BenchmarkReplicationLag(b *testing.B) {
-	for _, spec := range cli.BenchSpecs() {
-		if sub, ok := strings.CutPrefix(spec.Name, "ReplicationLag/"); ok {
-			b.Run(sub, spec.F)
-		}
-	}
 }
 
 func BenchmarkAssignableRoles(b *testing.B) {

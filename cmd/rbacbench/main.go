@@ -1,32 +1,20 @@
 // Command rbacbench regenerates the paper's evaluation artifacts: each
-// experiment of EXPERIMENTS.md prints its table or trace to stdout. It can
-// also emit the machine-readable perf trajectory consumed across PRs.
+// experiment in the registry (rbacbench -list) prints its table or trace to
+// stdout and self-checks its claim, exiting non-zero on divergence.
 //
-//	rbacbench -exp all                # run everything
-//	rbacbench -exp F3                 # the flexworker example
-//	rbacbench -exp P1                 # incremental engine churn + snapshots
-//	rbacbench -list                   # list experiments
-//	rbacbench -benchjson BENCH_3.json # run registered benchmarks, write JSON
-//	rbacbench -benchjson out.json -benchfilter BatchVsSingle
-//	rbacbench -benchdiff BENCH_3.json -benchfilter Authorize,BatchVsSingle
-//	rbacbench -serve -serve-duration 3s  # open-loop socket load vs live rbacd
-//	rbacbench -serve -wire               # + binary-protocol pass (Wire* series)
+//	rbacbench -exp all   # run everything
+//	rbacbench -exp F3    # the flexworker example
+//	rbacbench -exp P1    # incremental engine churn + snapshots
+//	rbacbench -list      # list experiments
 //
-// -benchdiff re-runs the matching benchmarks and fails (exit 1) when any
-// regresses against the committed baseline: >25% on ns/op (override with
-// -benchtolerance) or any increase in allocs/op. scripts/benchdiff.sh wires
-// this into CI.
-//
-// -serve stands up an in-process rbacd on a loopback socket (or dials
-// -serve-target) and drives the open-loop load harness against it, printing
-// coordinated-omission-free latency quantiles per op kind.
+// Measuring the service is not this command's job: see bench/README.md
+// (bash bench/run.sh drives real rbacd processes).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"adminrefine/internal/cli"
 )
@@ -34,107 +22,12 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment ID to run (F1 F2 F3 E5 E6 T1 L1 C1 S1 H1 A1 P1, or all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	serve := flag.Bool("serve", false, "run the open-loop socket load harness against a live rbacd and print latency quantiles")
-	serveTarget := flag.String("serve-target", "", "with -serve: base URL of an already-running rbacd (default: stand one up in-process)")
-	serveRate := flag.Float64("serve-rate", 800, "with -serve: offered arrival rate in ops/sec")
-	serveDuration := flag.Duration("serve-duration", 6*time.Second, "with -serve: load window")
-	serveWorkers := flag.Int("serve-workers", 16, "with -serve: concurrent harness issuers")
-	serveFollower := flag.Bool("serve-follower", false, "with -serve: stand up a WAL-streaming follower and point reads at it")
-	serveRouted := flag.Bool("serve-routed", false, "with -serve: stand up a two-primary placement cluster and drive all load at a node owning none of the tenants, so every op crosses the routing front (emits Routed* series)")
-	serveSync := flag.Bool("serve-sync", true, "with -serve: fsync each commit group on the primary (durable submits)")
-	serveWire := flag.Bool("wire", false, "with -serve: also run the binary-protocol pass (persistent framed connections) and emit Wire* series next to the HTTP Serve* baseline")
-	overload := flag.Bool("overload", false, "with -serve: run the saturation proof instead — a steady phase, then -overload-mult x that rate against an admission-limited stack, asserting the degradation contract (shed with 429/503, admitted p99 bounded, zero acked writes lost)")
-	overloadMult := flag.Float64("overload-mult", 3, "with -serve -overload: overload-phase rate multiplier")
-	serveJSON := flag.String("serve-json", "", "with -serve: also write the harness entries as BENCH-style JSON to this file")
-	benchJSON := flag.String("benchjson", "", "output path: run the registered benchmarks and write results (name -> ns/op, allocs/op) to this file, e.g. BENCH_3.json")
-	benchFilter := flag.String("benchfilter", "", "with -benchjson/-benchdiff: only run benchmarks whose name contains one of these comma-separated substrings")
-	benchDiff := flag.String("benchdiff", "", "baseline path: re-run the matching benchmarks and exit non-zero on a regression vs this committed BENCH_*.json")
-	benchTolerance := flag.Float64("benchtolerance", 25, "with -benchdiff: allowed ns/op regression in percent (allocs/op always compares exactly)")
-	benchCanary := flag.String("benchcanary", "", "with -benchdiff: benchmark name measured in the same run but exempt from gating; its delta vs the baseline raises the machine-skew estimate")
 	flag.Parse()
 
 	if *list {
 		for _, e := range cli.Experiments() {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-	if *serve && *overload {
-		// The serve-mode defaults (800 ops/s for 6s) describe a healthy-load
-		// run; the overload bench picks its own steady baseline unless the
-		// operator explicitly set a rate or window.
-		oopts := cli.OverloadBenchOptions{Multiplier: *overloadMult, Workers: *serveWorkers}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "serve-rate":
-				oopts.Rate = *serveRate
-			case "serve-duration":
-				oopts.Duration = *serveDuration
-			}
-		})
-		results, err := cli.RunOverloadBench(os.Stdout, oopts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *serveJSON != "" {
-			if err := cli.WriteResultsJSON(*serveJSON, results); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *serveJSON)
-		}
-		fmt.Println("overload: degradation contract held")
-		return
-	}
-	if *serve {
-		results, err := cli.RunServeBench(os.Stdout, cli.ServeBenchOptions{
-			Rate:      *serveRate,
-			Duration:  *serveDuration,
-			Workers:   *serveWorkers,
-			Sync:      *serveSync,
-			Follower:  *serveFollower,
-			Routed:    *serveRouted,
-			TargetURL: *serveTarget,
-			Wire:      *serveWire,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *serveJSON != "" {
-			if err := cli.WriteResultsJSON(*serveJSON, results); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *serveJSON)
-		}
-		return
-	}
-	if *benchDiff != "" {
-		if err := cli.BenchDiff(os.Stdout, *benchDiff, *benchFilter, *benchCanary, *benchTolerance); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchdiff: no regressions vs %s\n", *benchDiff)
-		return
-	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := cli.WriteBenchJSON(f, os.Stdout, *benchFilter); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
 		return
 	}
 	if err := cli.RunExperiment(os.Stdout, *exp); err != nil {

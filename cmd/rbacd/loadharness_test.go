@@ -5,16 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"adminrefine/internal/cli"
 	"adminrefine/internal/workload"
 )
 
 // TestLoadHarnessEndToEnd drives the open-loop socket harness against a real
 // rbacd pair — a -sync primary taking the durable writes and a follower
 // serving the reads — and then asserts the primary drains cleanly on SIGTERM
-// while load is still arriving. This is the deployment-shaped smoke of the
-// serve-mode bench: real processes, real TCP sockets, the wire API, and
-// read-your-writes tokens crossing the replication stream.
+// while load is still arriving. This is the deployment-shaped serving smoke:
+// real processes, real TCP sockets, the HTTP API, and read-your-writes tokens
+// crossing the replication stream.
 func TestLoadHarnessEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process load smoke")
@@ -38,7 +37,7 @@ func TestLoadHarnessEndToEnd(t *testing.T) {
 	// primary. At a modest offered rate everything must complete, nothing
 	// may drop, and no read-your-writes token may answer 409 — the follower
 	// catches up within its min-generation wait.
-	target := &cli.HTTPTarget{ReadBase: fol.base, WriteBase: prim.base}
+	target := &httpTarget{ReadBase: fol.base, WriteBase: prim.base}
 	ops := workload.GenServeOps(mix, 2048)
 	res, err := workload.RunOpenLoop(workload.OpenLoopConfig{
 		Rate:     200,
@@ -80,7 +79,7 @@ func TestLoadHarnessEndToEnd(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		probe := &startedTarget{Target: &cli.HTTPTarget{ReadBase: prim.base}, started: &started}
+		probe := &startedTarget{Target: &httpTarget{ReadBase: prim.base}, started: &started}
 		workload.RunOpenLoop(workload.OpenLoopConfig{
 			Rate:       200,
 			Duration:   2 * time.Second,
@@ -98,7 +97,7 @@ func TestLoadHarnessEndToEnd(t *testing.T) {
 // startedTarget flags once the first op has gone out, so the test terminates
 // the daemon only with load genuinely in flight.
 type startedTarget struct {
-	Target  *cli.HTTPTarget
+	Target  *httpTarget
 	started *atomic.Bool
 }
 

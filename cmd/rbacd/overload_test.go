@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"adminrefine/internal/api"
-	"adminrefine/internal/cli"
 	"adminrefine/internal/command"
 	"adminrefine/internal/server"
 	"adminrefine/internal/workload"
@@ -48,7 +47,7 @@ func TestOverloadDegradationEndToEnd(t *testing.T) {
 	// "nochange" outcome — an op error, not a shed).
 	prim.putPolicy(t, "flood", g.Policy(0))
 
-	target := cli.NewHTTPTarget(prim.base)
+	target := &httpTarget{ReadBase: prim.base}
 	const steadyRate, stormRate = 150.0, 450.0
 	phase := 2 * time.Second
 	steadyN := int(steadyRate*phase.Seconds()) + 8

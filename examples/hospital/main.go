@@ -38,7 +38,11 @@ func main() {
 	}
 
 	m := monitor.New(p.Clone(), monitor.ModeStrict)
-	store.Attach(m, func(err error) { log.Fatal(err) })
+	m.Observe(func(e monitor.AuditEntry) {
+		if err := store.AppendStep(e.Seq, command.StepResult{Cmd: e.Cmd, Outcome: e.Outcome}); err != nil {
+			log.Fatal(err)
+		}
+	})
 
 	// Example 2's working day: HR appoints, a rogue command bounces, HR
 	// dismisses, and Alice delegates via a nested privilege.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -22,6 +23,7 @@ import (
 	"adminrefine/internal/command"
 	"adminrefine/internal/core"
 	"adminrefine/internal/domains"
+	"adminrefine/internal/engine"
 	"adminrefine/internal/hru"
 	"adminrefine/internal/model"
 	"adminrefine/internal/monitor"
@@ -577,10 +579,18 @@ func runS1(w io.Writer) error {
 		return err
 	}
 	m := monitor.New(p.Clone(), monitor.ModeStrict)
-	st.Attach(m, nil)
+	var appendErr error
+	m.Observe(func(e monitor.AuditEntry) {
+		if err := st.AppendStep(e.Seq, command.StepResult{Cmd: e.Cmd, Outcome: e.Outcome}); err != nil && appendErr == nil {
+			appendErr = err
+		}
+	})
 	start := time.Now()
 	m.SubmitQueue(queue)
 	appendTime := time.Since(start)
+	if appendErr != nil {
+		return appendErr
+	}
 	want := m.Policy()
 	st.Close()
 
@@ -635,6 +645,107 @@ func runH1(w io.Writer) error {
 		d.Weaker(strong, weak)
 	})
 	fmt.Fprintf(w, "\nordering decision on a matched-size policy (5 roles, depth 3): %v (polynomial, Lemma 1)\n", med)
+	return nil
+}
+
+// runP1 is the incremental-engine experiment: it replays the same
+// grant-then-query churn through the snapshot engine and through the
+// rebuild-everything baseline, checks that both paths agree on every outcome
+// and on the final policy, reports the speedup, and smoke-tests concurrent
+// snapshot reads under writer churn.
+func runP1(w io.Writer) error {
+	const roles, users, ops = 256, 256, 300
+
+	// Baseline: a fresh decider per decision, so closure, memo and
+	// privilege-vertex tables are rebuilt after every policy change (the
+	// seed path).
+	basePol := workload.ChurnPolicy(roles, users)
+	baseOutcomes := make([]command.Outcome, ops)
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		res := command.Step(basePol, workload.ChurnGrant(i, users, roles), core.NewRefinedAuthorizer(basePol))
+		baseOutcomes[i] = res.Outcome
+		q := workload.ChurnGrant(i+1, users, roles)
+		priv, err := q.Privilege()
+		if err != nil {
+			return err
+		}
+		if _, ok := core.NewDecider(basePol).HeldStronger(q.Actor, priv); !ok {
+			return fmt.Errorf("baseline churn query %d denied", i)
+		}
+	}
+	baseDur := time.Since(start)
+
+	// Incremental: the snapshot engine.
+	eng := engine.New(workload.ChurnPolicy(roles, users), engine.Refined)
+	start = time.Now()
+	for i := 0; i < ops; i++ {
+		res := eng.Submit(workload.ChurnGrant(i, users, roles))
+		if res.Outcome != baseOutcomes[i] {
+			return fmt.Errorf("op %d: engine outcome %v, baseline %v", i, res.Outcome, baseOutcomes[i])
+		}
+		s := eng.Snapshot()
+		_, ok := s.Authorize(workload.ChurnGrant(i+1, users, roles))
+		s.Close()
+		if !ok {
+			return fmt.Errorf("engine churn query %d denied", i)
+		}
+	}
+	incDur := time.Since(start)
+
+	s := eng.Snapshot()
+	same := s.Policy().Equal(basePol)
+	s.Close()
+	if !same {
+		return fmt.Errorf("engine and baseline final policies diverged")
+	}
+
+	speedup := float64(baseDur) / float64(incDur)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "path\tops\ttotal\tper op\n")
+	fmt.Fprintf(tw, "seed-rebuild\t%d\t%v\t%v\n", ops, baseDur.Round(time.Microsecond), (baseDur / ops).Round(time.Microsecond))
+	fmt.Fprintf(tw, "engine-incremental\t%d\t%v\t%v\n", ops, incDur.Round(time.Microsecond), (incDur / ops).Round(time.Microsecond))
+	tw.Flush()
+	fmt.Fprintf(w, "\nspeedup: %.1fx (outcomes and final policies identical)\n", speedup)
+	if speedup < 2 {
+		return fmt.Errorf("incremental path only %.1fx faster than rebuild baseline", speedup)
+	}
+
+	// Concurrency smoke: snapshot readers under writer churn.
+	var wg sync.WaitGroup
+	errc := make(chan error, 5)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var lastGen uint64
+			for i := 0; i < 200; i++ {
+				snap := eng.Snapshot()
+				gen := snap.Generation()
+				if gen < lastGen {
+					errc <- fmt.Errorf("generation went backwards: %d -> %d", lastGen, gen)
+					snap.Close()
+					return
+				}
+				lastGen = gen
+				if _, ok := snap.Authorize(workload.ChurnGrant(i+g, users, roles)); !ok {
+					errc <- fmt.Errorf("reader %d lost authorization", g)
+					snap.Close()
+					return
+				}
+				snap.Close()
+			}
+		}(g)
+	}
+	for i := 0; i < 100; i++ {
+		eng.Submit(workload.ChurnGrant(ops+i, users, roles))
+	}
+	wg.Wait()
+	close(errc)
+	if err := <-errc; err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "concurrency smoke: 4 readers x 200 snapshot reads under 100 writer transitions: ok\n")
 	return nil
 }
 

@@ -39,9 +39,7 @@
 //     entries survive, negative ones are dropped. Any removal clears both.
 //
 // The privilege-vertex list is re-derived only when the graph's vertex count
-// changes (vertices are never removed; see DESIGN.md D6). SetIncremental
-// disables all of this and restores the rebuild-everything behaviour, which
-// benchmarks use as the baseline.
+// changes (vertices are never removed; see DESIGN.md D6).
 package core
 
 import (
@@ -58,11 +56,6 @@ import (
 // concurrent use.
 type Decider struct {
 	pol *policy.Policy
-
-	// incremental enables delta-based refresh; when false every policy
-	// mutation rebuilds closure, memo and privilege-vertex tables in full
-	// (the seed behaviour, kept as a benchmark baseline).
-	incremental bool
 
 	gen          uint64
 	closure      *graph.Closure
@@ -123,23 +116,17 @@ type levelKey struct {
 	child   termID
 }
 
-// NewDecider builds a Decider for the policy with incremental cache
-// maintenance enabled.
+// NewDecider builds a Decider for the policy.
 func NewDecider(p *policy.Policy) *Decider {
-	d := &Decider{pol: p, terms: make(map[levelKey]termID), incremental: true}
+	d := &Decider{pol: p, terms: make(map[levelKey]termID)}
 	d.refresh()
 	return d
 }
 
-// SetIncremental toggles incremental cache maintenance. Disabling it makes
-// every refresh rebuild the closure, memo and privilege-vertex tables from
-// scratch — the rebuild-everything baseline the benchmarks compare against.
-func (d *Decider) SetIncremental(on bool) { d.incremental = on }
-
 func (d *Decider) refresh() {
 	g := d.pol.Graph()
 	additive := false
-	if d.incremental && d.closure != nil {
+	if d.closure != nil {
 		additive = d.closure.Update()
 	} else {
 		d.closure = graph.NewClosure(g)
@@ -151,7 +138,7 @@ func (d *Decider) refresh() {
 		d.memoPos = make(map[[2]termID]struct{})
 		d.memoNeg = make(map[[2]termID]struct{})
 	}
-	if !d.incremental || d.privVerts == nil || g.NumVertices() != d.numVerts {
+	if d.privVerts == nil || g.NumVertices() != d.numVerts {
 		d.numVerts = g.NumVertices()
 		d.privVerts = d.pol.PrivilegeVertices()
 		d.privVertIDs = make([]termID, len(d.privVerts))

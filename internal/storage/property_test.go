@@ -28,7 +28,7 @@ func TestRecoveryAtEveryTruncationPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := monitor.New(base.Clone(), monitor.ModeStrict)
-	st.Attach(m, func(err error) { t.Errorf("append: %v", err) })
+	attach(t, st, m)
 	m.SubmitQueue(queue)
 	st.Close()
 

@@ -1,7 +1,7 @@
 // Package storage persists policy state durably: a snapshot of the policy
 // plus a write-ahead log of applied administrative commands. It serves two
-// consumers. The reference monitor's audit stream is appended to the log via
-// Store.Attach, and Open recovers the policy by loading the snapshot and
+// consumers. A single-node caller appends each step it applied with
+// Store.AppendStep, and Open recovers the policy by loading the snapshot and
 // replaying the log. The snapshot engine attaches through OpenEngine, which
 // recovers an engine.Engine at the logged generation and installs a commit
 // hook so every applied command is durable before its snapshot is published
@@ -34,7 +34,6 @@ import (
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
-	"adminrefine/internal/monitor"
 	"adminrefine/internal/policy"
 )
 
@@ -114,26 +113,6 @@ func (r Record) IsPlacement() bool { return r.Kind == KindPlacement }
 // or placement) rather than tenant history: never replayed, never tailed,
 // never replicated, excluded from the compaction trigger.
 func (r Record) IsControl() bool { return r.IsEpoch() || r.IsPlacement() }
-
-// NewRecord converts an audit entry into a loggable record.
-func NewRecord(e monitor.AuditEntry) (Record, error) {
-	from, err := model.MarshalVertex(e.Cmd.From)
-	if err != nil {
-		return Record{}, fmt.Errorf("storage: encode from vertex: %w", err)
-	}
-	to, err := model.MarshalVertex(e.Cmd.To)
-	if err != nil {
-		return Record{}, fmt.Errorf("storage: encode to vertex: %w", err)
-	}
-	return Record{
-		Seq:     e.Seq,
-		Actor:   e.Cmd.Actor,
-		Op:      e.Cmd.Op.String(),
-		From:    from,
-		To:      to,
-		Outcome: e.Outcome.WireName(),
-	}, nil
-}
 
 // Command reconstructs the administrative command of the record.
 func (r Record) Command() (command.Command, error) {
@@ -567,15 +546,6 @@ func EncodeFrame(buf []byte, r Record) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
-// Append logs one audit entry. Safe for concurrent use.
-func (s *Store) Append(e monitor.AuditEntry) error {
-	r, err := NewRecord(e)
-	if err != nil {
-		return err
-	}
-	return s.AppendRecord(r)
-}
-
 // NewStepRecord converts an engine step result into a loggable record at the
 // given sequence number (the engine generation the step produced).
 func NewStepRecord(seq int, res command.StepResult) (Record, error) {
@@ -967,17 +937,6 @@ func (s *Store) SinceCompact() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sinceCompact
-}
-
-// Attach subscribes the store to a monitor's audit stream. Append errors are
-// delivered to onErr (which may be nil to ignore them — not recommended
-// outside tests).
-func (s *Store) Attach(m *monitor.Monitor, onErr func(error)) {
-	m.Observe(func(e monitor.AuditEntry) {
-		if err := s.Append(e); err != nil && onErr != nil {
-			onErr(err)
-		}
-	})
 }
 
 // Compact writes a snapshot of the policy at the current sequence number and

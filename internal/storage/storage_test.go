@@ -11,6 +11,15 @@ import (
 	"adminrefine/internal/policy"
 )
 
+// attach logs every entry of the monitor's audit stream to s.
+func attach(t *testing.T, s *Store, m *monitor.Monitor) {
+	m.Observe(func(e monitor.AuditEntry) {
+		if err := s.AppendStep(e.Seq, command.StepResult{Cmd: e.Cmd, Outcome: e.Outcome}); err != nil {
+			t.Errorf("append: %v", err)
+		}
+	})
+}
+
 // runScenario drives a monitor attached to a store in dir and returns the
 // final in-memory policy.
 func runScenario(t *testing.T, dir string, mode monitor.Mode) *policy.Policy {
@@ -25,7 +34,7 @@ func runScenario(t *testing.T, dir string, mode monitor.Mode) *policy.Policy {
 		pol = policy.Figure2()
 	}
 	m := monitor.New(pol, mode)
-	s.Attach(m, func(err error) { t.Errorf("append: %v", err) })
+	attach(t, s, m)
 	m.SubmitQueue(command.Queue{
 		command.Grant(policy.UserJane, model.User(policy.UserBob), model.Role(policy.RoleStaff)),
 		command.Grant(policy.UserJane, model.User(policy.UserJoe), model.Role(policy.RoleNurse)),
@@ -147,7 +156,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	// Appending after recovery works and the log stays valid.
 	m := monitor.New(got, monitor.ModeStrict)
-	s2.Attach(m, func(err error) { t.Errorf("append: %v", err) })
+	attach(t, s2, m)
 	m.Submit(command.Revoke(policy.UserJane, model.User(policy.UserJoe), model.Role(policy.RoleNurse)))
 	s2.Close()
 	if _, _, rec3, err := Open(dir, Options{}); err != nil {
@@ -224,7 +233,7 @@ func TestRefinedModeReplay(t *testing.T) {
 	}
 	pol := policy.Figure2()
 	m := monitor.New(pol, monitor.ModeRefined)
-	s.Attach(m, func(err error) { t.Errorf("append: %v", err) })
+	attach(t, s, m)
 	res := m.Submit(command.Grant(policy.UserJane, model.User(policy.UserBob), model.Role(policy.RoleDBUsr2)))
 	if res.Outcome != command.Applied {
 		t.Fatalf("refined submit outcome: %v", res.Outcome)
@@ -251,8 +260,8 @@ func TestAppendAfterCloseFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	e := monitor.AuditEntry{Seq: 1, Cmd: command.Grant("u", model.User("a"), model.Role("b")), Outcome: command.Applied}
-	if err := s.Append(e); err == nil {
+	res := command.StepResult{Cmd: command.Grant("u", model.User("a"), model.Role("b")), Outcome: command.Applied}
+	if err := s.AppendStep(1, res); err == nil {
 		t.Fatal("append after close succeeded")
 	}
 	if err := s.Compact(policy.New()); err == nil {
@@ -275,7 +284,7 @@ func TestSeqTracking(t *testing.T) {
 	}
 	pol := policy.Figure2()
 	m := monitor.New(pol, monitor.ModeStrict)
-	s.Attach(m, nil)
+	attach(t, s, m)
 	m.Submit(command.Grant(policy.UserJane, model.User(policy.UserBob), model.Role(policy.RoleStaff)))
 	m.Submit(command.Grant(policy.UserJane, model.User(policy.UserJoe), model.Role(policy.RoleNurse)))
 	if s.Seq() != 2 {
@@ -292,7 +301,7 @@ func TestSnapshotSkipsOldRecords(t *testing.T) {
 	}
 	pol := policy.Figure2()
 	m := monitor.New(pol, monitor.ModeStrict)
-	s.Attach(m, nil)
+	attach(t, s, m)
 	m.Submit(command.Grant(policy.UserJane, model.User(policy.UserBob), model.Role(policy.RoleStaff)))
 	// Snapshot covers seq 1, but the log still contains record 1 (Compact
 	// truncates, so emulate a snapshot-without-truncate by writing the

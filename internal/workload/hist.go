@@ -1,10 +1,8 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // Histogram is a dependency-free HDR-style latency histogram: log-bucketed
@@ -144,22 +142,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Summary formats count, mean and the standard quantile ladder with values
-// scaled by div (1e6 for nanoseconds -> milliseconds) — the human-facing
-// line the serve bench prints per op kind.
-func (h *Histogram) Summary(unit string, div float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.2f%s", h.n, h.Mean()/div, unit)
-	qs := []struct {
-		name string
-		q    float64
-	}{{"p50", 0.50}, {"p99", 0.99}, {"p999", 0.999}, {"max", 1}}
-	for _, e := range qs {
-		fmt.Fprintf(&b, " %s=%.2f%s", e.name, float64(h.Quantile(e.q))/div, unit)
-	}
-	return b.String()
 }
 
 // buckets returns the non-empty (bucketMax, count) pairs in value order

@@ -114,7 +114,7 @@ func TestHistQuantileMonotonicity(t *testing.T) {
 }
 
 // A fixed seed must serialise to the same buckets and quantiles on every run
-// and platform — BENCH JSON output built from histograms is reproducible.
+// and platform — results built from histograms are reproducible.
 func TestHistDeterministicSeedGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	h := &Histogram{}

@@ -266,17 +266,6 @@ func CommandSlab(n, nUsers, nRoles int) []command.Command {
 	return out
 }
 
-// CheckSlab precomputes the access-check probes of department d of
-// Hospital(n): the user privileges a nurse session holds, pre-boxed as
-// model.Privilege so benchmarks measure the session check path rather than
-// per-call interface conversion (the access-check analogue of CommandSlab).
-func CheckSlab(d int) []model.Privilege {
-	return []model.Privilege{
-		model.Perm("read", fmt.Sprintf("t1_%d", d)),
-		model.Perm("read", fmt.Sprintf("t2_%d", d)),
-	}
-}
-
 // Queue samples n commands from the policy's relevant command alphabet
 // (administrative privilege terms and their subterms across all users),
 // deterministically from the seed.

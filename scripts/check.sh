@@ -1,14 +1,13 @@
 #!/bin/sh
-# Local one-shot gate without make: build + fmt + vet + tests (the program's
-# and, against it, the frozen reference benchmark's under bench/) + one race
-# pass over the whole tree (the concurrent stack, the daemon chaos e2es and
-# storage fault injection included) + a short hot-path benchmark smoke + a bounded serve-mode
-# smoke (open-loop socket load against a live in-process rbacd, HTTP and
-# binary wire passes; fails on any op error) + the overload saturation smoke (3x an admission-limited
-# stack's capacity; fails unless the degradation contract holds), then the
-# benchdiff gate comparing the authorize and serving
-# benchmarks against the newest committed BENCH_*.json baseline. Mirrors `make check`; CI runs the same pieces as a
-# job matrix (see .github/workflows/ci.yml).
+# Local one-shot gate without make: build + fmt + vet + the dependency-cone
+# assertion + tests (the program's and, against it, the frozen reference
+# benchmark's under bench/) + one race pass over the whole tree (the
+# concurrent stack, the daemon chaos e2es and storage fault injection
+# included) + a short run of every root benchmark + a 4-second correctness
+# smoke of each reference workload against real rbacd processes (every
+# response checked against its generator-known verdict; no timing gate).
+# Mirrors `make check`; CI runs the same pieces as a job matrix (see
+# .github/workflows/ci.yml).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -16,11 +15,15 @@ cd "$(dirname "$0")/.."
 go build ./...
 test -z "$(gofmt -l .)"
 go vet ./...
+# The daemon links none of the experiment, analysis or test-support
+# packages, and the two CLIs none of the serving stack.
+if go list -deps ./cmd/rbacd | grep -E '^adminrefine/internal/(cli|workload|monitor|hru|arbac|scope|domains|analysis|fault)$'; then exit 1; fi
+if go list -deps ./cmd/rbacctl ./cmd/rbacbench | grep -E '^adminrefine/internal/(server|wire|service|tenant|replication|admission|placement)$'; then exit 1; fi
 go test ./...
 go vet -C bench ./...
 go test -C bench ./...
 go test -race ./...
-go test -run XXX -bench 'Incremental|BatchVsSingle|CachedAuthorize|AuthorizeAllocs|ReplicatedAuthorize|AccessCheck' -benchtime=100x .
-go run ./cmd/rbacbench -serve -wire -serve-rate 300 -serve-duration 3s
-go run ./cmd/rbacbench -serve -overload -serve-duration 3s
-scripts/benchdiff.sh
+go test -run XXX -bench . -benchtime=10x .
+for w in wire_point_reads http_follower_mixed wire_write_heavy wire_bulk_cold; do
+    bash bench/run.sh -workload "$w" -seconds 4 -trace 0
+done
