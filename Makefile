@@ -1,7 +1,7 @@
 # Repo verification targets. `make check` is the CI gate: it builds, vets,
-# checks formatting, asserts the dependency cone, runs the full test suite
-# (and compiles + tests the frozen reference benchmark under bench/ against
-# the program), one race-detector pass over the whole tree, a short run of
+# checks formatting, asserts the dependency cone and the size budget, runs the
+# full test suite (and compiles + tests the frozen reference benchmark under
+# bench/ against the program), one race-detector pass over the whole tree, a short run of
 # every root benchmark, and a 4-second correctness smoke of each reference
 # workload against real daemons. The CI workflow runs the same pieces as a
 # job matrix (build-test / race / bench-gate / lint).
@@ -23,12 +23,12 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The dependency cone, by machine: the daemon links none of the experiment,
-# analysis or test-support packages, and the two CLIs none of the serving
-# stack.
+# The dependency cone and the size budget, by machine (ROADMAP item 5): the
+# daemon links none of the experiment, analysis or test-support packages, the
+# two CLIs none of the serving stack, and non-test Go outside bench/ stays
+# within 22 000 lines.
 cone:
-	! $(GO) list -deps ./cmd/rbacd | grep -E '^adminrefine/internal/(cli|workload|monitor|hru|arbac|scope|domains|analysis|fault)$$'
-	! $(GO) list -deps ./cmd/rbacctl ./cmd/rbacbench | grep -E '^adminrefine/internal/(server|wire|service|tenant|replication|admission|placement)$$'
+	sh scripts/cone.sh
 
 test:
 	$(GO) test ./...

@@ -12,6 +12,7 @@
 //	S1  BenchmarkMonitorSubmit, BenchmarkWALAppend, BenchmarkWALReplay
 //	H1  BenchmarkHRUSafety
 //	P1  BenchmarkSnapshotAuthorizeUnderWriter
+//	--  BenchmarkFirstSightAuthorize, BenchmarkColdOpen (a cold tenant's two costs)
 //	--  BenchmarkParse, BenchmarkPrint, BenchmarkPolicyClone (substrate costs)
 //
 // The service itself is measured by the reference benchmark under bench/
@@ -35,6 +36,7 @@ import (
 	"adminrefine/internal/parser"
 	"adminrefine/internal/policy"
 	"adminrefine/internal/storage"
+	"adminrefine/internal/tenant"
 	"adminrefine/internal/workload"
 )
 
@@ -505,6 +507,67 @@ func BenchmarkBoundedObtain(b *testing.B) {
 		res := analysis.BoundedObtain(p, policy.UserBob, policy.PermReadT1, command.Strict{}, alpha, 2)
 		if !res.Reachable {
 			b.Fatal("escalation lost")
+		}
+	}
+}
+
+// --- a cold tenant: first-sight decisions and the open itself --------------
+
+// firstSightSlab returns n distinct churn commands starting at the from-th:
+// the administrator's (allowed) on even positions, the member's own attempt
+// at the same grant (denied: a member reaches no privilege) on odd ones.
+func firstSightSlab(from, n, users, roles int) []command.Command {
+	out := make([]command.Command, n)
+	for i := range out {
+		c := workload.ChurnGrant(from+i/2, users, roles)
+		if i%2 == 1 {
+			c.Actor = c.From.(model.Entity).Name
+		}
+		out[i] = c
+	}
+	return out
+}
+
+// BenchmarkFirstSightAuthorize measures a decision on a command the engine
+// has not seen before: the interner's doorkeeper says "not yet", so the
+// command is decided uninterned. The slab is the bulk-cold fixture's whole
+// pair space, twice the doorkeeper's aging period, so a command is forgotten
+// before it recurs and every pass stays first-sight.
+func BenchmarkFirstSightAuthorize(b *testing.B) {
+	const roles, users = 256, 64
+	e := engine.New(workload.ChurnPolicy(roles, users), engine.Refined)
+	slab := firstSightSlab(0, 2*roles*users, users, roles)
+	s := e.Snapshot()
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Authorize(slab[i%len(slab)]); ok != (i%len(slab)%2 == 0) {
+			b.Fatalf("command %d: allowed=%v", i%len(slab), ok)
+		}
+	}
+}
+
+// BenchmarkColdOpen measures what a request for a non-resident tenant pays
+// before its answer: evict the bulk-cold fixture's tenant (256 roles × 64
+// users), then authorize one command against it — snapshot parse, WAL
+// replay, engine and closure build, decision.
+func BenchmarkColdOpen(b *testing.B) {
+	const roles, users = 256, 64
+	reg := tenant.New(tenant.Options{Dir: b.TempDir(), Mode: engine.Refined})
+	defer reg.Close()
+	if err := reg.InstallPolicy("t", workload.ChurnPolicy(roles, users)); err != nil {
+		b.Fatal(err)
+	}
+	c := workload.ChurnGrant(0, users, roles)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !reg.Evict("t") {
+			b.Fatal("tenant not evicted")
+		}
+		if res, err := reg.Authorize("t", c); err != nil || !res.OK {
+			b.Fatalf("authorize: ok=%v err=%v", res.OK, err)
 		}
 	}
 }

@@ -19,10 +19,9 @@ import (
 // chunked entry storage: lookups of already-interned values cost one
 // structural hash plus a short probe with zero allocations and no lock,
 // which is what keeps the engine's authorize hot path allocation-free.
-// First-time interning takes a mutex, resolves everything the decision
-// kernel will ever need from the command's strings (canonical
-// actor/privilege keys, the boxed authorizing privilege), and publishes the
-// entry with an atomic slot store, so the cost of string handling is paid
+// First-time interning takes a mutex, boxes the authorizing privilege — the
+// one thing the decision kernel needs that a Command does not already hold —
+// and publishes the entry with an atomic slot store, so that cost is paid
 // once per distinct command, not once per query.
 //
 // Entries live in fixed-size chunks that never move: growth allocates one
@@ -54,8 +53,6 @@ type FPInfo struct {
 	// them lazily (Priv.Key(), Interner.PrivilegeID) so refined-mode
 	// interning stays cheap on single-use commands.
 	Priv model.Privilege
-	// ActorKey is the canonical graph key of the actor ("u:<actor>").
-	ActorKey string
 
 	hash uint64
 }
@@ -86,14 +83,17 @@ const (
 //
 // Admission is gated by a doorkeeper (the TinyLFU idea): a command is only
 // interned on its *second* sight. Interned state is immortal — entry
-// structs, canonical keys, boxed privileges, per-decider fingerprint tables
-// — so admitting single-use commands would grow the live heap (and the
-// GC's marking bill) linearly with traffic while the cache never hits.
-// First sight marks two bits of the command's structural hash in a compact
-// filter and reports "not interned"; callers fall back to the uninterned
-// decision path, which is exactly as fast as the pre-fingerprint engine.
-// Repeated commands — the only ones a cache can ever help — pay one extra
-// slow decision and are fully resolved from then on. The filter ages by
+// structs, boxed privileges, per-decider fingerprint tables — so admitting
+// single-use commands would grow the live heap (and the GC's marking bill)
+// linearly with traffic while the cache never hits. First sight marks two
+// bits of the command's structural hash in a compact filter and reports
+// "not interned"; callers fall back to the uninterned decision path
+// (core.Decider.HeldStronger / Holds), which keeps nothing either: a refined
+// decision is two entity lookups and closure bit tests on vertex ids, with
+// no term interned, no memo entry and no allocation (the strict one still
+// builds the privilege's key for its vertex lookup). Repeated commands — the
+// only ones a cache can ever help — pay one extra uninterned decision and
+// are fully resolved from then on. The filter ages by
 // resetting once an eighth of its bits are set, so a long-lived engine's
 // doorkeeper never saturates into admitting everything.
 type Interner struct {
@@ -257,7 +257,6 @@ func (it *Interner) internCommand(h uint64, c Command) *FPInfo {
 	info.FP = Fingerprint(idx + 1)
 	info.Cmd = c
 	info.hash = h
-	info.ActorKey = model.User(c.Actor).Key()
 	if priv, err := c.Privilege(); err == nil {
 		info.Priv = priv
 	}

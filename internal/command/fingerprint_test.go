@@ -63,9 +63,6 @@ func TestFingerprintIdentity(t *testing.T) {
 	if got := it.Privilege(pid); !model.SamePrivilege(got, ia.Priv) {
 		t.Fatalf("privilege round trip: %v != %v", got, ia.Priv)
 	}
-	if ia.ActorKey != model.User("jane").Key() {
-		t.Fatalf("resolved keys wrong: %+v", ia)
-	}
 }
 
 func TestFingerprintIllFormed(t *testing.T) {

@@ -9,20 +9,21 @@ import (
 // This file is the fingerprint-indexed authorization fast path: the decision
 // kernel behind Snapshot.Authorize once the boundary has interned the
 // command (see command.Interner). The first query for a fingerprint resolves
-// the strings the Decider needs — actor vertex id, interned privilege term,
-// privilege vertex id — into a dense per-fingerprint table; every later
-// query is integer indexing, closure bit tests and memo lookups, with no
-// string-keyed map hits, no interning writes and no allocations.
+// the command's entities — actor, edge source, edge destination — to graph
+// vertex ids in a dense per-fingerprint table; every later query is integer
+// indexing and closure bit tests, with no map hits and no allocations.
 
 // fpState caches what one fingerprint resolves to inside this Decider.
 // Vertex ids are append-only in the graph, and term ids are stable for the
 // Decider's lifetime, so a resolved state never goes stale; operands that
-// were absent from the graph are retried on use (vidUnresolved), exactly
+// were absent from the graph (graph.NoVertex) are retried on use, exactly
 // like the per-term vertex caches.
 type fpState struct {
-	qid     termID // interned id of the authorizing privilege
-	actVID  int32  // graph vertex id of the actor (u:<actor>)
-	privVID int32  // graph vertex id of the privilege vertex (strict path)
+	qid     termID // interned id of a nested authorizing privilege, on first need
+	actVID  int32  // graph vertex id of the actor
+	srcVID  int32  // ... of the privilege's source (refined path)
+	dstVID  int32  // ... of its entity destination (refined path)
+	privVID int32  // ... of the privilege vertex itself (strict path)
 	privKey string // canonical key of the privilege, for retrying privVID
 	ready   bool
 }
@@ -41,55 +42,38 @@ func (d *Decider) AuthorizeFP(info *command.FPInfo, refined bool) (model.Privile
 	}
 	st := &d.fpTab[fp]
 	if !st.ready {
-		st.qid = d.id(info.Priv)
-		st.actVID = vidOf(d.pol, info.ActorKey)
-		if !refined {
-			// Only the strict check addresses the privilege vertex itself;
-			// deriving the canonical key here (not at intern time) keeps
-			// refined-mode interning free of it.
-			st.privKey = info.Priv.Key()
-			st.privVID = vidOf(d.pol, st.privKey)
-		} else {
-			st.privVID = vidUnresolved
-		}
-		st.ready = true
+		*st = fpState{qid: noChild, actVID: graph.NoVertex, srcVID: graph.NoVertex,
+			dstVID: graph.NoVertex, privVID: graph.NoVertex, ready: true}
 	}
-	act := st.actVID
-	if act == vidUnresolved {
-		if v := d.pol.Graph().Lookup(info.ActorKey); v != graph.NoVertex {
-			st.actVID = int32(v)
-			act = st.actVID
-		}
+	if st.actVID < 0 {
+		st.actVID = int32(d.pol.EntityVertex(model.User(info.Cmd.Actor)))
 	}
+	act := int(st.actVID)
 	if act < 0 {
 		// An actor absent from the graph reaches only itself; no privilege
 		// vertex is an actor, so the command is denied in both regimes.
 		return nil, false
 	}
 	if refined {
-		qid := st.qid
-		for i, h := range d.privVerts {
-			if d.closure.Reaches(int(act), int(d.privVertGIDs[i])) &&
-				d.weakerID(h, info.Priv, d.privVertIDs[i], qid) {
-				return h, true
-			}
+		q := newQuery(info.Priv)
+		q.qid, q.flat.sv, q.flat.dv = st.qid, st.srcVID, st.dstVID
+		i := d.nextHeld(act, &q, 0)
+		st.qid, st.srcVID, st.dstVID = q.qid, q.flat.sv, q.flat.dv
+		if i < 0 {
+			return nil, false
 		}
-		return nil, false
+		return d.privVerts[i], true
 	}
-	pv := st.privVID
-	if pv == vidUnresolved {
+	// Only the strict check addresses the privilege vertex itself; deriving
+	// the canonical key here (not at intern time) keeps refined-mode
+	// interning free of it.
+	if st.privVID < 0 {
 		if st.privKey == "" {
-			st.privKey = info.Priv.Key() // first strict use of a refined-resolved state
+			st.privKey = info.Priv.Key()
 		}
-		if v := d.pol.Graph().Lookup(st.privKey); v != graph.NoVertex {
-			st.privVID = int32(v)
-			pv = st.privVID
-		}
+		st.privVID = int32(d.pol.Graph().Lookup(st.privKey))
 	}
-	if pv < 0 {
-		return nil, false
-	}
-	if d.closure.Reaches(int(act), int(pv)) {
+	if st.privVID >= 0 && d.closure.Reaches(act, int(st.privVID)) {
 		return info.Priv, true
 	}
 	return nil, false

@@ -30,7 +30,9 @@
 //   - The hash-consing tables (terms/children and the per-term vertex-id
 //     caches) are policy-independent: a term's identity never changes, and
 //     graph vertex ids are append-only, so the interner survives every
-//     mutation unconditionally.
+//     mutation unconditionally. Only privilege vertices and nested queries
+//     are ever interned: an entity-destination query ¤(x, y) is decided on
+//     vertex ids alone (see flatTerm) and leaves no state behind.
 //   - The reachability closure is maintained incrementally: edge insertions
 //     OR bit-rows forward through the predecessor worklist (graph.Closure);
 //     edge removals trigger a scoped rebuild of the closure only.
@@ -62,8 +64,8 @@ type Decider struct {
 	numVerts     int
 	privVerts    []model.Privilege
 	privVertIDs  []termID
-	privVertKeys []string
-	privVertGIDs []int32 // graph vertex ids of the privilege vertices
+	privVertGIDs []int32    // graph vertex ids of the privilege vertices
+	privVertFlat []flatTerm // their operands, for the entity-destination ones
 
 	// memo is split by polarity so additive policy deltas can drop the
 	// (possibly flipped) negatives in O(1) while keeping the positives.
@@ -80,13 +82,13 @@ type Decider struct {
 
 	// Per-term vertex-id caches: the graph ids of an admin term's source and
 	// (entity) destination, so the hot reachability checks are two integer
-	// comparisons plus a bit test with no string-map lookups. vidNone marks
-	// terms without that operand; vidUnresolved marks operands whose vertex
-	// was not in the graph at interning time and is re-looked-up lazily
-	// (vertex ids are append-only, so a resolved id never goes stale).
-	srcKeys []string
+	// comparisons plus a bit test with no map lookups. graph.NoVertex marks
+	// an operand the term lacks or whose vertex was not in the graph when
+	// last looked up; the latter is retried on use (vertex ids are
+	// append-only, so a resolved id never goes stale).
+	srcEnts []model.Entity
 	srcVIDs []int32
-	dstKeys []string
+	dstEnts []model.Entity
 	dstVIDs []int32
 
 	// fpTab caches per-command-fingerprint resolutions for the authorize
@@ -100,20 +102,47 @@ type termID int32
 // noChild marks a term whose destination is not a privilege.
 const noChild termID = -1
 
-const (
-	// vidNone marks a term level without that vertex operand.
-	vidNone int32 = -1
-	// vidUnresolved marks an operand whose vertex was absent from the graph
-	// when last looked up; it is retried on use.
-	vidUnresolved int32 = -2
-)
-
-// levelKey identifies one grammar level: the payload string encodes the
-// constructor and its non-privilege operands; child is the interned nested
-// privilege, if any.
+// levelKey identifies one grammar level by its constructor and non-privilege
+// operands — comparable as is, so interning a level builds no string; child
+// is the interned nested privilege, if any.
 type levelKey struct {
-	payload string
-	child   termID
+	tag      byte // 'q' user privilege, 'e' entity destination, 'n' nested destination
+	op       model.Op
+	src, dst model.Entity // a user privilege keeps (action, object) in the two names
+	child    termID
+}
+
+// flatTerm is an entity-destination admin term a(src, dst) — the shape of
+// every privilege a command asks for — with its operands resolved to graph
+// vertex ids (graph.NoVertex when absent). Between two such terms only rules
+// (1) and (2) of Definition 8 can fire, so they are decided on these ids
+// with no interning and no memo entry (flatWeaker).
+type flatTerm struct {
+	ok       bool // false: not an entity-destination admin term
+	op       model.Op
+	src, dst model.Entity
+	sv, dv   int32
+}
+
+// flatShape returns p's operands when it is an entity-destination admin
+// term, their vertex ids not yet looked up.
+func flatShape(p model.Privilege) flatTerm {
+	if a, ok := p.(model.AdminPrivilege); ok {
+		if y, ok := a.Dst.(model.Entity); ok {
+			return flatTerm{ok: true, op: a.Op, src: a.Src, dst: y, sv: graph.NoVertex, dv: graph.NoVertex}
+		}
+	}
+	return flatTerm{}
+}
+
+// resolveFlat looks up the operands that have no vertex id (yet).
+func (d *Decider) resolveFlat(t *flatTerm) {
+	if t.sv < 0 {
+		t.sv = int32(d.pol.EntityVertex(t.src))
+	}
+	if t.dv < 0 {
+		t.dv = int32(d.pol.EntityVertex(t.dst))
+	}
 }
 
 // NewDecider builds a Decider for the policy.
@@ -142,12 +171,15 @@ func (d *Decider) refresh() {
 		d.numVerts = g.NumVertices()
 		d.privVerts = d.pol.PrivilegeVertices()
 		d.privVertIDs = make([]termID, len(d.privVerts))
-		d.privVertKeys = make([]string, len(d.privVerts))
 		d.privVertGIDs = make([]int32, len(d.privVerts))
+		d.privVertFlat = make([]flatTerm, len(d.privVerts))
 		for i, pv := range d.privVerts {
 			d.privVertIDs[i] = d.id(pv)
-			d.privVertKeys[i] = pv.Key()
-			d.privVertGIDs[i] = int32(g.Lookup(d.privVertKeys[i]))
+			d.privVertGIDs[i] = int32(g.Lookup(pv.Key()))
+			// Re-resolved whenever the vertex count moves, so an operand
+			// absent here is absent until the next refresh of this table.
+			d.privVertFlat[i] = flatShape(pv)
+			d.resolveFlat(&d.privVertFlat[i])
 		}
 	}
 	d.gen = d.pol.Generation()
@@ -158,91 +190,85 @@ func (d *Decider) refresh() {
 func (d *Decider) id(p model.Privilege) termID {
 	switch t := p.(type) {
 	case model.UserPrivilege:
-		return d.intern(levelKey{payload: "q\x00" + t.Action + "\x00" + t.Object, child: noChild}, "", "")
+		return d.intern(levelKey{tag: 'q', src: model.Entity{Name: t.Action}, dst: model.Entity{Name: t.Object}, child: noChild},
+			model.Entity{}, model.Entity{})
 	case model.AdminPrivilege:
 		switch dst := t.Dst.(type) {
 		case model.Entity:
-			return d.intern(levelKey{
-				payload: "e\x00" + t.Op.Symbol() + "\x00" + t.Src.Key() + "\x00" + dst.Key(),
-				child:   noChild,
-			}, t.Src.Key(), dst.Key())
+			return d.intern(levelKey{tag: 'e', op: t.Op, src: t.Src, dst: dst, child: noChild}, t.Src, dst)
 		case model.Privilege:
-			return d.intern(levelKey{
-				payload: "n\x00" + t.Op.Symbol() + "\x00" + t.Src.Key(),
-				child:   d.id(dst),
-			}, t.Src.Key(), "")
+			return d.intern(levelKey{tag: 'n', op: t.Op, src: t.Src, child: d.id(dst)}, t.Src, model.Entity{})
 		}
 	}
 	// Ungrammatical terms (nil or foreign destinations) never equal anything:
 	// give each occurrence a fresh id.
-	id := termID(len(d.children))
-	d.children = append(d.children, noChild)
-	d.srcKeys = append(d.srcKeys, "")
-	d.srcVIDs = append(d.srcVIDs, vidNone)
-	d.dstKeys = append(d.dstKeys, "")
-	d.dstVIDs = append(d.dstVIDs, vidNone)
-	return id
+	return d.addTerm(noChild, model.Entity{}, model.Entity{})
 }
 
-func (d *Decider) intern(key levelKey, srcKey, dstKey string) termID {
+func (d *Decider) intern(key levelKey, src, dst model.Entity) termID {
 	if id, ok := d.terms[key]; ok {
 		return id
 	}
-	id := termID(len(d.children))
+	id := d.addTerm(key.child, src, dst)
 	d.terms[key] = id
-	d.children = append(d.children, key.child)
-	d.srcKeys = append(d.srcKeys, srcKey)
-	d.srcVIDs = append(d.srcVIDs, vidOf(d.pol, srcKey))
-	d.dstKeys = append(d.dstKeys, dstKey)
-	d.dstVIDs = append(d.dstVIDs, vidOf(d.pol, dstKey))
 	return id
 }
 
-func vidOf(p *policy.Policy, key string) int32 {
-	if key == "" {
-		return vidNone
-	}
-	if v := p.Graph().Lookup(key); v != graph.NoVertex {
-		return int32(v)
-	}
-	return vidUnresolved
+// addTerm appends one term to the per-term tables. The zero Entity (a term
+// without that operand) resolves to graph.NoVertex.
+func (d *Decider) addTerm(child termID, src, dst model.Entity) termID {
+	id := termID(len(d.children))
+	d.children = append(d.children, child)
+	d.srcEnts = append(d.srcEnts, src)
+	d.srcVIDs = append(d.srcVIDs, int32(d.pol.EntityVertex(src)))
+	d.dstEnts = append(d.dstEnts, dst)
+	d.dstVIDs = append(d.dstVIDs, int32(d.pol.EntityVertex(dst)))
+	return id
 }
 
 // resolveVID returns the cached graph vertex id of a term operand, retrying
 // the lookup for operands that were absent at interning time (the vertex may
 // have been added since). Resolved ids are permanent: vertices are never
 // removed.
-func (d *Decider) resolveVID(vids []int32, keys []string, id termID) int32 {
-	v := vids[id]
-	if v != vidUnresolved {
-		return v
+func (d *Decider) resolveVID(vids []int32, ents []model.Entity, id termID) int32 {
+	if vids[id] < 0 {
+		vids[id] = int32(d.pol.EntityVertex(ents[id]))
 	}
-	if g := d.pol.Graph().Lookup(keys[id]); g != graph.NoVertex {
-		vids[id] = int32(g)
-		return int32(g)
-	}
-	return vidUnresolved
+	return vids[id]
 }
 
-// srcReaches reports Src(from) →φ Src(to) over cached vertex ids. Operands
-// missing from the graph reach only themselves.
-func (d *Decider) srcReaches(from, to termID) bool {
-	f := d.resolveVID(d.srcVIDs, d.srcKeys, from)
-	t := d.resolveVID(d.srcVIDs, d.srcKeys, to)
+// entReaches reports from →φ to for two entity operands given their vertex
+// ids. Operands missing from the graph reach only themselves.
+func (d *Decider) entReaches(f, t int32, from, to model.Entity) bool {
 	if f >= 0 && t >= 0 {
 		return d.closure.Reaches(int(f), int(t))
 	}
-	return d.srcKeys[from] == d.srcKeys[to]
+	return from == to
+}
+
+// srcReaches reports Src(from) →φ Src(to) over cached vertex ids.
+func (d *Decider) srcReaches(from, to termID) bool {
+	return d.entReaches(d.resolveVID(d.srcVIDs, d.srcEnts, from), d.resolveVID(d.srcVIDs, d.srcEnts, to),
+		d.srcEnts[from], d.srcEnts[to])
 }
 
 // dstReaches reports Dst(from) →φ Dst(to) for entity destinations.
 func (d *Decider) dstReaches(from, to termID) bool {
-	f := d.resolveVID(d.dstVIDs, d.dstKeys, from)
-	t := d.resolveVID(d.dstVIDs, d.dstKeys, to)
-	if f >= 0 && t >= 0 {
-		return d.closure.Reaches(int(f), int(t))
+	return d.entReaches(d.resolveVID(d.dstVIDs, d.dstEnts, from), d.resolveVID(d.dstVIDs, d.dstEnts, to),
+		d.dstEnts[from], d.dstEnts[to])
+}
+
+// flatWeaker decides h Ãφ q between entity-destination terms: rule (1), else
+// rule (2) — rule (3) and the privilege-vertex hop need a privilege
+// destination, which neither side has.
+func (d *Decider) flatWeaker(h, q *flatTerm) bool {
+	if h.op == q.op && h.src == q.src && h.dst == q.dst {
+		return true // rule (1)
 	}
-	return d.dstKeys[from] == d.dstKeys[to]
+	if h.op != model.OpGrant || q.op != model.OpGrant {
+		return false // ♦ privileges are ordered by equality only
+	}
+	return d.entReaches(q.sv, h.sv, q.src, h.src) && d.entReaches(h.dv, q.dv, h.dst, q.dst)
 }
 
 func (d *Decider) check() {
@@ -352,7 +378,7 @@ func (d *Decider) below(b, y model.Vertex, pid, qid termID) bool {
 		// b is an entity and y a privilege term: rule (2) can hop from the
 		// vertex b to any privilege vertex P' of the policy graph that b
 		// reaches (Example 6), after which rule (3) chains P' Ãφ y.
-		bv := d.resolveVID(d.dstVIDs, d.dstKeys, pid)
+		bv := d.resolveVID(d.dstVIDs, d.dstEnts, pid)
 		if bv < 0 {
 			return false // b is not a vertex of the policy graph
 		}
@@ -437,13 +463,54 @@ func Weaker(p *policy.Policy, strong, weak model.Privilege) bool {
 // policy.Reaches performs.
 func (d *Decider) Holds(user string, q model.Privilege) bool {
 	d.check()
-	g := d.pol.Graph()
-	uv := g.Lookup(model.User(user).Key())
-	pv := g.Lookup(q.Key())
+	uv := d.pol.EntityVertex(model.User(user))
+	pv := d.pol.Graph().Lookup(q.Key())
 	if uv == graph.NoVertex || pv == graph.NoVertex {
 		return false
 	}
 	return d.closure.Reaches(uv, pv)
+}
+
+// query is the privilege a held-stronger scan decides against. An
+// entity-destination term is decided on its operands' vertex ids and never
+// interned; any other term is hash-consed. Either is looked up only once
+// some privilege vertex the actor reaches needs comparing with it: an actor
+// who holds nothing is denied on closure bit tests alone.
+type query struct {
+	priv  model.Privilege
+	flat  flatTerm
+	qid   termID // noChild until interned
+	ready bool   // this scan has resolved flat's vertex ids, or interned qid
+}
+
+func newQuery(q model.Privilege) query {
+	return query{priv: q, flat: flatShape(q), qid: noChild}
+}
+
+// nextHeld returns the index of the first privilege vertex at or after from
+// that the vertex uv reaches and that is at least as strong as q, or -1.
+func (d *Decider) nextHeld(uv int, q *query, from int) int {
+	for i := from; i < len(d.privVerts); i++ {
+		if !d.closure.Reaches(uv, int(d.privVertGIDs[i])) {
+			continue
+		}
+		if !q.ready {
+			q.ready = true
+			if q.flat.ok {
+				d.resolveFlat(&q.flat)
+			} else if q.qid == noChild {
+				q.qid = d.id(q.priv)
+			}
+		}
+		if q.flat.ok {
+			if h := &d.privVertFlat[i]; h.ok && d.flatWeaker(h, &q.flat) {
+				return i
+			}
+		} else if d.weakerID(d.privVerts[i], q.priv, d.privVertIDs[i], q.qid) {
+			return i
+		}
+	}
+	return -1
 }
 
 // HeldStronger reports whether user u holds (reaches) some privilege h of
@@ -452,15 +519,13 @@ func (d *Decider) Holds(user string, q model.Privilege) bool {
 // implicitly authorized for weaker administrative privileges" (§4.1).
 func (d *Decider) HeldStronger(user string, q model.Privilege) (model.Privilege, bool) {
 	d.check()
-	uv := d.pol.Graph().Lookup(model.User(user).Key())
+	uv := d.pol.EntityVertex(model.User(user))
 	if uv == graph.NoVertex {
 		return nil, false
 	}
-	qid := d.id(q)
-	for i, h := range d.privVerts {
-		if d.closure.Reaches(uv, int(d.privVertGIDs[i])) && d.weakerID(h, q, d.privVertIDs[i], qid) {
-			return h, true
-		}
+	qq := newQuery(q)
+	if i := d.nextHeld(uv, &qq, 0); i >= 0 {
+		return d.privVerts[i], true
 	}
 	return nil, false
 }
@@ -470,16 +535,14 @@ func (d *Decider) HeldStronger(user string, q model.Privilege) (model.Privilege,
 // policy's privilege vertices. Used by analyses and explanations.
 func (d *Decider) StrongerHeldBy(user string, q model.Privilege) []model.Privilege {
 	d.check()
-	uv := d.pol.Graph().Lookup(model.User(user).Key())
+	uv := d.pol.EntityVertex(model.User(user))
 	if uv == graph.NoVertex {
 		return nil
 	}
 	var out []model.Privilege
-	qid := d.id(q)
-	for i, h := range d.privVerts {
-		if d.closure.Reaches(uv, int(d.privVertGIDs[i])) && d.weakerID(h, q, d.privVertIDs[i], qid) {
-			out = append(out, h)
-		}
+	qq := newQuery(q)
+	for i := d.nextHeld(uv, &qq, 0); i >= 0; i = d.nextHeld(uv, &qq, i+1) {
+		out = append(out, d.privVerts[i])
 	}
 	return out
 }

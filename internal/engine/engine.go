@@ -77,8 +77,8 @@ const deciderRing = 16
 // is mutated only while unpublished and with zero readers.
 type replica struct {
 	pol  *policy.Policy
-	auth command.Authorizer
-	pos  int // engine log position pol reflects
+	auth command.Authorizer // write-path authorizer, built on first write (see authorizer)
+	pos  int                // engine log position pol reflects
 	refs atomic.Int64
 
 	// deciders are the replica's pre-bound read deciders: a fixed ring of
@@ -104,11 +104,7 @@ func newReplica(p *policy.Policy, mode Mode, pos int) *replica {
 func (r *replica) rebind(p *policy.Policy, mode Mode, pos int) {
 	r.pol = p
 	r.pos = pos
-	if mode == Refined {
-		r.auth = core.NewRefinedAuthorizer(p)
-	} else {
-		r.auth = core.NewStrictAuthorizer(p)
-	}
+	r.auth = nil
 	n := runtime.GOMAXPROCS(0)
 	if n > deciderRing {
 		n = deciderRing
@@ -122,6 +118,31 @@ func (r *replica) rebind(p *policy.Policy, mode Mode, pos int) {
 	}
 	r.claimed.Store(0)
 	r.overflow = &sync.Pool{New: func() any { return core.NewDecider(p) }}
+}
+
+// authorizer returns the replica's write-path authorizer, building it on the
+// first write: a replica that only ever serves reads (a cold tenant opened
+// for one batch and evicted) builds one closure, its reading decider's. The
+// authorizer's decider also fills ring slot 0 when that is still empty, so
+// the reads that follow the publication start warm instead of building
+// another. The two users never overlap: the writer runs only on an
+// unpublished replica with zero readers, and readers claim only while they
+// hold a reference.
+func (r *replica) authorizer(mode Mode) command.Authorizer {
+	if r.auth == nil {
+		var a interface {
+			command.Authorizer
+			Decider() *core.Decider
+		}
+		if mode == Refined {
+			a = core.NewRefinedAuthorizer(r.pol)
+		} else {
+			a = core.NewStrictAuthorizer(r.pol)
+		}
+		r.auth = a
+		r.deciders[0].CompareAndSwap(nil, a.Decider())
+	}
+	return r.auth
 }
 
 // claim returns a decider bound to the replica's policy for exclusive use by
@@ -515,7 +536,7 @@ func (e *Engine) stepLocked(next *replica, c command.Command, guard Guard) (comm
 			return command.StepResult{Cmd: c, Outcome: command.Denied}, err
 		}
 	}
-	res := command.Step(next.pol, c, next.auth)
+	res := command.Step(next.pol, c, next.authorizer(e.mode))
 	if res.Outcome != command.Applied {
 		return res, nil
 	}

@@ -78,10 +78,18 @@ func (g *Digraph) logSince(gen uint64) ([]mutation, bool) {
 }
 
 // New returns an empty digraph.
-func New() *Digraph {
+func New() *Digraph { return NewSized(0, 0) }
+
+// NewSized returns an empty digraph with room for the given vertex and edge
+// counts, for callers that know them (a decoded snapshot).
+func NewSized(verts, edges int) *Digraph {
 	return &Digraph{
-		ids:   make(map[string]int),
-		edges: make(map[[2]int]struct{}),
+		ids:   make(map[string]int, verts),
+		keys:  make([]string, 0, verts),
+		succ:  make([][]int, 0, verts),
+		pred:  make([][]int, 0, verts),
+		edges: make(map[[2]int]struct{}, edges),
+		log:   make([]mutation, 0, verts+edges),
 	}
 }
 

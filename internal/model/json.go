@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// privWire is the JSON wire form of a privilege term. Exactly one of Perm
-// and Admin is set.
-type privWire struct {
+// PrivWire is the JSON wire form of a privilege term as plain data, so a
+// document that embeds privileges (a policy, a snapshot) decodes them in its
+// own single parse. Exactly one of Perm and Admin is set.
+type PrivWire struct {
 	Perm  *permWire  `json:"perm,omitempty"`
 	Admin *adminWire `json:"admin,omitempty"`
 }
@@ -22,20 +23,21 @@ type adminWire struct {
 	SrcKind string    `json:"srcKind"`
 	Src     string    `json:"src"`
 	DstRole string    `json:"dstRole,omitempty"`
-	DstPriv *privWire `json:"dstPriv,omitempty"`
+	DstPriv *PrivWire `json:"dstPriv,omitempty"`
 }
 
-func toWire(p Privilege) (*privWire, error) {
+// WireOf returns the wire form of a privilege term.
+func WireOf(p Privilege) (*PrivWire, error) {
 	switch t := p.(type) {
 	case UserPrivilege:
-		return &privWire{Perm: &permWire{Action: t.Action, Object: t.Object}}, nil
+		return &PrivWire{Perm: &permWire{Action: t.Action, Object: t.Object}}, nil
 	case AdminPrivilege:
 		w := &adminWire{Op: t.Op.String(), SrcKind: t.Src.Kind.String(), Src: t.Src.Name}
 		switch d := t.Dst.(type) {
 		case Entity:
 			w.DstRole = d.Name
 		case Privilege:
-			inner, err := toWire(d)
+			inner, err := WireOf(d)
 			if err != nil {
 				return nil, err
 			}
@@ -43,13 +45,15 @@ func toWire(p Privilege) (*privWire, error) {
 		default:
 			return nil, fmt.Errorf("marshal privilege: unsupported destination %T", t.Dst)
 		}
-		return &privWire{Admin: w}, nil
+		return &PrivWire{Admin: w}, nil
 	default:
 		return nil, fmt.Errorf("marshal privilege: unsupported type %T", p)
 	}
 }
 
-func fromWire(w *privWire) (Privilege, error) {
+// Privilege builds the term w describes and validates it against the
+// grammar.
+func (w *PrivWire) Privilege() (Privilege, error) {
 	switch {
 	case w == nil:
 		return nil, fmt.Errorf("unmarshal privilege: empty term")
@@ -89,7 +93,7 @@ func fromWire(w *privWire) (Privilege, error) {
 		case a.DstRole != "":
 			dst = Role(a.DstRole)
 		case a.DstPriv != nil:
-			inner, err := fromWire(a.DstPriv)
+			inner, err := a.DstPriv.Privilege()
 			if err != nil {
 				return nil, err
 			}
@@ -108,7 +112,7 @@ func fromWire(w *privWire) (Privilege, error) {
 type vertexWire struct {
 	Kind string    `json:"kind,omitempty"` // "user" or "role"
 	Name string    `json:"name,omitempty"`
-	Priv *privWire `json:"priv,omitempty"`
+	Priv *PrivWire `json:"priv,omitempty"`
 }
 
 // MarshalVertex encodes an entity or privilege vertex as JSON.
@@ -117,7 +121,7 @@ func MarshalVertex(v Vertex) ([]byte, error) {
 	case Entity:
 		return json.Marshal(vertexWire{Kind: t.Kind.String(), Name: t.Name})
 	case Privilege:
-		w, err := toWire(t)
+		w, err := WireOf(t)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +141,7 @@ func UnmarshalVertex(data []byte) (Vertex, error) {
 	case w.Priv != nil && w.Name != "":
 		return nil, fmt.Errorf("unmarshal vertex: both entity and privilege set")
 	case w.Priv != nil:
-		return fromWire(w.Priv)
+		return w.Priv.Privilege()
 	case w.Name != "":
 		switch w.Kind {
 		case "user":
@@ -154,7 +158,7 @@ func UnmarshalVertex(data []byte) (Vertex, error) {
 
 // MarshalPrivilege encodes a privilege term as JSON.
 func MarshalPrivilege(p Privilege) ([]byte, error) {
-	w, err := toWire(p)
+	w, err := WireOf(p)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +168,9 @@ func MarshalPrivilege(p Privilege) ([]byte, error) {
 // UnmarshalPrivilege decodes a privilege term from JSON and validates it
 // against the grammar.
 func UnmarshalPrivilege(data []byte) (Privilege, error) {
-	var w privWire
+	var w PrivWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err
 	}
-	return fromWire(&w)
+	return w.Privilege()
 }

@@ -73,39 +73,74 @@ type Policy struct {
 	rh map[[2]string]struct{}
 	pa map[[2]string]struct{}
 
-	users map[string]struct{} // declared users (names)
-	roles map[string]struct{} // declared roles (names)
+	// users and roles are the declared entity names, each mapped to its graph
+	// vertex id, so an entity resolves to its vertex without building a key.
+	users map[string]int32
+	roles map[string]int32
 }
 
 // New returns an empty policy.
-func New() *Policy {
+func New() *Policy { return newSized(&Wire{}) }
+
+// newSized returns an empty policy with room for what w declares.
+func newSized(w *Wire) *Policy {
+	verts := len(w.Users) + len(w.Roles) + len(w.PA)
 	return &Policy{
-		g:     graph.New(),
-		verts: make(map[string]model.Vertex),
-		ua:    make(map[[2]string]struct{}),
-		rh:    make(map[[2]string]struct{}),
-		pa:    make(map[[2]string]struct{}),
-		users: make(map[string]struct{}),
-		roles: make(map[string]struct{}),
+		g:     graph.NewSized(verts, len(w.UA)+len(w.RH)+len(w.PA)),
+		verts: make(map[string]model.Vertex, verts),
+		ua:    make(map[[2]string]struct{}, len(w.UA)),
+		rh:    make(map[[2]string]struct{}, len(w.RH)),
+		pa:    make(map[[2]string]struct{}, len(w.PA)),
+		users: make(map[string]int32, len(w.Users)),
+		roles: make(map[string]int32, len(w.Roles)),
 	}
 }
 
-// intern registers a vertex and returns its key.
+// intern registers a vertex and returns its key. A declared entity's key is
+// the one its vertex already carries; nothing is built for it.
 func (p *Policy) intern(v model.Vertex) string {
-	k := v.Key()
-	if _, ok := p.verts[k]; !ok {
-		p.verts[k] = v
-		p.g.AddVertex(k)
-		if e, ok := v.(model.Entity); ok {
-			switch e.Kind {
-			case model.KindUser:
-				p.users[e.Name] = struct{}{}
-			case model.KindRole:
-				p.roles[e.Name] = struct{}{}
-			}
+	if e, ok := v.(model.Entity); ok {
+		if id := p.EntityVertex(e); id != graph.NoVertex {
+			return p.g.Key(id)
 		}
 	}
+	k := v.Key()
+	if _, ok := p.verts[k]; !ok {
+		p.addVertex(k, v)
+	}
 	return k
+}
+
+// addVertex registers a vertex known to be absent under its key.
+func (p *Policy) addVertex(k string, v model.Vertex) {
+	p.verts[k] = v
+	id := int32(p.g.AddVertex(k))
+	if e, ok := v.(model.Entity); ok {
+		switch e.Kind {
+		case model.KindUser:
+			p.users[e.Name] = id
+		case model.KindRole:
+			p.roles[e.Name] = id
+		}
+	}
+}
+
+// EntityVertex returns the graph vertex id of a declared user or role, or
+// graph.NoVertex. It is Graph().Lookup(e.Key()) without building the key:
+// the per-query entity lookup of the decision procedure.
+func (p *Policy) EntityVertex(e model.Entity) int {
+	var id int32
+	var ok bool
+	switch e.Kind {
+	case model.KindUser:
+		id, ok = p.users[e.Name]
+	case model.KindRole:
+		id, ok = p.roles[e.Name]
+	}
+	if !ok {
+		return graph.NoVertex
+	}
+	return int(id)
 }
 
 // DeclareUser registers a user in the policy's universe without any edges.
@@ -302,7 +337,7 @@ func (p *Policy) HasUser(name string) bool { _, ok := p.users[name]; return ok }
 // HasRole reports whether the role is declared.
 func (p *Policy) HasRole(name string) bool { _, ok := p.roles[name]; return ok }
 
-func sortedKeys(m map[string]struct{}) []string {
+func sortedKeys(m map[string]int32) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -444,16 +479,7 @@ func (p *Policy) LongestRoleChain() int {
 func (p *Policy) Clone() *Policy {
 	c := New()
 	for k, v := range p.verts {
-		c.verts[k] = v
-		c.g.AddVertex(k)
-		if e, ok := v.(model.Entity); ok {
-			switch e.Kind {
-			case model.KindUser:
-				c.users[e.Name] = struct{}{}
-			case model.KindRole:
-				c.roles[e.Name] = struct{}{}
-			}
-		}
+		c.addVertex(k, v)
 	}
 	for pair := range p.ua {
 		c.ua[pair] = struct{}{}
@@ -591,15 +617,19 @@ func (p *Policy) DOT(name string) string {
 	return p.g.DOT(name, labels, attrs)
 }
 
-// wire types for JSON (de)serialization.
-
+// edgeWire is one edge of a Wire: To names the entity target of a UA or RH
+// edge, Priv the privilege target of a PA edge.
 type edgeWire struct {
 	From string          `json:"from"`
 	To   string          `json:"to,omitempty"`
-	Priv json.RawMessage `json:"priv,omitempty"`
+	Priv *model.PrivWire `json:"priv,omitempty"`
 }
 
-type policyWire struct {
+// Wire is the JSON form of a policy as plain data. A document that embeds a
+// policy (storage's snapshot) declares a Wire field and decodes the whole
+// file in one parse; a *Policy field would be handed its bytes to parse
+// again.
+type Wire struct {
 	Users []string   `json:"users,omitempty"`
 	Roles []string   `json:"roles,omitempty"`
 	UA    []edgeWire `json:"ua,omitempty"`
@@ -607,9 +637,9 @@ type policyWire struct {
 	PA    []edgeWire `json:"pa,omitempty"`
 }
 
-// MarshalJSON encodes the policy deterministically.
-func (p *Policy) MarshalJSON() ([]byte, error) {
-	w := policyWire{Users: p.Users(), Roles: p.Roles()}
+// Wire returns the policy's wire form, deterministically ordered.
+func (p *Policy) Wire() (Wire, error) {
+	w := Wire{Users: p.Users(), Roles: p.Roles()}
 	for _, e := range p.EdgesOf(EdgeUA) {
 		w.UA = append(w.UA, edgeWire{From: e.From.String(), To: e.To.String()})
 	}
@@ -617,44 +647,62 @@ func (p *Policy) MarshalJSON() ([]byte, error) {
 		w.RH = append(w.RH, edgeWire{From: e.From.String(), To: e.To.String()})
 	}
 	for _, e := range p.EdgesOf(EdgePA) {
-		raw, err := model.MarshalPrivilege(e.To.(model.Privilege))
+		priv, err := model.WireOf(e.To.(model.Privilege))
 		if err != nil {
+			return Wire{}, err
+		}
+		w.PA = append(w.PA, edgeWire{From: e.From.String(), Priv: priv})
+	}
+	return w, nil
+}
+
+// Policy builds the policy w describes and validates it.
+func (w *Wire) Policy() (*Policy, error) {
+	p := newSized(w)
+	for _, u := range w.Users {
+		p.DeclareUser(u)
+	}
+	for _, r := range w.Roles {
+		p.DeclareRole(r)
+	}
+	for _, e := range w.UA {
+		p.Assign(e.From, e.To)
+	}
+	for _, e := range w.RH {
+		p.AddInherit(e.From, e.To)
+	}
+	for _, e := range w.PA {
+		pr, err := e.Priv.Privilege()
+		if err != nil {
+			return nil, fmt.Errorf("PA edge from %s: %w", e.From, err)
+		}
+		if _, err := p.GrantPrivilege(e.From, pr); err != nil {
 			return nil, err
 		}
-		w.PA = append(w.PA, edgeWire{From: e.From.String(), Priv: raw})
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// MarshalJSON encodes the policy deterministically.
+func (p *Policy) MarshalJSON() ([]byte, error) {
+	w, err := p.Wire()
+	if err != nil {
+		return nil, err
 	}
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON decodes a policy and validates it.
+// UnmarshalJSON decodes a policy and validates it; p is untouched on error.
 func (p *Policy) UnmarshalJSON(data []byte) error {
-	var w policyWire
+	var w Wire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	fresh := New()
-	for _, u := range w.Users {
-		fresh.DeclareUser(u)
-	}
-	for _, r := range w.Roles {
-		fresh.DeclareRole(r)
-	}
-	for _, e := range w.UA {
-		fresh.Assign(e.From, e.To)
-	}
-	for _, e := range w.RH {
-		fresh.AddInherit(e.From, e.To)
-	}
-	for _, e := range w.PA {
-		pr, err := model.UnmarshalPrivilege(e.Priv)
-		if err != nil {
-			return fmt.Errorf("PA edge from %s: %w", e.From, err)
-		}
-		if _, err := fresh.GrantPrivilege(e.From, pr); err != nil {
-			return err
-		}
-	}
-	if err := fresh.Validate(); err != nil {
+	fresh, err := w.Policy()
+	if err != nil {
 		return err
 	}
 	*p = *fresh

@@ -98,9 +98,17 @@ func TestFollowerReplicatesAndConverges(t *testing.T) {
 		}
 	}
 
-	lag, ok := fol.LagStats("alpha")
-	if !ok {
-		t.Fatal("no lag stats for replicated tenant")
+	// The pull loop records its progress after the engine has published it,
+	// so the telemetry may trail the generation waited for above by a moment.
+	var lag LagStats
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var ok bool
+		if lag, ok = fol.LagStats("alpha"); !ok {
+			t.Fatal("no lag stats for replicated tenant")
+		}
+		if lag.Generation == 40 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if lag.Generation != 40 || !lag.Healthy {
 		t.Fatalf("lag stats %+v, want generation 40 healthy", lag)

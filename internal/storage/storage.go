@@ -257,7 +257,8 @@ const maxAudit = 1024
 // budget the whole log fits.
 const maxTail = 2048
 
-// snapshotMeta wraps the policy snapshot with its log position.
+// snapshotMeta wraps the policy snapshot with its log position. The policy is
+// a plain-data member, so the whole file is parsed (and written) once.
 type snapshotMeta struct {
 	Seq int `json:"seq"`
 	// SeqEpoch is the fencing epoch of the record at Seq — kept so a store
@@ -272,7 +273,7 @@ type snapshotMeta struct {
 	// Store.Placement), kept recoverable across log truncation exactly like
 	// Epoch.
 	Placement json.RawMessage `json:"placement,omitempty"`
-	Policy    json.RawMessage `json:"policy"`
+	Policy    policy.Wire     `json:"policy"`
 }
 
 // Open opens (or initialises) the store in dir, returning the recovered
@@ -294,7 +295,7 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 		if err := json.Unmarshal(data, &meta); err != nil {
 			return nil, nil, rec, fmt.Errorf("storage: corrupt snapshot: %w", err)
 		}
-		if err := json.Unmarshal(meta.Policy, pol); err != nil {
+		if pol, err = meta.Policy.Policy(); err != nil {
 			return nil, nil, rec, fmt.Errorf("storage: corrupt snapshot policy: %w", err)
 		}
 		seq = meta.Seq
@@ -980,11 +981,11 @@ func (s *Store) compactLocked(p *policy.Policy, seq int, seqEpoch uint64, keepAu
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	polData, err := json.Marshal(p)
+	w, err := p.Wire()
 	if err != nil {
 		return err
 	}
-	meta, err := json.Marshal(snapshotMeta{Seq: seq, SeqEpoch: seqEpoch, Epoch: s.epoch, Placement: s.placement, Policy: polData})
+	meta, err := json.Marshal(snapshotMeta{Seq: seq, SeqEpoch: seqEpoch, Epoch: s.epoch, Placement: s.placement, Policy: w})
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adminrefine/internal/command"
@@ -217,6 +220,97 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 	if _, _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt snapshot accepted")
+	}
+}
+
+// twoPassMeta is the snapshot codec before the one-pass decoder, kept as the
+// reference: the policy travels as raw bytes, marshalled and parsed on its
+// own.
+type twoPassMeta struct {
+	Seq       int             `json:"seq"`
+	SeqEpoch  uint64          `json:"seq_epoch,omitempty"`
+	Epoch     uint64          `json:"epoch,omitempty"`
+	Placement json.RawMessage `json:"placement,omitempty"`
+	Policy    json.RawMessage `json:"policy"`
+}
+
+func TestSnapshotCompatibleWithTwoPassCodec(t *testing.T) {
+	tricky := policy.New()
+	tricky.Assign("a,b", "x:y")
+	tricky.AddInherit("x:y", "(p)<&>")
+	tricky.DeclareUser("idle")
+	nested := model.Grant(model.Role("x:y"), model.Revoke(model.User("a,b"), model.Role("%")))
+	for _, pr := range []model.Privilege{model.Perm("read", "t,1"), nested} {
+		if _, err := tricky.GrantPrivilege("(p)<&>", pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, p := range map[string]*policy.Policy{"figure2": policy.Figure2(), "tricky": tricky, "empty": policy.New()} {
+		t.Run(name, func(t *testing.T) {
+			// Old writer, new reader.
+			polData, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := json.Marshal(twoPassMeta{Seq: 7, SeqEpoch: 2, Epoch: 3, Placement: json.RawMessage(`{"v":1}`), Policy: polData})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, got, rec, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if !got.Equal(p) || !rec.SnapshotLoaded || s.Seq() != 7 || s.Epoch() != 3 || string(s.Placement()) != `{"v":1}` {
+				t.Fatalf("old snapshot opened as seq %d epoch %d placement %s, policy equal=%v", s.Seq(), s.Epoch(), s.Placement(), got.Equal(p))
+			}
+			// New writer: the same bytes, so the old reader opens them too.
+			if err := s.Compact(got); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fresh, old) {
+				t.Fatalf("snapshot bytes changed:\n old %s\n new %s", old, fresh)
+			}
+			var meta twoPassMeta
+			back := policy.New()
+			if err := json.Unmarshal(fresh, &meta); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(meta.Policy, back); err != nil || !back.Equal(p) {
+				t.Fatalf("two-pass reader on the new snapshot: err=%v equal=%v", err, back.Equal(p))
+			}
+		})
+	}
+}
+
+func TestCorruptSnapshotPolicyRejected(t *testing.T) {
+	for name, snap := range map[string]string{
+		"wrong type":        `{"seq":3,"policy":{"users":["u"],"roles":"r"}}`,
+		"not an object":     `{"seq":3,"policy":["u"]}`,
+		"ungrammatical":     `{"seq":3,"policy":{"users":["u"],"roles":["r"],"ua":[{"from":"u","to":"r"}],"pa":[{"from":"r","priv":{"admin":{"op":"grant","srcKind":"user","src":"u","dstPriv":{"perm":{"action":"a","object":"o"}}}}}]}}`,
+		"missing privilege": `{"seq":3,"policy":{"roles":["r"],"pa":[{"from":"r"}]}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, pol, _, err := Open(dir, Options{})
+			if err == nil || !strings.Contains(err.Error(), "storage: corrupt snapshot") {
+				t.Fatalf("err = %v, want a corrupt-snapshot error", err)
+			}
+			if s != nil || pol != nil {
+				t.Fatalf("corrupt snapshot still returned a store (%v) or a partial policy (%v)", s, pol)
+			}
+		})
 	}
 }
 

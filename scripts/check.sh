@@ -1,6 +1,6 @@
 #!/bin/sh
 # Local one-shot gate without make: build + fmt + vet + the dependency-cone
-# assertion + tests (the program's and, against it, the frozen reference
+# and size-budget assertions + tests (the program's and, against it, the frozen reference
 # benchmark's under bench/) + one race pass over the whole tree (the
 # concurrent stack, the daemon chaos e2es and storage fault injection
 # included) + a short run of every root benchmark + a 4-second correctness
@@ -15,10 +15,8 @@ cd "$(dirname "$0")/.."
 go build ./...
 test -z "$(gofmt -l .)"
 go vet ./...
-# The daemon links none of the experiment, analysis or test-support
-# packages, and the two CLIs none of the serving stack.
-if go list -deps ./cmd/rbacd | grep -E '^adminrefine/internal/(cli|workload|monitor|hru|arbac|scope|domains|analysis|fault)$'; then exit 1; fi
-if go list -deps ./cmd/rbacctl ./cmd/rbacbench | grep -E '^adminrefine/internal/(server|wire|service|tenant|replication|admission|placement)$'; then exit 1; fi
+# The dependency cone and the 22 000-line size budget.
+sh scripts/cone.sh
 go test ./...
 go vet -C bench ./...
 go test -C bench ./...
