@@ -20,7 +20,8 @@ import (
 // decision-cache hit, through the full uncached Definition-5 and §4.1
 // procedures, on a command's first sight (uninterned: the doorkeeper says
 // "not yet"), through the tenant registry (single and batched), and on a
-// caught-up follower's replayed engine. Sibling pins: internal/session
+// caught-up follower's replayed engine. The one row with a large budget,
+// registry/cold-open, pins what opening a non-resident tenant allocates. Sibling pins: internal/session
 // TestCheckAllocs (access checks) and internal/wire TestDrainAllocs (the
 // request core under a wire drain).
 func TestAuthorizeAllocs(t *testing.T) {
@@ -182,6 +183,30 @@ func TestAuthorizeAllocs(t *testing.T) {
 			// interning a command allocates about 6 times. The string-building
 			// path this row replaced cost 6 per command, 3072 per batch.
 		}, 48},
+		{"registry/cold-open", func(t *testing.T) func() {
+			// What a request for a non-resident tenant allocates before its
+			// answer, on BenchmarkColdOpen's fixture (256 roles × 64 users):
+			// evict, then read the snapshot, scan the WAL, build the engine and
+			// one closure, decide.
+			reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+			t.Cleanup(func() { reg.Close() })
+			if err := reg.InstallPolicy("t", workload.ChurnPolicy(256, 64)); err != nil {
+				t.Fatal(err)
+			}
+			c := workload.ChurnGrant(0, 64, 256)
+			return func() {
+				if !reg.Evict("t") {
+					t.Fatal("tenant not evicted")
+				}
+				if res, err := reg.Authorize("t", c); err != nil || !res.OK {
+					t.Fatalf("authorize: ok=%v err=%v", res.OK, err)
+				}
+			}
+			// Not 0: a vertex, a closure and a fingerprint table are built per
+			// open. 3 398 when the snapshot was JSON and the policy kept maps
+			// beside its graph; about 450 now, the boxed vertices two thirds of
+			// them. The decision cache is not among them: it is recycled.
+		}, 1000},
 		{"follower/batch=32", func(t *testing.T) func() {
 			// A follower replays the primary's WAL into a plain engine, so
 			// its reads must cost what they cost anywhere else.

@@ -550,7 +550,7 @@ func BenchmarkFirstSightAuthorize(b *testing.B) {
 
 // BenchmarkColdOpen measures what a request for a non-resident tenant pays
 // before its answer: evict the bulk-cold fixture's tenant (256 roles × 64
-// users), then authorize one command against it — snapshot parse, WAL
+// users), then authorize one command against it — snapshot load, WAL
 // replay, engine and closure build, decision.
 func BenchmarkColdOpen(b *testing.B) {
 	const roles, users = 256, 64

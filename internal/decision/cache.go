@@ -73,6 +73,19 @@ func New(n int) *Cache {
 	return &Cache{slots: make([]slot, buckets*ways), mask: uint32(buckets - 1)}
 }
 
+// Reset empties the cache and zeroes its counters so it can serve a new
+// owner: afterwards every Get misses until that owner Puts. Unlike Get and
+// Put it needs the caller to be the only user, which a tenant's shutdown
+// guarantees (unlinked, nothing in flight, every snapshot closed). Recycling
+// the table costs one clear of memory that is already mapped.
+func (c *Cache) Reset() {
+	clear(c.slots)
+	c.hits.Store(0)
+	c.misses.Store(0)
+	c.stores.Store(0)
+	c.evictions.Store(0)
+}
+
 // Slots reports the cache capacity in slots (0 = disabled).
 func (c *Cache) Slots() int { return len(c.slots) }
 

@@ -233,15 +233,21 @@ type Engine struct {
 // New builds an engine, taking ownership of the policy: the caller must not
 // mutate p afterwards.
 func New(p *policy.Policy, mode Mode) *Engine {
-	return NewAt(p, mode, 0)
+	return NewAt(p, mode, 0, nil)
 }
 
 // NewAt builds an engine whose state starts at a prior generation — the
 // recovery constructor. A durable store that replayed its WAL into p hands
 // the engine the policy together with the sequence number of the last
 // replayed record, so generations keep counting from where the crashed
-// process left off (see storage.OpenEngine).
-func NewAt(p *policy.Policy, mode Mode, gen uint64) *Engine {
+// process left off (see storage.OpenEngine). cache is the decision cache the
+// engine decides through — empty, and the engine's alone from here on (a
+// registry hands in a recycled one, see tenant.Registry); nil builds one of
+// decision.DefaultSlots.
+func NewAt(p *policy.Policy, mode Mode, gen uint64, cache *decision.Cache) *Engine {
+	if cache == nil {
+		cache = decision.New(decision.DefaultSlots)
+	}
 	e := &Engine{
 		mode:     mode,
 		logBase:  int(gen),
@@ -249,7 +255,7 @@ func NewAt(p *policy.Policy, mode Mode, gen uint64) *Engine {
 		posFloor: gen,
 		negFloor: gen,
 	}
-	e.cache.Store(decision.New(decision.DefaultSlots))
+	e.cache.Store(cache)
 	ch := make(chan struct{})
 	e.published.Store(&ch)
 	r := newReplica(p, mode, int(gen))
@@ -282,6 +288,9 @@ func (e *Engine) SetCacheSlots(n int) {
 	cur := e.cur.Load()
 	e.cur.Store(e.snapshotOf(cur.r, cur.gen))
 }
+
+// Cache returns the decision cache current snapshots decide through.
+func (e *Engine) Cache() *decision.Cache { return e.cache.Load() }
 
 // CacheStats reports the decision-cache counters.
 func (e *Engine) CacheStats() decision.Stats {

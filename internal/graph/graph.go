@@ -12,7 +12,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -22,11 +23,13 @@ const NoVertex = -1
 // Digraph is a mutable directed graph over interned string vertices.
 // The zero value is not usable; call New.
 type Digraph struct {
-	ids   map[string]int
-	keys  []string
-	succ  [][]int
-	pred  [][]int
-	edges map[[2]int]struct{}
+	ids  map[string]int
+	keys []string
+	succ [][]int
+	pred [][]int
+	// numEdges counts the distinct edges; membership is a scan of the shorter
+	// of the two adjacency lists an edge appears in.
+	numEdges int
 
 	// generation increments on every mutation; cached closures check it.
 	generation uint64
@@ -78,60 +81,85 @@ func (g *Digraph) logSince(gen uint64) ([]mutation, bool) {
 }
 
 // New returns an empty digraph.
-func New() *Digraph { return NewSized(0, 0) }
+func New() *Digraph { return &Digraph{ids: make(map[string]int)} }
 
-// NewSized returns an empty digraph with room for the given vertex and edge
-// counts, for callers that know them (a decoded snapshot).
-func NewSized(verts, edges int) *Digraph {
-	return &Digraph{
-		ids:   make(map[string]int, verts),
-		keys:  make([]string, 0, verts),
-		succ:  make([][]int, 0, verts),
-		pred:  make([][]int, 0, verts),
-		edges: make(map[[2]int]struct{}, edges),
-		log:   make([]mutation, 0, verts+edges),
+// Load builds the digraph whose vertex i has key keys[i] and successor list
+// succ[i] — a decoded snapshot, keeping the writer's vertex ids. It takes
+// ownership of both slices (callers carve the lists, capacity-clipped, from
+// one flat array) and carves the predecessor lists from a second. The key
+// index is the only map filled and the mutation log starts empty. A repeated
+// key, an out-of-range target or a repeated edge is an error.
+func Load(keys []string, succ [][]int) (*Digraph, error) {
+	n := len(keys)
+	g := &Digraph{ids: make(map[string]int, n), keys: keys, succ: succ, pred: make([][]int, n)}
+	for i, k := range keys {
+		g.ids[k] = i
 	}
+	if len(g.ids) != n || len(succ) != n {
+		return nil, fmt.Errorf("graph: %d distinct keys and %d adjacency lists for %d vertices", len(g.ids), len(succ), n)
+	}
+	indeg := make([]int, n)
+	for _, s := range succ {
+		for _, t := range s {
+			if t < 0 || t >= n {
+				return nil, fmt.Errorf("graph: edge target %d out of range", t)
+			}
+			indeg[t]++
+		}
+		g.numEdges += len(s)
+	}
+	pbuf := make([]int, g.numEdges)
+	off := 0
+	for t, d := range indeg {
+		g.pred[t] = pbuf[off : off : off+d]
+		off += d
+	}
+	for f, s := range succ {
+		for _, t := range s {
+			// Sources arrive in ascending order, so a repeated edge is adjacent.
+			if p := g.pred[t]; len(p) > 0 && p[len(p)-1] == f {
+				return nil, fmt.Errorf("graph: repeated edge %d -> %d", f, t)
+			}
+			g.pred[t] = append(g.pred[t], f)
+		}
+	}
+	g.generation = uint64(n + g.numEdges)
+	g.logBase = g.generation
+	return g, nil
 }
 
-// Clone returns an independent deep copy of g. The generation counter and
-// mutation log are copied too, so incremental-closure bookkeeping on the
-// clone behaves identically to the original's (a Closure itself pins the
-// *Digraph it was built on and is never transferable between graphs).
+// Clone returns an independent deep copy of g with the same vertex ids. The
+// generation counter and mutation log are copied too, so incremental-closure
+// bookkeeping on the clone behaves identically to the original's (a Closure
+// itself pins the *Digraph it was built on and is never transferable).
 //
 // The adjacency lists are rebuilt over two flat backing arrays sized from
 // the edge count — one allocation per direction instead of one per vertex —
-// which is what keeps the writer's copy-on-write resync path cheap on large
-// policies. Each per-vertex slice is capacity-clipped, so a later append on
-// the clone reallocates that vertex's list instead of clobbering its
-// neighbour's.
+// which keeps the writer's copy-on-write resync path cheap on large policies.
+// Each per-vertex slice is capacity-clipped, so a later append on the clone
+// reallocates that vertex's list instead of clobbering its neighbour's.
 func (g *Digraph) Clone() *Digraph {
 	c := &Digraph{
-		ids:        make(map[string]int, len(g.ids)),
-		keys:       append([]string(nil), g.keys...),
+		ids:        maps.Clone(g.ids),
+		keys:       slices.Clone(g.keys),
 		succ:       make([][]int, len(g.succ)),
 		pred:       make([][]int, len(g.pred)),
-		edges:      make(map[[2]int]struct{}, len(g.edges)),
+		numEdges:   g.numEdges,
 		generation: g.generation,
-		log:        append([]mutation(nil), g.log...),
+		log:        slices.Clone(g.log),
 		logBase:    g.logBase,
 	}
-	for k, v := range g.ids {
-		c.ids[k] = v
-	}
-	sbuf := make([]int, 0, len(g.edges))
+	sbuf := make([]int, 0, g.numEdges)
 	for i, s := range g.succ {
 		n := len(sbuf)
 		sbuf = append(sbuf, s...)
 		c.succ[i] = sbuf[n:len(sbuf):len(sbuf)]
 	}
-	pbuf := make([]int, 0, len(g.edges))
+	pbuf := make([]int, 0, g.numEdges)
 	for i, p := range g.pred {
 		n := len(pbuf)
 		pbuf = append(pbuf, p...)
 		c.pred[i] = pbuf[n:len(pbuf):len(pbuf)]
-	}
-	for e := range g.edges {
-		c.edges[e] = struct{}{}
 	}
 	return c
 }
@@ -171,7 +199,7 @@ func (g *Digraph) Key(id int) string {
 func (g *Digraph) NumVertices() int { return len(g.keys) }
 
 // NumEdges returns the number of distinct directed edges.
-func (g *Digraph) NumEdges() int { return len(g.edges) }
+func (g *Digraph) NumEdges() int { return g.numEdges }
 
 // Generation returns a counter that changes whenever the graph mutates.
 // Callers caching reachability results can use it for invalidation.
@@ -186,10 +214,10 @@ func (g *Digraph) AddEdge(from, to string) bool {
 
 // AddEdgeID inserts the edge f→t by vertex IDs, reporting whether it was new.
 func (g *Digraph) AddEdgeID(f, t int) bool {
-	if _, ok := g.edges[[2]int{f, t}]; ok {
+	if g.HasEdgeID(f, t) {
 		return false
 	}
-	g.edges[[2]int{f, t}] = struct{}{}
+	g.numEdges++
 	g.succ[f] = append(g.succ[f], t)
 	g.pred[t] = append(g.pred[t], f)
 	g.record(mutation{kind: mutAddEdge, f: int32(f), t: int32(t)})
@@ -208,10 +236,10 @@ func (g *Digraph) RemoveEdge(from, to string) bool {
 
 // RemoveEdgeID deletes the edge f→t by IDs, reporting whether it existed.
 func (g *Digraph) RemoveEdgeID(f, t int) bool {
-	if _, ok := g.edges[[2]int{f, t}]; !ok {
+	if !g.HasEdgeID(f, t) {
 		return false
 	}
-	delete(g.edges, [2]int{f, t})
+	g.numEdges--
 	g.succ[f] = removeOne(g.succ[f], t)
 	g.pred[t] = removeOne(g.pred[t], f)
 	g.record(mutation{kind: mutRemoveEdge, f: int32(f), t: int32(t)})
@@ -231,11 +259,16 @@ func removeOne(s []int, x int) []int {
 // HasEdge reports whether the edge from→to is present.
 func (g *Digraph) HasEdge(from, to string) bool {
 	f, t := g.Lookup(from), g.Lookup(to)
-	if f == NoVertex || t == NoVertex {
-		return false
+	return f != NoVertex && t != NoVertex && g.HasEdgeID(f, t)
+}
+
+// HasEdgeID is HasEdge over vertex IDs: a scan of the shorter of f's
+// successor and t's predecessor lists.
+func (g *Digraph) HasEdgeID(f, t int) bool {
+	if s, p := g.succ[f], g.pred[t]; len(p) < len(s) {
+		return slices.Contains(p, f)
 	}
-	_, ok := g.edges[[2]int{f, t}]
-	return ok
+	return slices.Contains(g.succ[f], t)
 }
 
 // Successors returns the direct successors of vertex id (do not mutate).
@@ -246,16 +279,13 @@ func (g *Digraph) Predecessors(id int) []int { return g.pred[id] }
 
 // Edges returns all edges as ID pairs in deterministic order.
 func (g *Digraph) Edges() [][2]int {
-	out := make([][2]int, 0, len(g.edges))
-	for e := range g.edges {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	out := make([][2]int, 0, g.numEdges)
+	for f, s := range g.succ {
+		for _, t := range s {
+			out = append(out, [2]int{f, t})
 		}
-		return out[i][1] < out[j][1]
-	})
+		slices.SortFunc(out[len(out)-len(s):], func(a, b [2]int) int { return a[1] - b[1] })
+	}
 	return out
 }
 
@@ -575,15 +605,19 @@ func (g *Digraph) SCC() (comp []int, components [][]int) {
 	var stack []int
 	var next int
 
-	// Iterative Tarjan to avoid recursion depth limits on long chains.
+	// Iterative Tarjan to avoid recursion depth limits on long chains. The
+	// components are carved from one array: a component's members leave the
+	// stack together.
 	type frame struct {
 		v, childIdx int
 	}
+	var call []frame
+	members := make([]int, 0, n)
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
-		call := []frame{{root, 0}}
+		call = append(call[:0], frame{root, 0})
 		index[root] = next
 		low[root] = next
 		next++
@@ -615,18 +649,18 @@ func (g *Digraph) SCC() (comp []int, components [][]int) {
 				}
 			}
 			if low[v] == index[v] {
-				var scc []int
+				start := len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					comp[w] = len(components)
-					scc = append(scc, w)
+					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
-				components = append(components, scc)
+				components = append(components, members[start:len(members):len(members)])
 			}
 		}
 	}
@@ -640,34 +674,19 @@ func (g *Digraph) SCC() (comp []int, components [][]int) {
 // enumeration.
 func (g *Digraph) LongestChain() int {
 	comp, components := g.SCC()
-	k := len(components)
-	// Build condensation adjacency.
-	adj := make(map[int]map[int]struct{}, k)
-	for e := range g.edges {
-		cf, ct := comp[e[0]], comp[e[1]]
-		if cf == ct {
-			continue
-		}
-		m, ok := adj[cf]
-		if !ok {
-			m = make(map[int]struct{})
-			adj[cf] = m
-		}
-		m[ct] = struct{}{}
-	}
 	// components are in reverse topological order: successors of a component
 	// have smaller indices, so a single pass suffices.
-	longest := make([]int, k)
+	longest := make([]int, len(components))
 	best := 0
-	for i := 0; i < k; i++ {
-		for j := range adj[i] {
-			if longest[j]+1 > longest[i] {
-				longest[i] = longest[j] + 1
+	for i, members := range components {
+		for _, v := range members {
+			for _, w := range g.succ[v] {
+				if j := comp[w]; j != i && longest[j]+1 > longest[i] {
+					longest[i] = longest[j] + 1
+				}
 			}
 		}
-		if longest[i] > best {
-			best = longest[i]
-		}
+		best = max(best, longest[i])
 	}
 	return best
 }
@@ -675,8 +694,8 @@ func (g *Digraph) LongestChain() int {
 // IsAcyclic reports whether g has no directed cycles (self-loops count as
 // cycles).
 func (g *Digraph) IsAcyclic() bool {
-	for e := range g.edges {
-		if e[0] == e[1] {
+	for f, s := range g.succ {
+		if slices.Contains(s, f) {
 			return false
 		}
 	}

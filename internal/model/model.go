@@ -454,3 +454,101 @@ func escape(s string) string {
 	}
 	return b.String()
 }
+
+// maxKeyDepth bounds the nesting ParseKey accepts, as encoding/json bounds
+// the documents the JSON form arrives in.
+const maxKeyDepth = 10000
+
+// ParseKey is the inverse of Key: it rebuilds the vertex a canonical key
+// names, sharing the key's bytes for every name that needed no escaping. The
+// key is the structural encoding of a vertex — sort prefix and name for an
+// entity, the term in prefix notation for a privilege — so a table of keys
+// persists a policy's vertices with nothing to build on the way back in. It
+// accepts exactly the strings Key produces (ParseKey(k).Key() == k) and does
+// not check the grammar of Definition 2; callers validate privileges.
+func ParseKey(k string) (Vertex, error) {
+	var outer []AdminPrivilege // the enclosing connectives, outermost first
+	rest := k
+	for len(rest) > 1 && (rest[0] == '+' || rest[0] == '-') && rest[1] == '(' {
+		src, tail, _ := strings.Cut(rest[2:], ",")
+		e, err := parseEntityKey(src)
+		if err != nil || len(outer) == maxKeyDepth {
+			return nil, fmt.Errorf("model: malformed key %q", k)
+		}
+		a := AdminPrivilege{Op: OpGrant, Src: e}
+		if rest[0] == '-' {
+			a.Op = OpRevoke
+		}
+		outer, rest = append(outer, a), tail
+	}
+	n := len(rest) - len(outer)
+	if n < 0 || strings.Trim(rest[n:], ")") != "" {
+		return nil, fmt.Errorf("model: malformed key %q", k)
+	}
+	var v Vertex
+	var err error
+	if inner := rest[:n]; strings.HasPrefix(inner, "p:(") && strings.HasSuffix(inner, ")") {
+		action, object, ok := strings.Cut(inner[3:n-1], ",")
+		var q UserPrivilege
+		if q.Action, err = unescape(action); err == nil && ok {
+			q.Object, err = unescape(object)
+		} else if err == nil {
+			err = fmt.Errorf("model: malformed key %q", k)
+		}
+		v = q
+	} else {
+		v, err = parseEntityKey(inner)
+	}
+	for i := len(outer) - 1; i >= 0 && err == nil; i-- {
+		outer[i].Dst = v
+		v = outer[i]
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+func parseEntityKey(k string) (e Entity, err error) {
+	switch {
+	case strings.HasPrefix(k, "u:"):
+		e.Kind = KindUser
+	case strings.HasPrefix(k, "r:"):
+		e.Kind = KindRole
+	default:
+		return e, fmt.Errorf("model: malformed entity key %q", k)
+	}
+	e.Name, err = unescape(k[2:])
+	return e, err
+}
+
+// keySyntax marks the bytes escape encodes.
+var keySyntax = [256]bool{'(': true, ')': true, ',': true, ':': true, '%': true}
+
+// unescape inverts escape, refusing what escape never writes: a bare key
+// character or a percent sequence other than the five it encodes.
+func unescape(s string) (string, error) {
+	plain := 0
+	for plain < len(s) && !keySyntax[s[plain]] {
+		plain++
+	}
+	if plain == len(s) {
+		return s, nil
+	}
+	b := append(make([]byte, 0, len(s)), s[:plain]...)
+	for i := plain; i < len(s); i++ {
+		c := s[i]
+		if keySyntax[c] {
+			j := -1
+			if c == '%' && i+3 <= len(s) {
+				j = strings.Index("%28%29%2C%3A%25", s[i:i+3])
+			}
+			if j < 0 {
+				return "", fmt.Errorf("model: malformed name %q in key", s)
+			}
+			c, i = "(),:%"[j/3], i+2
+		}
+		b = append(b, c)
+	}
+	return string(b), nil
+}

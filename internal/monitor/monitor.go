@@ -12,7 +12,7 @@
 // Every administrative action is recorded in an in-memory audit log;
 // package storage can persist the log as a write-ahead journal (Attach).
 // In the distributed stack the audit log is instead a WAL record kind
-// appended under the engine commit hook — see storage.AppendCommit.
+// appended under the engine commit hook — see storage.StageCommit.
 package monitor
 
 import (

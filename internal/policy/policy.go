@@ -5,12 +5,13 @@
 // whose reachability relation v →φ v' drives every other definition in the
 // paper.
 //
-// A Policy owns three typed edge sets:
+// A Policy is its graph: the three relations
 //
 //	UA ⊆ U × R    user assignments      (user → role)
 //	RH ⊆ R × R    role hierarchy        (senior role → junior role)
 //	PA ⊆ R × P†   privilege assignments (role → user or admin privilege)
 //
+// are the graph's edges told apart by the sorts of their endpoints.
 // Privileges appear as graph vertices interned by their canonical key, so
 // two structurally equal privilege terms are the same vertex, exactly as the
 // paper requires for rule (2) of Definition 8 to range over privilege
@@ -20,7 +21,10 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 
 	"adminrefine/internal/graph"
 	"adminrefine/internal/model"
@@ -40,16 +44,10 @@ const (
 
 // String names the edge relation.
 func (k EdgeKind) String() string {
-	switch k {
-	case EdgeUA:
-		return "UA"
-	case EdgeRH:
-		return "RH"
-	case EdgePA:
-		return "PA"
-	default:
+	if k < EdgeUA || k > EdgePA {
 		return fmt.Sprintf("EdgeKind(%d)", uint8(k))
 	}
+	return [...]string{EdgeUA: "UA", EdgeRH: "RH", EdgePA: "PA"}[k]
 }
 
 // Edge is one directed policy edge with its classification.
@@ -65,13 +63,15 @@ func (e Edge) String() string { return e.From.String() + " -> " + e.To.String() 
 // Policy is a mutable administrative RBAC policy. The zero value is not
 // usable; call New. Policy is not safe for concurrent mutation; the
 // reference monitor serialises access.
+//
+// A Policy is its graph (Definition 3): the digraph's adjacency is the only
+// record of UA, RH and PA†, and the relation an edge belongs to is derived
+// from the sorts of its endpoints (ClassifyEdge makes it a function of the
+// pair).
 type Policy struct {
-	g     *graph.Digraph
-	verts map[string]model.Vertex // key -> vertex metadata
-
-	ua map[[2]string]struct{}
-	rh map[[2]string]struct{}
-	pa map[[2]string]struct{}
+	g *graph.Digraph
+	// verts is the vertex each graph id names.
+	verts []model.Vertex
 
 	// users and roles are the declared entity names, each mapped to its graph
 	// vertex id, so an entity resolves to its vertex without building a key.
@@ -80,49 +80,51 @@ type Policy struct {
 }
 
 // New returns an empty policy.
-func New() *Policy { return newSized(&Wire{}) }
-
-// newSized returns an empty policy with room for what w declares.
-func newSized(w *Wire) *Policy {
-	verts := len(w.Users) + len(w.Roles) + len(w.PA)
-	return &Policy{
-		g:     graph.NewSized(verts, len(w.UA)+len(w.RH)+len(w.PA)),
-		verts: make(map[string]model.Vertex, verts),
-		ua:    make(map[[2]string]struct{}, len(w.UA)),
-		rh:    make(map[[2]string]struct{}, len(w.RH)),
-		pa:    make(map[[2]string]struct{}, len(w.PA)),
-		users: make(map[string]int32, len(w.Users)),
-		roles: make(map[string]int32, len(w.Roles)),
-	}
+func New() *Policy {
+	return &Policy{g: graph.New(), users: make(map[string]int32), roles: make(map[string]int32)}
 }
 
-// intern registers a vertex and returns its key. A declared entity's key is
-// the one its vertex already carries; nothing is built for it.
-func (p *Policy) intern(v model.Vertex) string {
-	if e, ok := v.(model.Entity); ok {
+// intern registers a vertex and returns its graph id. A declared entity is
+// resolved by name; nothing is built for it.
+func (p *Policy) intern(v model.Vertex) int {
+	e, isEntity := v.(model.Entity)
+	if isEntity {
 		if id := p.EntityVertex(e); id != graph.NoVertex {
-			return p.g.Key(id)
+			return id
 		}
 	}
-	k := v.Key()
-	if _, ok := p.verts[k]; !ok {
-		p.addVertex(k, v)
+	id := p.g.AddVertex(v.Key())
+	if id == len(p.verts) {
+		p.verts = append(p.verts, v)
+		if isEntity {
+			p.index(e, id)
+		}
 	}
-	return k
+	return id
 }
 
-// addVertex registers a vertex known to be absent under its key.
-func (p *Policy) addVertex(k string, v model.Vertex) {
-	p.verts[k] = v
-	id := int32(p.g.AddVertex(k))
-	if e, ok := v.(model.Entity); ok {
-		switch e.Kind {
-		case model.KindUser:
-			p.users[e.Name] = id
-		case model.KindRole:
-			p.roles[e.Name] = id
-		}
+// index records a declared entity's vertex id under its name.
+func (p *Policy) index(e model.Entity, id int) {
+	switch e.Kind {
+	case model.KindUser:
+		p.users[e.Name] = int32(id)
+	case model.KindRole:
+		p.roles[e.Name] = int32(id)
 	}
+}
+
+// lookup returns the graph id of a vertex, or graph.NoVertex.
+func (p *Policy) lookup(v model.Vertex) int {
+	if e, ok := v.(model.Entity); ok {
+		return p.EntityVertex(e)
+	}
+	return p.g.Lookup(v.Key())
+}
+
+// kindOf names the relation of the present edge f → t.
+func (p *Policy) kindOf(f, t int) EdgeKind {
+	kind, _ := ClassifyEdge(p.verts[f], p.verts[t])
+	return kind
 }
 
 // EntityVertex returns the graph vertex id of a declared user or role, or
@@ -152,7 +154,7 @@ func (p *Policy) DeclareRole(name string) { p.intern(model.Role(name)) }
 // Assign adds the user-assignment edge (user, role) ∈ UA, reporting whether
 // it was new.
 func (p *Policy) Assign(user, role string) bool {
-	return p.addEdge(EdgeUA, model.User(user), model.Role(role))
+	return p.addEdge(model.User(user), model.Role(role))
 }
 
 // Deassign removes (user, role) from UA, reporting whether it existed.
@@ -163,7 +165,7 @@ func (p *Policy) Deassign(user, role string) bool {
 // AddInherit adds the role-hierarchy edge (senior, junior) ∈ RH: senior
 // inherits every privilege reachable from junior.
 func (p *Policy) AddInherit(senior, junior string) bool {
-	return p.addEdge(EdgeRH, model.Role(senior), model.Role(junior))
+	return p.addEdge(model.Role(senior), model.Role(junior))
 }
 
 // RemoveInherit removes (senior, junior) from RH.
@@ -177,7 +179,7 @@ func (p *Policy) GrantPrivilege(role string, priv model.Privilege) (bool, error)
 	if err := model.ValidatePrivilege(priv); err != nil {
 		return false, err
 	}
-	return p.addEdge(EdgePA, model.Role(role), priv), nil
+	return p.addEdge(model.Role(role), priv), nil
 }
 
 // RevokePrivilege removes (role, priv) from PA†.
@@ -214,8 +216,7 @@ func ClassifyEdge(from, to model.Vertex) (EdgeKind, error) {
 // AddEdge inserts the edge (from, to), classifying it by vertex sorts.
 // It reports whether the edge was new.
 func (p *Policy) AddEdge(from, to model.Vertex) (bool, error) {
-	kind, err := ClassifyEdge(from, to)
-	if err != nil {
+	if _, err := ClassifyEdge(from, to); err != nil {
 		return false, err
 	}
 	if pr, ok := to.(model.Privilege); ok {
@@ -223,7 +224,7 @@ func (p *Policy) AddEdge(from, to model.Vertex) (bool, error) {
 			return false, err
 		}
 	}
-	return p.addEdge(kind, from, to), nil
+	return p.addEdge(from, to), nil
 }
 
 // RemoveEdge deletes the edge (from, to) regardless of relation, reporting
@@ -236,8 +237,8 @@ func (p *Policy) RemoveEdge(from, to model.Vertex) (bool, error) {
 	return p.removeEdge(from, to), nil
 }
 
-func (p *Policy) addEdge(kind EdgeKind, from, to model.Vertex) bool {
-	fk, tk := p.intern(from), p.intern(to)
+func (p *Policy) addEdge(from, to model.Vertex) bool {
+	f, t := p.intern(from), p.intern(to)
 	// Entities mentioned inside a privilege term belong to the policy's
 	// vocabulary (a privilege ¤(bob,staff) speaks about bob and staff even
 	// before any edge touches them), so declare them.
@@ -246,50 +247,19 @@ func (p *Policy) addEdge(kind EdgeKind, from, to model.Vertex) bool {
 			p.intern(e)
 		}
 	}
-	pair := [2]string{fk, tk}
-	set := p.edgeSet(kind)
-	if _, ok := set[pair]; ok {
-		return false
-	}
-	set[pair] = struct{}{}
-	p.g.AddEdge(fk, tk)
-	return true
+	return p.g.AddEdgeID(f, t)
 }
 
 func (p *Policy) removeEdge(from, to model.Vertex) bool {
-	fk, tk := from.Key(), to.Key()
-	pair := [2]string{fk, tk}
-	for _, set := range []map[[2]string]struct{}{p.ua, p.rh, p.pa} {
-		if _, ok := set[pair]; ok {
-			delete(set, pair)
-			p.g.RemoveEdge(fk, tk)
-			return true
-		}
-	}
-	return false
-}
-
-func (p *Policy) edgeSet(kind EdgeKind) map[[2]string]struct{} {
-	switch kind {
-	case EdgeUA:
-		return p.ua
-	case EdgeRH:
-		return p.rh
-	default:
-		return p.pa
-	}
+	f, t := p.lookup(from), p.lookup(to)
+	return f != graph.NoVertex && t != graph.NoVertex && p.g.RemoveEdgeID(f, t)
 }
 
 // HasEdge reports whether the direct edge (from, to) is present in any
 // relation.
 func (p *Policy) HasEdge(from, to model.Vertex) bool {
-	pair := [2]string{from.Key(), to.Key()}
-	for _, set := range []map[[2]string]struct{}{p.ua, p.rh, p.pa} {
-		if _, ok := set[pair]; ok {
-			return true
-		}
-	}
-	return false
+	f, t := p.lookup(from), p.lookup(to)
+	return f != graph.NoVertex && t != graph.NoVertex && p.g.HasEdgeID(f, t)
 }
 
 // Reaches reports v →φ v': reflexive-transitive reachability in the policy
@@ -310,19 +280,21 @@ func (p *Policy) Path(from, to model.Vertex) []model.Vertex {
 	}
 	out := make([]model.Vertex, len(keys))
 	for i, k := range keys {
-		v, ok := p.verts[k]
-		if !ok {
+		var ok bool
+		if out[i], ok = p.Vertex(k); !ok {
 			return nil
 		}
-		out[i] = v
 	}
 	return out
 }
 
 // Vertex returns the vertex with the given canonical key, if present.
 func (p *Policy) Vertex(key string) (model.Vertex, bool) {
-	v, ok := p.verts[key]
-	return v, ok
+	id := p.g.Lookup(key)
+	if id == graph.NoVertex {
+		return nil, false
+	}
+	return p.verts[id], true
 }
 
 // Users returns the declared user names, sorted.
@@ -337,99 +309,79 @@ func (p *Policy) HasUser(name string) bool { _, ok := p.users[name]; return ok }
 // HasRole reports whether the role is declared.
 func (p *Policy) HasRole(name string) bool { _, ok := p.roles[name]; return ok }
 
-func sortedKeys(m map[string]int32) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func sortedKeys(m map[string]int32) []string { return slices.Sorted(maps.Keys(m)) }
 
 // PrivilegeVertices returns every privilege term that occurs as a vertex of
 // the policy graph (i.e. as the target of some PA† edge, now or in the
 // past), sorted by key. These are the candidates for the vertex-hop case of
 // the ordering decision procedure (DESIGN.md D4).
-func (p *Policy) PrivilegeVertices() []model.Privilege {
-	var out []model.Privilege
-	for _, v := range p.verts {
-		if pr, ok := v.(model.Privilege); ok {
-			out = append(out, pr)
+func (p *Policy) PrivilegeVertices() []model.Privilege { return p.privileges(nil) }
+
+// privileges returns the privilege vertices — those marked in reach, when it
+// is non-nil — sorted by key.
+func (p *Policy) privileges(reach []bool) (out []model.Privilege) {
+	var ids []int
+	for id, v := range p.verts {
+		if _, ok := v.(model.Privilege); ok && (reach == nil || reach[id]) {
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(ids, func(a, b int) int { return strings.Compare(p.g.Key(a), p.g.Key(b)) })
+	for _, id := range ids {
+		out = append(out, p.verts[id].(model.Privilege))
+	}
 	return out
 }
 
-// EdgesOf returns the edges of one relation, sorted deterministically.
+// EdgesOf returns the edges of one relation, sorted deterministically (by
+// the canonical keys of source, then target).
 func (p *Policy) EdgesOf(kind EdgeKind) []Edge {
-	set := p.edgeSet(kind)
-	pairs := make([][2]string, 0, len(set))
-	for pr := range set {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
+	var ids [][2]int
+	for f := range p.verts {
+		for _, t := range p.g.Successors(f) {
+			if p.kindOf(f, t) == kind {
+				ids = append(ids, [2]int{f, t})
+			}
 		}
-		return pairs[i][1] < pairs[j][1]
+	}
+	slices.SortFunc(ids, func(a, b [2]int) int {
+		if c := strings.Compare(p.g.Key(a[0]), p.g.Key(b[0])); c != 0 {
+			return c
+		}
+		return strings.Compare(p.g.Key(a[1]), p.g.Key(b[1]))
 	})
-	out := make([]Edge, len(pairs))
-	for i, pr := range pairs {
-		out[i] = Edge{Kind: kind, From: p.verts[pr[0]], To: p.verts[pr[1]]}
+	out := make([]Edge, len(ids))
+	for i, e := range ids {
+		out[i] = Edge{Kind: kind, From: p.verts[e[0]], To: p.verts[e[1]]}
 	}
 	return out
 }
 
 // Edges returns all edges of the policy (UA, then RH, then PA), sorted.
 func (p *Policy) Edges() []Edge {
-	out := p.EdgesOf(EdgeUA)
-	out = append(out, p.EdgesOf(EdgeRH)...)
-	out = append(out, p.EdgesOf(EdgePA)...)
-	return out
+	return slices.Concat(p.EdgesOf(EdgeUA), p.EdgesOf(EdgeRH), p.EdgesOf(EdgePA))
 }
 
 // NumEdges returns |UA| + |RH| + |PA†|.
-func (p *Policy) NumEdges() int { return len(p.ua) + len(p.rh) + len(p.pa) }
+func (p *Policy) NumEdges() int { return p.g.NumEdges() }
 
 // AuthorizedPerms returns the user privileges (elements of P, not admin
 // privileges) reachable from the vertex: the paper's "privileges of the
 // user's session" when every role is activated. Sorted by key.
 func (p *Policy) AuthorizedPerms(v model.Vertex) []model.UserPrivilege {
 	var out []model.UserPrivilege
-	for _, pr := range p.reachablePrivileges(v) {
+	for _, pr := range p.AuthorizedPrivileges(v) {
 		if q, ok := pr.(model.UserPrivilege); ok {
 			out = append(out, q)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
 // AuthorizedPrivileges returns every privilege vertex (user or
 // administrative) reachable from v, sorted by key.
 func (p *Policy) AuthorizedPrivileges(v model.Vertex) []model.Privilege {
-	out := p.reachablePrivileges(v)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-func (p *Policy) reachablePrivileges(v model.Vertex) []model.Privilege {
-	id := p.g.Lookup(v.Key())
-	if id == graph.NoVertex {
-		return nil
-	}
-	reach := p.g.ReachableFrom(id)
-	var out []model.Privilege
-	for i, in := range reach {
-		if !in {
-			continue
-		}
-		if pr, ok := p.verts[p.g.Key(i)].(model.Privilege); ok {
-			out = append(out, pr)
-		}
-	}
-	return out
+	return p.privileges(p.g.ReachableFrom(p.lookup(v)))
 }
 
 // CanActivate reports whether user u may activate role r: u →φ r (§2).
@@ -439,17 +391,9 @@ func (p *Policy) CanActivate(user, role string) bool {
 
 // RolesActivatableBy returns the roles user u can activate, sorted.
 func (p *Policy) RolesActivatableBy(user string) []string {
-	id := p.g.Lookup(model.User(user).Key())
-	if id == graph.NoVertex {
-		return nil
-	}
-	reach := p.g.ReachableFrom(id)
 	var out []string
-	for i, in := range reach {
-		if !in {
-			continue
-		}
-		if e, ok := p.verts[p.g.Key(i)].(model.Entity); ok && e.IsRole() {
+	for id, in := range p.g.ReachableFrom(p.EntityVertex(model.User(user))) {
+		if e, ok := p.verts[id].(model.Entity); in && ok && e.IsRole() {
 			out = append(out, e.Name)
 		}
 	}
@@ -466,50 +410,26 @@ func (p *Policy) Generation() uint64 { return p.g.Generation() }
 
 // LongestRoleChain returns the longest chain length in RH alone — the
 // nesting bound conjectured by Remark 2.
-func (p *Policy) LongestRoleChain() int {
-	rg := graph.New()
-	for pair := range p.rh {
-		rg.AddEdge(pair[0], pair[1])
-	}
-	return rg.LongestChain()
-}
+func (p *Policy) LongestRoleChain() int { return p.roleGraph().LongestChain() }
 
-// Clone returns an independent deep copy of the policy. Privilege terms are
-// immutable and shared.
+// Clone returns an independent deep copy of the policy with the same vertex
+// ids. Privilege terms are immutable and shared.
 func (p *Policy) Clone() *Policy {
-	c := New()
-	for k, v := range p.verts {
-		c.addVertex(k, v)
-	}
-	for pair := range p.ua {
-		c.ua[pair] = struct{}{}
-		c.g.AddEdge(pair[0], pair[1])
-	}
-	for pair := range p.rh {
-		c.rh[pair] = struct{}{}
-		c.g.AddEdge(pair[0], pair[1])
-	}
-	for pair := range p.pa {
-		c.pa[pair] = struct{}{}
-		c.g.AddEdge(pair[0], pair[1])
-	}
-	return c
+	return &Policy{g: p.g.Clone(), verts: slices.Clone(p.verts), users: maps.Clone(p.users), roles: maps.Clone(p.roles)}
 }
 
 // Equal reports whether two policies have identical UA, RH and PA† sets.
 // Declared-but-unconnected vertices do not affect equality: Definition 3
 // identifies a policy with its edge sets.
 func (p *Policy) Equal(q *Policy) bool {
-	return equalSet(p.ua, q.ua) && equalSet(p.rh, q.rh) && equalSet(p.pa, q.pa)
-}
-
-func equalSet(a, b map[[2]string]struct{}) bool {
-	if len(a) != len(b) {
+	if p.NumEdges() != q.NumEdges() {
 		return false
 	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
+	for f := range p.verts {
+		for _, t := range p.g.Successors(f) {
+			if !q.g.HasEdge(p.g.Key(f), p.g.Key(t)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -519,14 +439,13 @@ func equalSet(a, b map[[2]string]struct{}) bool {
 // not p (added), per relation kind, deterministically ordered.
 func (p *Policy) Diff(q *Policy) (removed, added []Edge) {
 	for _, kind := range []EdgeKind{EdgeUA, EdgeRH, EdgePA} {
-		ps, qs := p.edgeSet(kind), q.edgeSet(kind)
 		for _, e := range p.EdgesOf(kind) {
-			if _, ok := qs[[2]string{e.From.Key(), e.To.Key()}]; !ok {
+			if !q.HasEdge(e.From, e.To) {
 				removed = append(removed, e)
 			}
 		}
 		for _, e := range q.EdgesOf(kind) {
-			if _, ok := ps[[2]string{e.From.Key(), e.To.Key()}]; !ok {
+			if !p.HasEdge(e.From, e.To) {
 				added = append(added, e)
 			}
 		}
@@ -534,36 +453,21 @@ func (p *Policy) Diff(q *Policy) (removed, added []Edge) {
 	return removed, added
 }
 
-// Validate checks structural well-formedness: every UA edge is user→role,
-// every RH edge role→role, every PA edge role→privilege with a grammatical
-// privilege term. A freshly built Policy is always valid (the mutators
-// enforce sorts); Validate guards deserialized policies.
+// Validate checks structural well-formedness: every edge joins sorts some
+// relation admits (user → role, role → role, role → privilege) and every
+// privilege vertex is a grammatical term. A freshly built Policy is always
+// valid (the mutators enforce sorts); Validate guards deserialized policies.
 func (p *Policy) Validate() error {
-	for pair := range p.ua {
-		f, t := p.verts[pair[0]], p.verts[pair[1]]
-		fe, fok := f.(model.Entity)
-		te, tok := t.(model.Entity)
-		if !fok || !tok || !fe.IsUser() || !te.IsRole() {
-			return fmt.Errorf("UA edge %s -> %s is not user -> role", pair[0], pair[1])
+	for f, v := range p.verts {
+		for _, t := range p.g.Successors(f) {
+			if _, err := ClassifyEdge(v, p.verts[t]); err != nil {
+				return err
+			}
 		}
-	}
-	for pair := range p.rh {
-		f, t := p.verts[pair[0]], p.verts[pair[1]]
-		fe, fok := f.(model.Entity)
-		te, tok := t.(model.Entity)
-		if !fok || !tok || !fe.IsRole() || !te.IsRole() {
-			return fmt.Errorf("RH edge %s -> %s is not role -> role", pair[0], pair[1])
-		}
-	}
-	for pair := range p.pa {
-		f, t := p.verts[pair[0]], p.verts[pair[1]]
-		fe, fok := f.(model.Entity)
-		pr, pok := t.(model.Privilege)
-		if !fok || !fe.IsRole() || !pok {
-			return fmt.Errorf("PA edge %s -> %s is not role -> privilege", pair[0], pair[1])
-		}
-		if err := model.ValidatePrivilege(pr); err != nil {
-			return fmt.Errorf("PA edge %s: %w", pair[0], err)
+		if pr, ok := v.(model.Privilege); ok {
+			if err := model.ValidatePrivilege(pr); err != nil {
+				return fmt.Errorf("privilege vertex %s: %w", p.g.Key(f), err)
+			}
 		}
 	}
 	return nil
@@ -581,12 +485,9 @@ type Stats struct {
 
 // Stats computes size statistics for reporting and benchmarks.
 func (p *Policy) Stats() Stats {
-	s := Stats{
-		Users: len(p.users), Roles: len(p.roles),
-		UA: len(p.ua), RH: len(p.rh), PA: len(p.pa),
-		LongestRoleChainInRH: p.LongestRoleChain(),
-	}
-	for _, v := range p.verts {
+	s := Stats{Users: len(p.users), Roles: len(p.roles), LongestRoleChainInRH: p.LongestRoleChain()}
+	var edges [EdgePA + 1]int
+	for f, v := range p.verts {
 		switch pr := v.(type) {
 		case model.UserPrivilege:
 			s.UserPrivVertices++
@@ -596,7 +497,11 @@ func (p *Policy) Stats() Stats {
 				s.MaxPrivilegeDepth = d
 			}
 		}
+		for _, t := range p.g.Successors(f) {
+			edges[p.kindOf(f, t)]++
+		}
 	}
+	s.UA, s.RH, s.PA = edges[EdgeUA], edges[EdgeRH], edges[EdgePA]
 	return s
 }
 
@@ -604,15 +509,14 @@ func (p *Policy) Stats() Stats {
 // PA edges dashed; privilege vertices boxed.
 func (p *Policy) DOT(name string) string {
 	labels := make(map[string]string, len(p.verts))
-	for k, v := range p.verts {
-		labels[k] = v.String()
-	}
 	attrs := make(map[string]string)
-	for pair := range p.rh {
-		attrs[pair[0]+"\x00"+pair[1]] = "style=bold"
-	}
-	for pair := range p.pa {
-		attrs[pair[0]+"\x00"+pair[1]] = "style=dashed"
+	for f, v := range p.verts {
+		labels[p.g.Key(f)] = v.String()
+		for _, t := range p.g.Successors(f) {
+			if style := [...]string{EdgeRH: "style=bold", EdgePA: "style=dashed"}[p.kindOf(f, t)]; style != "" {
+				attrs[p.g.Key(f)+"\x00"+p.g.Key(t)] = style
+			}
+		}
 	}
 	return p.g.DOT(name, labels, attrs)
 }
@@ -626,9 +530,9 @@ type edgeWire struct {
 }
 
 // Wire is the JSON form of a policy as plain data. A document that embeds a
-// policy (storage's snapshot) declares a Wire field and decodes the whole
-// file in one parse; a *Policy field would be handed its bytes to parse
-// again.
+// policy (storage's legacy snapshot) declares a Wire field and decodes the
+// whole file in one parse; a *Policy field would be handed its bytes to
+// parse again.
 type Wire struct {
 	Users []string   `json:"users,omitempty"`
 	Roles []string   `json:"roles,omitempty"`
@@ -658,7 +562,7 @@ func (p *Policy) Wire() (Wire, error) {
 
 // Policy builds the policy w describes and validates it.
 func (w *Wire) Policy() (*Policy, error) {
-	p := newSized(w)
+	p := New()
 	for _, u := range w.Users {
 		p.DeclareUser(u)
 	}

@@ -326,11 +326,11 @@ func TestStats(t *testing.T) {
 }
 
 func TestValidateCatchesCorruptEdges(t *testing.T) {
-	// Build a policy and corrupt an edge set directly to simulate a bad
+	// Build a policy and corrupt its graph directly to simulate a bad
 	// deserialization path.
 	p := New()
 	p.Assign("u", "r")
-	p.ua[[2]string{model.Role("r").Key(), model.User("u").Key()}] = struct{}{}
+	p.g.AddEdge(model.Role("r").Key(), model.User("u").Key())
 	if err := p.Validate(); err == nil {
 		t.Fatal("Validate accepted role->user UA edge")
 	}

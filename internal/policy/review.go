@@ -16,13 +16,11 @@ import (
 // relation only), sorted.
 func (p *Policy) AssignedUsers(role string) []string {
 	var out []string
-	rk := model.Role(role).Key()
-	for pair := range p.ua {
-		if pair[1] != rk {
-			continue
-		}
-		if e, ok := p.verts[pair[0]].(model.Entity); ok {
-			out = append(out, e.Name)
+	if id := p.EntityVertex(model.Role(role)); id != graph.NoVertex {
+		for _, f := range p.g.Predecessors(id) {
+			if e := p.verts[f].(model.Entity); e.IsUser() {
+				out = append(out, e.Name)
+			}
 		}
 	}
 	sort.Strings(out)
@@ -47,13 +45,9 @@ func (p *Policy) AuthorizedUsers(role string) []string {
 // hierarchy.
 func (p *Policy) AssignedRoles(user string) []string {
 	var out []string
-	uk := model.User(user).Key()
-	for pair := range p.ua {
-		if pair[0] != uk {
-			continue
-		}
-		if e, ok := p.verts[pair[1]].(model.Entity); ok {
-			out = append(out, e.Name)
+	if id := p.EntityVertex(model.User(user)); id != graph.NoVertex {
+		for _, t := range p.g.Successors(id) {
+			out = append(out, p.verts[t].(model.Entity).Name)
 		}
 	}
 	sort.Strings(out)
@@ -87,13 +81,11 @@ func (p *Policy) RolesWithPerm(perm model.UserPrivilege) []string {
 // PA edge (no inheritance), sorted by key.
 func (p *Policy) DirectPrivileges(role string) []model.Privilege {
 	var out []model.Privilege
-	rk := model.Role(role).Key()
-	for pair := range p.pa {
-		if pair[0] != rk {
-			continue
-		}
-		if pr, ok := p.verts[pair[1]].(model.Privilege); ok {
-			out = append(out, pr)
+	if id := p.EntityVertex(model.Role(role)); id != graph.NoVertex {
+		for _, t := range p.g.Successors(id) {
+			if pr, ok := p.verts[t].(model.Privilege); ok {
+				out = append(out, pr)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
@@ -104,16 +96,12 @@ func (p *Policy) DirectPrivileges(role string) []model.Privilege {
 // RH edges alone (its ancestors in the hierarchy, excluding itself), sorted.
 func (p *Policy) Seniors(role string) []string {
 	rg := p.roleGraph()
-	id := rg.Lookup(role)
-	if id == graph.NoVertex {
+	if rg.Lookup(role) == graph.NoVertex {
 		return nil
 	}
 	var out []string
 	for _, r := range p.Roles() {
-		if r == role {
-			continue
-		}
-		if rg.Reaches(r, role) {
+		if r != role && rg.Reaches(r, role) {
 			out = append(out, r)
 		}
 	}
@@ -128,13 +116,9 @@ func (p *Policy) Juniors(role string) []string {
 	if id == graph.NoVertex {
 		return nil
 	}
-	reach := rg.ReachableFrom(id)
 	var out []string
-	for i, in := range reach {
-		if !in {
-			continue
-		}
-		if name := rg.Key(i); name != role {
+	for i, in := range rg.ReachableFrom(id) {
+		if name := rg.Key(i); in && name != role {
 			out = append(out, name)
 		}
 	}
@@ -148,11 +132,11 @@ func (p *Policy) roleGraph() *graph.Digraph {
 	for _, r := range p.Roles() {
 		rg.AddVertex(r)
 	}
-	for pair := range p.rh {
-		f, fok := p.verts[pair[0]].(model.Entity)
-		t, tok := p.verts[pair[1]].(model.Entity)
-		if fok && tok {
-			rg.AddEdge(f.Name, t.Name)
+	for name, f := range p.roles {
+		for _, t := range p.g.Successors(int(f)) {
+			if e, ok := p.verts[t].(model.Entity); ok {
+				rg.AddEdge(name, e.Name)
+			}
 		}
 	}
 	return rg

@@ -35,6 +35,12 @@
 //	GET /v1/replicate/{tenant}/snapshot
 //	    200: {"seq":G,"seq_epoch":T,"policy":{...}} — install, then pull
 //	         from after_seq=G&after_epoch=T
+//
+// The bootstrap document is JSON (policy.Wire, sorted and deterministic),
+// not the binary snapshot.bin the store keeps on disk: that file carries
+// one node's vertex ids, which no other node needs to share, and the
+// follower's install (tenant.InstallReplicaSnapshot → Store.CompactAt)
+// writes its own.
 package replication
 
 import (
@@ -181,8 +187,8 @@ func (s *Source) Register(mux *http.ServeMux) {
 
 // SnapshotPayload is the bootstrap document: the tenant's policy at one
 // generation (plus the fencing epoch of the record at that generation) and
-// the primary's retained audit window. Its shape extends the on-disk
-// snapshot.json.
+// the primary's retained audit window. Its shape extends the JSON the
+// store once kept on disk (storage's legacy snapshot.json).
 type SnapshotPayload struct {
 	Seq uint64 `json:"seq"`
 	// SeqEpoch is the fencing epoch of the record at Seq; the follower

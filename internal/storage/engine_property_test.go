@@ -26,7 +26,7 @@ func writeScratch(t *testing.T, snap, wal []byte, cut, flip int) string {
 	if err := os.WriteFile(filepath.Join(dir, "wal.log"), damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snap, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -91,7 +91,7 @@ func TestEngineRecoveryFromTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestEngineAckedStateSurvivesInjectedWriteFaults(t *testing.T) {
 }
 
 // stepAndAudit builds the step record for the i-th churn grant plus its
-// audit twin — the shape AppendCommit lands, here driven through the bulk
+// audit twin — the shape StageCommit + FlushStaged land, here driven through the bulk
 // AppendRecords path.
 func stepAndAudit(t *testing.T, seq int) []Record {
 	t.Helper()

@@ -57,11 +57,11 @@ func TestRecoveryAtEveryTruncationPoint(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(scratch, "wal.log"), full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		snap, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+		snap, err := os.ReadFile(filepath.Join(dir, snapshotFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(scratch, "snapshot.json"), snap, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(scratch, snapshotFile), snap, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st2, got, rec, err := Open(scratch, Options{})

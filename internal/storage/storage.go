@@ -18,6 +18,22 @@
 // corrupt final record, e.g. after a crash mid-append) is detected by the
 // CRC and truncated away on open; Recovery reports how many bytes were
 // dropped.
+//
+// Snapshot format (snapshot.bin): one frame of the same shape behind its own
+// magic,
+//
+//	"ARSNAP1\n" | len(u32 LE) | crc32(u32 LE, IEEE) | body
+//	body = uvarint seq | seq-epoch | epoch | len placement | placement | policy
+//
+// where policy is policy.AppendBinary's form (the vertex table in graph-id
+// order, then the edges as id lists). Open reads the file once and loads the
+// graph as written — no parse tree, no sort, no key built. A file whose magic,
+// length or checksum is off, or whose body does not decode to the last byte,
+// is a corrupt snapshot: Open fails with no store and no policy, and never
+// passes it over for a snapshot.json beside it, which could only be older.
+// That file — the JSON of snapshotMeta — is what stores wrote before this
+// format; Open reads it only when there is no snapshot.bin, and the next
+// compaction writes snapshot.bin and removes it.
 package storage
 
 import (
@@ -27,17 +43,26 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"adminrefine/internal/command"
+	"adminrefine/internal/decision"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
 )
 
 const logMagic = "ARWAL1\n"
+
+// The snapshot file, its magic, and the file name older stores wrote.
+const (
+	snapshotFile       = "snapshot.bin"
+	snapshotMagic      = "ARSNAP1\n"
+	legacySnapshotFile = "snapshot.json"
+)
 
 // KindAudit marks an audit record: a logged observation of one processed
 // administrative command (any outcome, with an optional denial reason) that
@@ -181,7 +206,7 @@ type Options struct {
 // truncates the torn tail).
 var ErrDamaged = errors.New("storage: wal damaged by earlier write failure")
 
-// Store is a directory-backed policy store: snapshot.json + wal.log.
+// Store is a directory-backed policy store: snapshot.bin + wal.log.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
@@ -246,7 +271,7 @@ type Store struct {
 	sinceCompact int
 	// staged buffers records accepted by StageCommit but not yet landed by
 	// FlushStaged — the group-commit window. Nothing in it is durable or
-	// acknowledged; a flush failure or DiscardStaged simply drops it.
+	// acknowledged; a flush failure simply drops it.
 	staged []Record
 }
 
@@ -257,8 +282,8 @@ const maxAudit = 1024
 // budget the whole log fits.
 const maxTail = 2048
 
-// snapshotMeta wraps the policy snapshot with its log position. The policy is
-// a plain-data member, so the whole file is parsed (and written) once.
+// snapshotMeta wraps the policy snapshot with its log position: the header
+// fields of snapshot.bin and, as JSON, the whole of a legacy snapshot.json.
 type snapshotMeta struct {
 	Seq int `json:"seq"`
 	// SeqEpoch is the fencing epoch of the record at Seq — kept so a store
@@ -276,6 +301,51 @@ type snapshotMeta struct {
 	Policy    policy.Wire     `json:"policy"`
 }
 
+// encodeSnapshot returns the bytes of a snapshot.bin (meta.Policy unused).
+func encodeSnapshot(meta snapshotMeta, p *policy.Policy) []byte {
+	b := append(make([]byte, 0, 4096), snapshotMagic+"\x00\x00\x00\x00\x00\x00\x00\x00"...)
+	for _, v := range []uint64{uint64(meta.Seq), meta.SeqEpoch, meta.Epoch, uint64(len(meta.Placement))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = p.AppendBinary(append(b, meta.Placement...))
+	body := b[len(snapshotMagic)+8:]
+	binary.LittleEndian.PutUint32(b[len(snapshotMagic):], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[len(snapshotMagic)+4:], crc32.ChecksumIEEE(body))
+	return b
+}
+
+// decodeSnapshot is the inverse of encodeSnapshot. Any deviation is an error
+// and yields no policy; arbitrary input never panics (FuzzSnapshotDecode).
+func decodeSnapshot(data []byte) (snapshotMeta, *policy.Policy, error) {
+	var meta snapshotMeta
+	hdr := len(snapshotMagic) + 8
+	if len(data) < hdr || string(data[:len(snapshotMagic)]) != snapshotMagic {
+		return meta, nil, errors.New("bad header")
+	}
+	body := data[hdr:]
+	if uint64(binary.LittleEndian.Uint32(data[hdr-8:])) != uint64(len(body)) ||
+		binary.LittleEndian.Uint32(data[hdr-4:]) != crc32.ChecksumIEEE(body) {
+		return meta, nil, errors.New("length or checksum mismatch")
+	}
+	var fields [4]uint64
+	for i := range fields {
+		v, n := binary.Uvarint(body)
+		if n <= 0 {
+			return meta, nil, errors.New("bad header field")
+		}
+		fields[i], body = v, body[n:]
+	}
+	if fields[0] > math.MaxInt || fields[3] > uint64(len(body)) {
+		return meta, nil, errors.New("bad header field")
+	}
+	meta.Seq, meta.SeqEpoch, meta.Epoch = int(fields[0]), fields[1], fields[2]
+	if n := int(fields[3]); n > 0 {
+		meta.Placement, body = append([]byte(nil), body[:n]...), body[n:]
+	}
+	pol, err := policy.DecodeBinary(body)
+	return meta, pol, err
+}
+
 // Open opens (or initialises) the store in dir, returning the recovered
 // policy. The policy starts empty when the directory holds no state.
 func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
@@ -283,29 +353,18 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, rec, err
 	}
-	pol := policy.New()
-	seq := 0
-	var epoch, snapEpoch uint64
-	var placementData []byte
-
-	// Load snapshot if present.
-	snapPath := filepath.Join(dir, "snapshot.json")
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var meta snapshotMeta
-		if err := json.Unmarshal(data, &meta); err != nil {
-			return nil, nil, rec, fmt.Errorf("storage: corrupt snapshot: %w", err)
-		}
-		if pol, err = meta.Policy.Policy(); err != nil {
-			return nil, nil, rec, fmt.Errorf("storage: corrupt snapshot policy: %w", err)
-		}
-		seq = meta.Seq
-		epoch = meta.Epoch
-		snapEpoch = meta.SeqEpoch
-		placementData = meta.Placement
-		rec.SnapshotLoaded = true
-	} else if !os.IsNotExist(err) {
+	// Load the snapshot if present: snapshot.bin, or the snapshot.json of a
+	// directory no compaction has upgraded yet.
+	meta, pol, err := loadSnapshot(dir)
+	if err != nil {
 		return nil, nil, rec, err
 	}
+	rec.SnapshotLoaded = pol != nil
+	if pol == nil {
+		pol = policy.New()
+	}
+	seq, epoch, snapEpoch := meta.Seq, meta.Epoch, meta.SeqEpoch
+	placementData := []byte(meta.Placement)
 	snapSeq := seq
 
 	// Replay the log.
@@ -320,24 +379,16 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	validEnd, records, err := readAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, rec, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, rec, err
-	}
-	if fi.Size() > validEnd {
-		rec.DroppedBytes = int(fi.Size() - validEnd)
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, nil, rec, err
+	// The scan leaves the offset at the end of the file, which is the append
+	// position unless a torn tail has to go first.
+	validEnd, size, records, err := readAll(f)
+	if err == nil && size > validEnd {
+		rec.DroppedBytes = int(size - validEnd)
+		if err = f.Truncate(validEnd); err == nil {
+			_, err = f.Seek(validEnd, io.SeekStart)
 		}
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if err != nil {
 		f.Close()
 		return nil, nil, rec, err
 	}
@@ -421,6 +472,33 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 	return s, pol, rec, nil
 }
 
+// loadSnapshot reads dir's snapshot, returning a nil policy when it has none.
+// A snapshot.bin that is present decides alone, corrupt or not.
+func loadSnapshot(dir string) (meta snapshotMeta, pol *policy.Policy, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, snapshotFile))
+	if err == nil {
+		if meta, pol, err = decodeSnapshot(data); err != nil {
+			return meta, nil, fmt.Errorf("storage: corrupt snapshot: %w", err)
+		}
+		return meta, pol, nil
+	}
+	if os.IsNotExist(err) {
+		data, err = os.ReadFile(filepath.Join(dir, legacySnapshotFile))
+	}
+	if os.IsNotExist(err) {
+		return meta, nil, nil
+	} else if err != nil {
+		return meta, nil, err
+	}
+	if err := json.Unmarshal(data, &meta); err != nil {
+		return meta, nil, fmt.Errorf("storage: corrupt snapshot: %w", err)
+	}
+	if pol, err = meta.Policy.Policy(); err != nil {
+		return meta, nil, fmt.Errorf("storage: corrupt snapshot policy: %w", err)
+	}
+	return meta, pol, nil
+}
+
 // appendAuditLocked adds one record (its ASeq already assigned) to the
 // in-memory audit log, trimming the oldest half past the cap. Caller holds
 // s.mu (or owns s exclusively).
@@ -461,37 +539,41 @@ func OpenEngine(dir string, mode engine.Mode, opts Options) (*Store, *engine.Eng
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	eng := engine.NewAt(pol, mode, uint64(s.Seq()))
+	return s, s.NewEngine(pol, mode, nil), rec, nil
+}
+
+// NewEngine is OpenEngine's second half, for callers that supply the policy
+// (an install) or the decision cache (see engine.NewAt) themselves.
+func (s *Store) NewEngine(pol *policy.Policy, mode engine.Mode, cache *decision.Cache) *engine.Engine {
+	eng := engine.NewAt(pol, mode, uint64(s.Seq()), cache)
 	eng.SetCommitHook(func(gen uint64, res command.StepResult) error {
 		return s.StageCommit(int(gen), res)
 	})
 	eng.SetCommitFlush(s.FlushStaged)
-	return s, eng, rec, nil
+	return eng
 }
 
 // readAll parses records from the start of the log, returning the offset of
-// the end of the last valid record. A missing or wrong magic on a non-empty
-// file is an error; a torn tail simply ends the scan.
-func readAll(f File) (validEnd int64, records []Record, err error) {
+// the end of the last valid record and the file's size. A missing or wrong
+// magic on a non-empty file is an error; a torn tail simply ends the scan.
+func readAll(f File) (validEnd, size int64, records []Record, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	data, err := io.ReadAll(f)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	if len(data) == 0 {
 		// Fresh log: write the magic.
-		if _, err := f.Write([]byte(logMagic)); err != nil {
-			return 0, nil, err
-		}
-		return int64(len(logMagic)), nil, nil
+		_, err := f.Write([]byte(logMagic))
+		return int64(len(logMagic)), int64(len(logMagic)), nil, err
 	}
 	if len(data) < len(logMagic) || string(data[:len(logMagic)]) != logMagic {
-		return 0, nil, fmt.Errorf("storage: wal.log has no valid header")
+		return 0, 0, nil, fmt.Errorf("storage: wal.log has no valid header")
 	}
 	n, records := DecodeFrames(data[len(logMagic):])
-	return int64(len(logMagic) + n), records, nil
+	return int64(len(logMagic) + n), int64(len(data)), records, nil
 }
 
 // maxFrameBytes bounds one frame's payload; larger length prefixes are
@@ -592,26 +674,9 @@ func (s *Store) AppendStep(seq int, res command.StepResult) error {
 	return s.AppendRecord(r)
 }
 
-// AppendCommit logs one applied engine step together with its audit record
-// in a single write — the commit hook of the durable serving stack (see
-// tenant.Options). Both frames land with one file write, so a crash
-// mid-append truncates to a CRC-valid prefix: either nothing, the step
-// alone, or both. The step is never lost once the hook returned, and the
-// audit record shares its durability (write-ahead of snapshot publication).
-func (s *Store) AppendCommit(seq int, res command.StepResult) error {
-	step, err := NewStepRecord(seq, res)
-	if err != nil {
-		return err
-	}
-	audit, err := NewAuditRecord(seq, res, "")
-	if err != nil {
-		return err
-	}
-	return s.appendRecords(true, step, audit)
-}
-
-// StageCommit buffers one applied engine step — step record plus its audit
-// record, exactly what AppendCommit writes — for the next FlushStaged. It
+// StageCommit buffers one applied engine step — its step record plus its
+// audit record, which land in one write so a crash truncates to a CRC-valid
+// prefix: nothing, the step alone, or both — for the next FlushStaged. It
 // performs no file I/O: the per-command half of group commit, run from the
 // engine's CommitHook while the covering flush hook amortises the write and
 // fsync across every command (and every submitter) in the group. The records
@@ -653,15 +718,6 @@ func (s *Store) FlushStaged() error {
 	recs := s.staged
 	s.staged = nil
 	return s.appendRecordsLocked(true, recs...)
-}
-
-// DiscardStaged drops staged-but-unflushed records without writing — the
-// escape hatch for a caller abandoning a submission before its flush. Records
-// never staged or already flushed are unaffected.
-func (s *Store) DiscardStaged() {
-	s.mu.Lock()
-	s.staged = nil
-	s.mu.Unlock()
 }
 
 // AppendAudit logs the audit observation of a command that did not change
@@ -981,19 +1037,17 @@ func (s *Store) compactLocked(p *policy.Policy, seq int, seqEpoch uint64, keepAu
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	w, err := p.Wire()
-	if err != nil {
+	data := encodeSnapshot(snapshotMeta{Seq: seq, SeqEpoch: seqEpoch, Epoch: s.epoch, Placement: s.placement}, p)
+	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	meta, err := json.Marshal(snapshotMeta{Seq: seq, SeqEpoch: seqEpoch, Epoch: s.epoch, Placement: s.placement, Policy: w})
-	if err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, "snapshot.json.tmp")
-	if err := os.WriteFile(tmp, meta, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, "snapshot.json")); err != nil {
+	// Upgrade a directory that still holds the old format. Open never reads
+	// past a snapshot.bin, so a crash before this line costs nothing.
+	if err := os.Remove(filepath.Join(s.dir, legacySnapshotFile)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
 	// Truncate the log to just the header.
@@ -1087,7 +1141,7 @@ func (s *Store) ReadSince(afterSeq int) (records []Record, gap bool, err error) 
 	// the last compaction. readAll seeks to the start; restore the append
 	// position before inspecting its error so a failed read never leaves
 	// the next append mid-file.
-	_, recs, rerr := readAll(s.f)
+	_, _, recs, rerr := readAll(s.f)
 	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
 		return nil, false, err
 	}

@@ -1,11 +1,9 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"adminrefine/internal/command"
@@ -214,18 +212,19 @@ func TestMissingHeaderRejected(t *testing.T) {
 }
 
 func TestCorruptSnapshotRejected(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("corrupt snapshot accepted")
+	for _, name := range []string{snapshotFile, legacySnapshotFile} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := Open(dir, Options{}); err == nil {
+			t.Fatalf("corrupt %s accepted", name)
+		}
 	}
 }
 
-// twoPassMeta is the snapshot codec before the one-pass decoder, kept as the
-// reference: the policy travels as raw bytes, marshalled and parsed on its
-// own.
+// twoPassMeta is the oldest snapshot.json writer, kept as the reference for
+// the legacy reader: the policy travels as raw bytes, marshalled on its own.
 type twoPassMeta struct {
 	Seq       int             `json:"seq"`
 	SeqEpoch  uint64          `json:"seq_epoch,omitempty"`
@@ -235,17 +234,7 @@ type twoPassMeta struct {
 }
 
 func TestSnapshotCompatibleWithTwoPassCodec(t *testing.T) {
-	tricky := policy.New()
-	tricky.Assign("a,b", "x:y")
-	tricky.AddInherit("x:y", "(p)<&>")
-	tricky.DeclareUser("idle")
-	nested := model.Grant(model.Role("x:y"), model.Revoke(model.User("a,b"), model.Role("%")))
-	for _, pr := range []model.Privilege{model.Perm("read", "t,1"), nested} {
-		if _, err := tricky.GrantPrivilege("(p)<&>", pr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, p := range map[string]*policy.Policy{"figure2": policy.Figure2(), "tricky": tricky, "empty": policy.New()} {
+	for name, p := range snapshotFixtures(t) {
 		t.Run(name, func(t *testing.T) {
 			// Old writer, new reader.
 			polData, err := json.Marshal(p)
@@ -257,7 +246,7 @@ func TestSnapshotCompatibleWithTwoPassCodec(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), old, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, legacySnapshotFile), old, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			s, got, rec, err := Open(dir, Options{})
@@ -268,24 +257,25 @@ func TestSnapshotCompatibleWithTwoPassCodec(t *testing.T) {
 			if !got.Equal(p) || !rec.SnapshotLoaded || s.Seq() != 7 || s.Epoch() != 3 || string(s.Placement()) != `{"v":1}` {
 				t.Fatalf("old snapshot opened as seq %d epoch %d placement %s, policy equal=%v", s.Seq(), s.Epoch(), s.Placement(), got.Equal(p))
 			}
-			// New writer: the same bytes, so the old reader opens them too.
+			// The next compaction upgrades the directory: snapshot.bin written,
+			// snapshot.json gone, nothing of the header or the policy lost.
 			if err := s.Compact(got); err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := os.ReadFile(filepath.Join(dir, "snapshot.json"))
+			s.Close()
+			if _, err := os.Stat(filepath.Join(dir, legacySnapshotFile)); !os.IsNotExist(err) {
+				t.Fatalf("snapshot.json survived the compaction (stat err %v)", err)
+			}
+			s2, back, rec, err := Open(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(fresh, old) {
-				t.Fatalf("snapshot bytes changed:\n old %s\n new %s", old, fresh)
+			defer s2.Close()
+			if !back.Equal(p) || !rec.SnapshotLoaded || s2.Seq() != 7 || s2.Epoch() != 3 || string(s2.Placement()) != `{"v":1}` {
+				t.Fatalf("upgraded snapshot opened as seq %d epoch %d placement %s, policy equal=%v", s2.Seq(), s2.Epoch(), s2.Placement(), back.Equal(p))
 			}
-			var meta twoPassMeta
-			back := policy.New()
-			if err := json.Unmarshal(fresh, &meta); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(meta.Policy, back); err != nil || !back.Equal(p) {
-				t.Fatalf("two-pass reader on the new snapshot: err=%v equal=%v", err, back.Equal(p))
+			if e, ok := s2.EpochAt(7); !ok || e != 2 {
+				t.Fatalf("seq epoch after the upgrade = %d, %v; want 2", e, ok)
 			}
 		})
 	}
@@ -300,18 +290,39 @@ func TestCorruptSnapshotPolicyRejected(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(snap), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, legacySnapshotFile), []byte(snap), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s, pol, _, err := Open(dir, Options{})
-			if err == nil || !strings.Contains(err.Error(), "storage: corrupt snapshot") {
-				t.Fatalf("err = %v, want a corrupt-snapshot error", err)
-			}
-			if s != nil || pol != nil {
-				t.Fatalf("corrupt snapshot still returned a store (%v) or a partial policy (%v)", s, pol)
-			}
+			wantCorrupt(t, dir, name)
 		})
 	}
+	// The same for snapshot.bin: frames whose length and checksum hold around
+	// a policy that does not.
+	frame := snapshotMagic + "\x00\x00\x00\x00\x00\x00\x00\x00" + "\x03\x00\x00\x00"
+	for name, pol := range map[string]string{
+		"binary role to user edge": "\x02\x01\x03r:r\x03u:u\x01\x01\x00",
+		"binary ungrammatical":     "\x02\x01\x03r:r\x0e+(u:u,p:(a,o))\x01\x01\x00",
+		"binary repeated edge":     "\x02\x02\x03u:u\x03r:r\x02\x01\x01\x00",
+		"binary short edge list":   "\x02\x01\x03u:u\x03r:r\x00\x00",
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), reseal([]byte(frame+pol)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantCorrupt(t, dir, name)
+		})
+	}
+	// The well-formed twin of the cases above opens.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), reseal([]byte(frame+"\x02\x01\x03u:u\x03r:r\x01\x01\x00")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, pol, _, err := Open(dir, Options{})
+	if err != nil || s.Seq() != 3 || !pol.HasEdge(model.User("u"), model.Role("r")) {
+		t.Fatalf("well-formed frame: err %v", err)
+	}
+	s.Close()
 }
 
 func TestRefinedModeReplay(t *testing.T) {

@@ -8,8 +8,8 @@
 // millions of tenants holds only the working set in memory.
 //
 // The shard lock covers map/LRU bookkeeping plus the first-touch open of a
-// cold tenant (so a tenant recovers exactly once); eviction I/O happens
-// outside it. Once a tenant is resolved, authorization runs lock-free
+// cold tenant (so a tenant recovers exactly once); eviction I/O — budget
+// evictions and explicit Evict calls alike, see retire — happens outside it. Once a tenant is resolved, authorization runs lock-free
 // against engine snapshots and submissions serialise only against that
 // tenant's writer. The batched entry points
 // (AuthorizeBatch, SubmitBatch) amortise the resolve + snapshot acquisition
@@ -114,6 +114,29 @@ type Registry struct {
 	// shared by every tenant engine.
 	guard  engine.Guard
 	closed atomic.Bool
+	// caches is the free list of decision caches: an evicted tenant's table
+	// (the largest allocation of an open) is reset and handed to the next
+	// tenant opened. See retire.
+	cacheMu sync.Mutex
+	caches  []*decision.Cache
+}
+
+// maxFreeCaches bounds the free list; a cache returned beyond it is dropped.
+const maxFreeCaches = 16
+
+// takeCache returns an empty decision cache of the configured size for a new
+// tenant engine, recycled when the free list has one.
+func (r *Registry) takeCache() *decision.Cache {
+	var c *decision.Cache
+	r.cacheMu.Lock()
+	if n := len(r.caches); n > 0 {
+		c, r.caches = r.caches[n-1], r.caches[:n-1]
+	}
+	r.cacheMu.Unlock()
+	if c != nil || r.opts.CacheSlots == 0 {
+		return c // recycled, or nil for the engine's default
+	}
+	return decision.New(r.opts.CacheSlots)
 }
 
 type shard struct {
@@ -311,16 +334,40 @@ func (r *Registry) acquire(name string, create bool) (*tenant, error) {
 	}
 	t.inuse.Add(1)
 	sh.mu.Unlock()
-	// Compact-and-close of the evicted tenants happens outside the shard
-	// lock: it is disk I/O and must not stall the shard's other tenants.
-	for _, v := range evicted {
+	r.retire(sh, evicted)
+	return t, nil
+}
+
+// unlinkLocked removes an idle tenant from the shard's map and LRU and marks
+// its name closing; the caller retires it after releasing sh.mu.
+// Unlinked-with-inuse==0 plus the mark guarantees exclusivity.
+func (sh *shard) unlinkLocked(t *tenant) {
+	sh.lru.Remove(t.elem)
+	delete(sh.tenants, t.name)
+	sh.closing[t.name] = make(chan struct{})
+}
+
+// retire is the one eviction path: compact-and-close each unlinked tenant
+// outside the shard lock (it is disk I/O and must not stall the shard's other
+// tenants), recycle its decision cache, then clear its closing mark. Nothing
+// can still read the cache: the tenant was unlinked with no operation in
+// flight, and every operation closes its snapshot before it unpins.
+func (r *Registry) retire(sh *shard, victims []*tenant) {
+	for _, v := range victims {
 		v.shutdown()
+		if c := v.engine().Cache(); c.Enabled() {
+			c.Reset()
+			r.cacheMu.Lock()
+			if len(r.caches) < maxFreeCaches {
+				r.caches = append(r.caches, c)
+			}
+			r.cacheMu.Unlock()
+		}
 		sh.mu.Lock()
 		close(sh.closing[v.name])
 		delete(sh.closing, v.name)
 		sh.mu.Unlock()
 	}
-	return t, nil
 }
 
 func (t *tenant) release() { t.inuse.Add(-1) }
@@ -339,25 +386,24 @@ func (r *Registry) open(name string, create bool) (*tenant, error) {
 			return nil, fmt.Errorf("tenant %s: %w", name, ErrNotFound)
 		}
 	}
-	st, eng, rec, err := storage.OpenEngine(dir, r.opts.Mode, storage.Options{Sync: r.opts.Sync, OpenFile: r.opts.OpenFile})
+	st, pol, rec, err := storage.Open(dir, storage.Options{Sync: r.opts.Sync, OpenFile: r.opts.OpenFile})
 	if err != nil {
 		return nil, fmt.Errorf("tenant %s: %w", name, err)
 	}
-	if r.opts.CacheSlots != 0 {
-		eng.SetCacheSlots(r.opts.CacheSlots)
+	if seed != nil && !rec.SnapshotLoaded && rec.Records == 0 {
+		// Seed before the engine exists: one engine, one cache per open.
+		err := r.checkInstall(seed)
+		if err == nil {
+			err = st.CompactAt(seed, 0, r.epochNow(), false)
+		}
+		if err != nil {
+			st.Close()
+			return nil, fmt.Errorf("tenant %s: bootstrap: %w", name, err)
+		}
+		pol = seed
 	}
 	t := &tenant{name: name, store: st, recovered: rec, submu: newWlock()}
-	t.eng.Store(eng)
-	if seed != nil && !rec.SnapshotLoaded && rec.Records == 0 {
-		if err := r.checkInstall(seed); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("tenant %s: bootstrap: %w", name, err)
-		}
-		if err := r.installAt(t, seed, 0, r.epochNow(), false); err != nil {
-			st.Close()
-			return nil, fmt.Errorf("tenant %s: bootstrap: %w", name, err)
-		}
-	}
+	t.eng.Store(st.NewEngine(pol, r.opts.Mode, r.takeCache()))
 	return t, nil
 }
 
@@ -404,17 +450,10 @@ func (r *Registry) installAt(t *tenant, p *policy.Policy, seq, seqEpoch uint64, 
 	if err := t.store.CompactAt(p, int(seq), seqEpoch, rewind); err != nil {
 		return err
 	}
-	eng := engine.NewAt(p, r.opts.Mode, seq)
-	if r.opts.CacheSlots != 0 {
-		eng.SetCacheSlots(r.opts.CacheSlots)
-	}
-	st := t.store
-	eng.SetCommitHook(func(gen uint64, res command.StepResult) error {
-		return st.StageCommit(int(gen), res)
-	})
-	eng.SetCommitFlush(st.FlushStaged)
+	// The replaced engine keeps its cache (readers may still hold its
+	// snapshots); the successor gets its own.
 	old := t.engine()
-	t.eng.Store(eng)
+	t.eng.Store(t.store.NewEngine(p, r.opts.Mode, r.takeCache()))
 	// Wake generation waiters blocked on the replaced engine so they
 	// re-resolve the successor instead of sleeping out their timeout.
 	old.Retire()
@@ -423,9 +462,7 @@ func (r *Registry) installAt(t *tenant, p *policy.Policy, seq, seqEpoch uint64, 
 
 // evictLocked shrinks the shard back to its residency budget, walking from
 // the LRU tail and skipping tenants with in-flight operations. It only
-// unlinks victims (map + LRU) and marks them closing — the caller shuts them
-// down after releasing the shard lock and then clears the mark;
-// unlinked-with-inuse==0 plus the mark guarantees exclusivity.
+// unlinks victims; the caller retires them after releasing the shard lock.
 func (r *Registry) evictLocked(sh *shard) []*tenant {
 	if r.opts.MaxResident <= 0 {
 		return nil
@@ -435,9 +472,7 @@ func (r *Registry) evictLocked(sh *shard) []*tenant {
 		prev := e.Prev()
 		t := e.Value.(*tenant)
 		if t.inuse.Load() == 0 {
-			sh.lru.Remove(e)
-			delete(sh.tenants, t.name)
-			sh.closing[t.name] = make(chan struct{})
+			sh.unlinkLocked(t)
 			out = append(out, t)
 		}
 		e = prev
@@ -970,19 +1005,21 @@ func (r *Registry) UnfenceWrites(name string) {
 }
 
 // Evict compacts and closes the tenant if it is resident and idle, reporting
-// whether it was evicted. Busy tenants are left alone.
+// whether it was evicted. Busy tenants are left alone. Like a budget eviction
+// it shuts the tenant down outside the shard lock with the name marked
+// closing, so an acquire of the name waits until the directory is safe.
 func (r *Registry) Evict(name string) bool {
 	sh := r.shardOf(name)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	t, ok := sh.tenants[name]
-	if !ok || t.inuse.Load() != 0 {
-		return false
+	if ok = ok && t.inuse.Load() == 0; ok {
+		sh.unlinkLocked(t)
 	}
-	sh.lru.Remove(t.elem)
-	delete(sh.tenants, name)
-	t.shutdown()
-	return true
+	sh.mu.Unlock()
+	if ok {
+		r.retire(sh, []*tenant{t})
+	}
+	return ok
 }
 
 // Close compacts and closes every resident tenant and rejects further
