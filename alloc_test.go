@@ -241,7 +241,16 @@ func TestAuthorizeAllocs(t *testing.T) {
 			if gen, ok, err := folReg.WaitGeneration("t", writes, 30*time.Second); err != nil || !ok {
 				t.Fatalf("follower stuck at generation %d (err %v)", gen, err)
 			}
-			return registryBatch(t, folReg, "t", slab, 32)
+			// Every follower read goes through Ensure first
+			// (service.Core.EnsureReplica); for a tenant in sync that is two
+			// atomics, not a lock, a closure and a timer.
+			batch := registryBatch(t, folReg, "t", slab, 32)
+			return func() {
+				if err := fol.Ensure("t"); err != nil {
+					t.Fatal(err)
+				}
+				batch()
+			}
 		}, 0},
 	}
 	for _, tc := range cases {

@@ -20,8 +20,9 @@
 // Durability hooks in through SetCommitHook — a WAL record staged before a
 // state change becomes visible — plus SetCommitFlush, the group-commit seam
 // that lands every staged record of a submission with one write and one
-// fsync before the snapshot publishes (see storage.OpenEngine); NewAt
-// restarts an engine at the generation a store recovered to.
+// fsync before the snapshot publishes (see storage.OpenEngine;
+// SubmitReplicated publishes after the write and leaves the fsync to its
+// caller); NewAt restarts an engine at the generation a store recovered to.
 //
 // See README.md in this package for the invalidation rules: what survives a
 // mutation and what does not.
@@ -207,7 +208,7 @@ type Engine struct {
 	logBase  int
 	replicas []*replica
 	hook     CommitHook
-	flush    func() error
+	flush    func(sync bool) error
 
 	// interner assigns fingerprints to commands at the read boundary; it is
 	// shared by every replica and survives publication cycles.
@@ -315,9 +316,10 @@ func (e *Engine) SetCommitHook(fn CommitHook) {
 // publishes, their results report Denied with a *CommitError, and the engine
 // state is exactly what the last successful flush covered, so an acknowledged
 // change always has its records durable even when many submitters share the
-// flush. Pass nil to clear (the per-command hook then carries durability
+// flush. sync is false only under SubmitReplicated, which asks for the write
+// alone. Pass nil to clear (the per-command hook then carries durability
 // alone). Like the CommitHook, it must not call back into the write path.
-func (e *Engine) SetCommitFlush(fn func() error) {
+func (e *Engine) SetCommitFlush(fn func(sync bool) error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.flush = fn
@@ -375,7 +377,7 @@ func (e *Engine) SubmitGuarded(c command.Command, guard Guard) (command.StepResu
 		return res, err
 	}
 	if e.flush != nil {
-		if ferr := e.flush(); ferr != nil {
+		if ferr := e.flush(true); ferr != nil {
 			e.rollbackLocked(next, []command.Command{c}, posFloor0, negFloor0)
 			return command.StepResult{Cmd: c, Outcome: command.Denied}, &CommitError{Err: ferr}
 		}
@@ -395,6 +397,20 @@ func (e *Engine) SubmitGuarded(c command.Command, guard Guard) (command.StepResu
 // batch rolls back (reported Denied), nothing publishes — no waiter in a
 // commit group is ever acknowledged without the covering fsync.
 func (e *Engine) SubmitBatch(cmds []command.Command, guard Guard) ([]command.StepResult, error) {
+	return e.submitBatch(cmds, guard, true)
+}
+
+// SubmitReplicated is SubmitBatch for commands a primary already made durable
+// (see tenant.ApplyReplicated): the commit flush is asked to land the records
+// without syncing them, so the snapshot publishes one write(2) after the
+// batch and the caller owes the covering sync before it reports the position
+// as its own. Land failures roll back exactly as in SubmitBatch; once this
+// returns nil the batch is visible and cannot be rolled back.
+func (e *Engine) SubmitReplicated(cmds []command.Command) ([]command.StepResult, error) {
+	return e.submitBatch(cmds, nil, false)
+}
+
+func (e *Engine) submitBatch(cmds []command.Command, guard Guard, sync bool) ([]command.StepResult, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
@@ -422,7 +438,7 @@ func (e *Engine) SubmitBatch(cmds []command.Command, guard Guard) ([]command.Ste
 		return out, hookErr
 	}
 	if e.flush != nil {
-		if ferr := e.flush(); ferr != nil {
+		if ferr := e.flush(sync); ferr != nil {
 			e.rollbackLocked(next, applied, posFloor0, negFloor0)
 			for i := range out {
 				if out[i].Outcome == command.Applied {

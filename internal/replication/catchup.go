@@ -2,14 +2,10 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
-	"adminrefine/internal/storage"
 	"adminrefine/internal/tenant"
 )
 
@@ -57,6 +53,7 @@ func (o CatchUpOptions) withDefaults() CatchUpOptions {
 // exactly the value the source verifies before flipping placement.
 func CatchUp(ctx context.Context, reg *tenant.Registry, name string, opts CatchUpOptions) (uint64, error) {
 	opts = opts.withDefaults()
+	u := &upstream{base: opts.Upstream, client: opts.Client, snap: opts.Client, epoch: opts.Epoch}
 	gen, epoch, err := reg.ReplicaPosition(name)
 	haveLocal := err == nil
 	if err != nil && !tenant.IsNotFound(err) {
@@ -67,7 +64,7 @@ func CatchUp(ctx context.Context, reg *tenant.Registry, name string, opts CatchU
 		if err := ctx.Err(); err != nil {
 			return 0, fmt.Errorf("replication: catch up %s: %w", name, err)
 		}
-		done, newGen, newEpoch, err := catchUpStep(ctx, reg, name, gen, epoch, haveLocal, opts)
+		done, newGen, newEpoch, err := catchUpStep(ctx, reg, name, gen, epoch, haveLocal, u)
 		if err != nil {
 			if tenant.IsNotFound(err) || IsUpstreamFenced(err) {
 				return 0, err // no amount of retrying fixes these
@@ -93,141 +90,34 @@ func CatchUp(ctx context.Context, reg *tenant.Registry, name string, opts CatchU
 	}
 }
 
-// catchUpStep performs one replication round: a snapshot bootstrap when
-// there is no local state (or the source signalled a gap/fork), else one
-// immediate pull + apply. done reports the caught-up-and-verified state.
-func catchUpStep(ctx context.Context, reg *tenant.Registry, name string, gen, epoch uint64, haveLocal bool, opts CatchUpOptions) (done bool, newGen, newEpoch uint64, err error) {
-	if !haveLocal {
-		newGen, newEpoch, err = catchUpBootstrap(ctx, reg, name, opts)
-		return false, newGen, newEpoch, err
-	}
-	url := fmt.Sprintf("%s/v1/replicate/%s/pull?after_seq=%d&after_epoch=%d&wait_ms=0",
-		opts.Upstream, name, gen, epoch)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return false, gen, epoch, err
-	}
-	resp, err := opts.Client.Do(req)
-	if err != nil {
-		return false, gen, epoch, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusGone:
-	case http.StatusNotFound:
-		return false, gen, epoch, fmt.Errorf("replication: catch up %s: %w", name, tenant.ErrNotFound)
-	case http.StatusMisdirectedRequest:
-		return false, gen, epoch, fmt.Errorf("replication: catch up %s: source at epoch %s: %w",
-			name, resp.Header.Get(HeaderEpoch), ErrUpstreamFenced)
-	default:
-		return false, gen, epoch, fmt.Errorf("replication: catch up %s: source status %d", name, resp.StatusCode)
-	}
-	if err := catchUpAdoptEpoch(name, resp, opts.Epoch); err != nil {
-		return false, gen, epoch, err
-	}
-	head, err := strconv.ParseUint(resp.Header.Get(HeaderHead), 10, 64)
-	if err != nil {
-		return false, gen, epoch, fmt.Errorf("replication: catch up %s: bad %s header", name, HeaderHead)
-	}
-	if resp.StatusCode == http.StatusGone {
-		newGen, newEpoch, err = catchUpBootstrap(ctx, reg, name, opts)
-		return false, newGen, newEpoch, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPullBody))
-	if err != nil {
-		return false, gen, epoch, fmt.Errorf("replication: catch up %s: read body: %w", name, err)
-	}
-	_, records := storage.DecodeFrames(body)
-	if len(records) == 0 {
-		if gen != head {
-			// The source served nothing yet claims a different head — a
-			// fresh compaction window; bootstrap resolves it.
-			newGen, newEpoch, err = catchUpBootstrap(ctx, reg, name, opts)
-			return false, newGen, newEpoch, err
-		}
-		// Caught up; run the same state checksum the steady-state follower
-		// uses (generation equality alone misses a policy installed at
-		// generation 0 after an empty bootstrap).
-		if edges, err := strconv.Atoi(resp.Header.Get(HeaderEdges)); err == nil && edges >= 0 {
-			if local, err := reg.EdgeCount(name); err == nil && local != edges {
-				newGen, newEpoch, err = catchUpBootstrap(ctx, reg, name, opts)
+// catchUpStep performs one replication round: one immediate pull + apply, or
+// a snapshot bootstrap when there is no local state or the source signalled a
+// gap or fork. done reports the caught-up-and-verified state.
+func catchUpStep(ctx context.Context, reg *tenant.Registry, name string, gen, epoch uint64, haveLocal bool, u *upstream) (done bool, newGen, newEpoch uint64, err error) {
+	if haveLocal {
+		res, err := u.pull(ctx, name, gen, epoch, 0)
+		switch {
+		case err != nil:
+			return false, gen, epoch, err
+		case res.snapshotNeeded:
+		case len(res.records) == 0:
+			// Serving nothing yet claiming a different head is a fresh
+			// compaction window; bootstrap resolves it. Otherwise we are caught
+			// up; run the same state checksum the steady-state follower uses
+			// (generation equality alone misses a policy installed at
+			// generation 0 after an empty bootstrap).
+			if gen == res.head {
+				if local, err := reg.EdgeCount(name); res.edges < 0 || err != nil || local == res.edges {
+					return true, gen, epoch, nil
+				}
+			}
+		default:
+			newGen, newEpoch, err = apply(reg, name, res.records, epoch)
+			if err == nil || !tenant.IsOutOfSync(err) {
 				return false, newGen, newEpoch, err
 			}
 		}
-		return true, gen, epoch, nil
 	}
-	newGen, err = reg.ApplyReplicated(name, records)
-	if err != nil {
-		if tenant.IsOutOfSync(err) {
-			newGen, newEpoch, err = catchUpBootstrap(ctx, reg, name, opts)
-			return false, newGen, newEpoch, err
-		}
-		return false, gen, epoch, err
-	}
-	newEpoch = epoch
-	for i := len(records) - 1; i >= 0; i-- {
-		if r := records[i]; !r.IsAudit() && uint64(r.Seq) <= newGen {
-			newEpoch = r.Epoch
-			break
-		}
-	}
-	return false, newGen, newEpoch, nil
-}
-
-// catchUpBootstrap installs the source's snapshot locally and returns the
-// position it covers.
-func catchUpBootstrap(ctx context.Context, reg *tenant.Registry, name string, opts CatchUpOptions) (uint64, uint64, error) {
-	url := fmt.Sprintf("%s/v1/replicate/%s/snapshot", opts.Upstream, name)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	resp, err := opts.Client.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return 0, 0, fmt.Errorf("replication: catch up %s: %w", name, tenant.ErrNotFound)
-	case http.StatusMisdirectedRequest:
-		return 0, 0, fmt.Errorf("replication: catch up %s: source at epoch %s: %w",
-			name, resp.Header.Get(HeaderEpoch), ErrUpstreamFenced)
-	default:
-		return 0, 0, fmt.Errorf("replication: catch up %s: source status %d", name, resp.StatusCode)
-	}
-	if err := catchUpAdoptEpoch(name, resp, opts.Epoch); err != nil {
-		return 0, 0, err
-	}
-	var payload struct {
-		Seq      uint64           `json:"seq"`
-		SeqEpoch uint64           `json:"seq_epoch"`
-		Policy   json.RawMessage  `json:"policy"`
-		Audit    []storage.Record `json:"audit"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPullBody)).Decode(&payload); err != nil {
-		return 0, 0, fmt.Errorf("replication: catch up %s: decode snapshot: %w", name, err)
-	}
-	if err := reg.InstallReplicaSnapshot(name, payload.Policy, payload.Seq, payload.SeqEpoch, payload.Audit); err != nil {
-		return 0, 0, err
-	}
-	return payload.Seq, payload.SeqEpoch, nil
-}
-
-// catchUpAdoptEpoch adopts a response epoch above our own durably before any
-// of the response is applied. Unlike the steady-state follower it never
-// refuses a source behind our epoch: source and target are separate
-// lineages, and placement-version CAS — not epochs — fences the migration.
-func catchUpAdoptEpoch(name string, resp *http.Response, epoch *Epoch) error {
-	respEpoch, err := parseEpoch(resp.Header.Get(HeaderEpoch))
-	if err != nil {
-		return fmt.Errorf("replication: catch up %s: bad %s header", name, HeaderEpoch)
-	}
-	if respEpoch > epoch.Current() {
-		if _, err := epoch.Observe(respEpoch); err != nil {
-			return fmt.Errorf("replication: catch up %s: adopt epoch %d: %w", name, respEpoch, err)
-		}
-	}
-	return nil
+	newGen, newEpoch, err = u.snapshot(ctx, reg, name)
+	return false, newGen, newEpoch, err
 }

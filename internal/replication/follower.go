@@ -2,18 +2,15 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adminrefine/internal/admission"
-	"adminrefine/internal/storage"
 	"adminrefine/internal/tenant"
 )
 
@@ -114,10 +111,11 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 type Follower struct {
 	reg  *tenant.Registry
 	opts FollowerOptions
-	// snapClient shares Client's transport but drops its overall timeout:
-	// snapshot bootstraps are bounded per-request by SnapshotTimeout
-	// contexts instead of the long-poll-sized Client.Timeout.
-	snapClient *http.Client
+	// up talks to the primary. Its snapshot client shares Client's transport
+	// but drops its overall timeout: snapshot bootstraps are bounded
+	// per-request by SnapshotTimeout contexts instead of the long-poll-sized
+	// Client.Timeout.
+	up upstream
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -128,8 +126,10 @@ type Follower struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// tenants maps a name to its *followTenant. Ensure reads it lock-free on
+	// every follower read; mu serialises the inserts and deletes (and Close).
 	mu      sync.Mutex
-	tenants map[string]*followTenant
+	tenants sync.Map
 }
 
 // followTenant is one tenant's replication state.
@@ -137,14 +137,16 @@ type followTenant struct {
 	name string
 	// synced is closed when the first sync attempt concludes (either way);
 	// Ensure waits on it, then reads the live fields below.
-	synced    chan struct{}
+	synced chan struct{}
+	// haveLocal is set once the tenant has local state to serve. lastTouch is
+	// the last time (Unix nanoseconds) a read Ensured this tenant; the pull
+	// loop retires itself past IdleAfter. Both are atomics: they are all a
+	// read of a synced tenant touches.
+	haveLocal atomic.Bool
+	lastTouch atomic.Int64
 	mu        sync.Mutex
 	syncDone  bool
 	syncErr   error // nil once the tenant has local state to serve
-	haveLocal bool
-	// lastTouch is the last time a read Ensured this tenant; the pull loop
-	// retires itself past IdleAfter.
-	lastTouch time.Time
 	gen       uint64
 	// epoch is the fencing epoch of the local record at gen — the
 	// after_epoch half of the pull cursor (see tenant.PullWAL).
@@ -191,13 +193,13 @@ func NewFollower(reg *tenant.Registry, opts FollowerOptions) *Follower {
 		seed = time.Now().UnixNano()
 	}
 	return &Follower{
-		reg:        reg,
-		opts:       opts,
-		snapClient: &snap,
-		ctx:        ctx,
-		cancel:     cancel,
-		rng:        rand.New(rand.NewSource(seed)),
-		tenants:    make(map[string]*followTenant),
+		reg:  reg,
+		opts: opts,
+		up: upstream{base: opts.Upstream, client: opts.Client, snap: &snap, epoch: opts.Epoch,
+			sendEpoch: true, refuseBehind: true, breaker: opts.Breaker},
+		ctx:    ctx,
+		cancel: cancel,
+		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -243,31 +245,41 @@ func (f *Follower) Ensure(name string) error {
 		// to 400 on followers exactly as it does on primaries.
 		return fmt.Errorf("tenant %q: %w", name, tenant.ErrBadName)
 	}
-	f.mu.Lock()
-	ft, ok := f.tenants[name]
+	v, ok := f.tenants.Load(name)
 	if !ok {
-		if f.ctx.Err() != nil {
-			f.mu.Unlock()
-			return fmt.Errorf("replication: follower closed")
+		f.mu.Lock()
+		if v, ok = f.tenants.Load(name); !ok {
+			if f.ctx.Err() != nil {
+				f.mu.Unlock()
+				return fmt.Errorf("replication: follower closed")
+			}
+			ft := &followTenant{name: name, synced: make(chan struct{})}
+			ft.lastTouch.Store(time.Now().UnixNano())
+			f.tenants.Store(name, ft)
+			f.wg.Add(1)
+			go f.run(ft)
+			v = ft
 		}
-		ft = &followTenant{name: name, synced: make(chan struct{}), lastTouch: time.Now()}
-		f.tenants[name] = ft
-		f.wg.Add(1)
-		go f.run(ft)
+		f.mu.Unlock()
 	}
-	f.mu.Unlock()
-	ft.update(func() { ft.lastTouch = time.Now() })
+	ft := v.(*followTenant)
+	ft.lastTouch.Store(time.Now().UnixNano())
+	if ft.haveLocal.Load() {
+		return nil // the steady state: no lock, no timer, no allocation
+	}
 
+	wait := time.NewTimer(f.opts.SyncWait)
+	defer wait.Stop()
 	select {
 	case <-ft.synced:
-	case <-time.After(f.opts.SyncWait):
+	case <-wait.C:
 	case <-f.ctx.Done():
+	}
+	if ft.haveLocal.Load() {
+		return nil
 	}
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	if ft.haveLocal {
-		return nil
-	}
 	if ft.syncErr != nil {
 		return ft.syncErr
 	}
@@ -278,12 +290,11 @@ func (f *Follower) Ensure(name string) error {
 // LagStats reports the tenant's replication telemetry (false when the tenant
 // is not replicated here).
 func (f *Follower) LagStats(name string) (LagStats, bool) {
-	f.mu.Lock()
-	ft, ok := f.tenants[name]
-	f.mu.Unlock()
+	v, ok := f.tenants.Load(name)
 	if !ok {
 		return LagStats{}, false
 	}
+	ft := v.(*followTenant)
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	st := LagStats{
@@ -306,12 +317,11 @@ func (f *Follower) LagStats(name string) (LagStats, bool) {
 
 // Tenants lists the replicated tenant names.
 func (f *Follower) Tenants() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.tenants))
-	for name := range f.tenants {
-		names = append(names, name)
-	}
+	var names []string
+	f.tenants.Range(func(name, _ any) bool {
+		names = append(names, name.(string))
+		return true
+	})
 	return names
 }
 
@@ -325,10 +335,11 @@ func (f *Follower) run(ft *followTenant) {
 	// A SIGKILLed follower restarts with durable local state: serve reads
 	// from it immediately (and catch up in the background) so losing the
 	// upstream never takes reads down with it.
-	gen, epoch, err := f.localPosition(ft.name)
+	gen, epoch, err := f.reg.ReplicaPosition(ft.name)
 	switch {
 	case err == nil:
-		ft.update(func() { ft.gen, ft.epoch, ft.haveLocal = gen, epoch, true })
+		ft.update(func() { ft.gen, ft.epoch = gen, epoch })
+		ft.haveLocal.Store(true)
 		ft.finishSync(nil)
 	case !tenant.IsNotFound(err):
 		ft.update(func() { ft.lastErr = err.Error() })
@@ -336,7 +347,7 @@ func (f *Follower) run(ft *followTenant) {
 
 	backoff := f.opts.Backoff
 	for f.ctx.Err() == nil {
-		if f.opts.IdleAfter > 0 && time.Since(ft.touched()) > f.opts.IdleAfter && ft.hasLocal() {
+		if f.opts.IdleAfter > 0 && time.Since(ft.touched()) > f.opts.IdleAfter && ft.haveLocal.Load() {
 			// No read has wanted this tenant for a while: retire the loop
 			// (and its standing long-poll) so idle tenants cost nothing and
 			// the local registry may evict them. The next read re-Ensures
@@ -347,7 +358,7 @@ func (f *Follower) run(ft *followTenant) {
 			// until that tenant's next read.
 			f.mu.Lock()
 			if time.Since(ft.touched()) > f.opts.IdleAfter {
-				delete(f.tenants, ft.name)
+				f.tenants.Delete(ft.name)
 				f.mu.Unlock()
 				return
 			}
@@ -360,14 +371,14 @@ func (f *Follower) run(ft *followTenant) {
 			if !advanced {
 				continue // idle long-poll round; re-poll immediately
 			}
-		case tenant.IsNotFound(err) && !ft.hasLocal():
+		case tenant.IsNotFound(err) && !ft.haveLocal.Load():
 			// The tenant does not exist upstream and we hold nothing local:
 			// report not-found and retire the loop so probing bogus names
 			// costs one snapshot round-trip, not a goroutine forever. The
 			// next read retries from scratch.
 			ft.finishSync(err)
 			f.mu.Lock()
-			delete(f.tenants, ft.name)
+			f.tenants.Delete(ft.name)
 			f.mu.Unlock()
 			return
 		default:
@@ -385,7 +396,7 @@ func (f *Follower) run(ft *followTenant) {
 // apply. advanced reports whether new records were applied (so the caller
 // can distinguish progress from an idle long-poll).
 func (f *Follower) step(ft *followTenant) (advanced bool, err error) {
-	if !ft.hasLocal() {
+	if !ft.haveLocal.Load() {
 		if err := f.bootstrap(ft); err != nil {
 			return false, err
 		}
@@ -393,7 +404,7 @@ func (f *Follower) step(ft *followTenant) (advanced bool, err error) {
 		return true, nil
 	}
 	gen, epoch := ft.position()
-	res, err := f.pull(ft.name, gen, epoch)
+	res, err := f.up.pull(f.ctx, ft.name, gen, epoch, f.opts.PollWait)
 	if err != nil {
 		return false, err
 	}
@@ -404,125 +415,33 @@ func (f *Follower) step(ft *followTenant) (advanced bool, err error) {
 		ft.lastOK = time.Now()
 		ft.lastErr = ""
 	})
-	if res.snapshotNeeded {
-		if err := f.bootstrap(ft); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	if len(res.records) == 0 {
+	switch {
+	case res.snapshotNeeded:
+	case len(res.records) == 0:
 		// Caught up and idle. Verify the state checksum: generation equality
 		// plus edge-count equality catches the one divergence generations
 		// cannot see (a policy installed at generation 0 after we
 		// bootstrapped the tenant empty).
-		if gen == res.head && res.edges >= 0 {
-			if edges, err := f.localEdges(ft.name); err == nil && edges != res.edges {
-				if err := f.bootstrap(ft); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
+		if gen != res.head || res.edges < 0 {
+			return false, nil
 		}
-		return false, nil
-	}
-	newGen, err := f.reg.ApplyReplicated(ft.name, res.records)
-	if err != nil {
-		if tenant.IsOutOfSync(err) {
-			if err := f.bootstrap(ft); err != nil {
-				return false, err
-			}
+		if edges, err := f.reg.EdgeCount(ft.name); err != nil || edges == res.edges {
+			return false, nil
+		}
+	default:
+		newGen, newEpoch, err := apply(f.reg, ft.name, res.records, epoch)
+		if err == nil {
+			ft.update(func() {
+				ft.applied += uint64(len(res.records))
+				ft.gen, ft.epoch = newGen, newEpoch
+			})
 			return true, nil
 		}
-		return false, err
-	}
-	ft.update(func() {
-		ft.applied += uint64(len(res.records))
-		ft.gen = newGen
-		// Advance the epoch half of the cursor to the epoch stamped on the
-		// record now at the head — records keep their primary's stamp
-		// through the apply, so the cursor matches the local WAL exactly.
-		for i := len(res.records) - 1; i >= 0; i-- {
-			if r := res.records[i]; !r.IsAudit() && uint64(r.Seq) <= newGen {
-				ft.epoch = r.Epoch
-				break
-			}
-		}
-	})
-	return true, nil
-}
-
-// pullResult is one decoded pull response.
-type pullResult struct {
-	records        []storage.Record
-	head           uint64
-	edges          int
-	snapshotNeeded bool
-}
-
-// pull performs one long-poll GET against the primary's pull endpoint.
-func (f *Follower) pull(name string, afterSeq, afterEpoch uint64) (pullResult, error) {
-	url := fmt.Sprintf("%s/v1/replicate/%s/pull?after_seq=%d&after_epoch=%d&wait_ms=%d",
-		f.opts.Upstream, name, afterSeq, afterEpoch, f.opts.PollWait.Milliseconds())
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return pullResult{}, err
-	}
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(f.opts.Epoch.Current(), 10))
-	if err := f.opts.Breaker.Allow(); err != nil {
-		return pullResult{}, fmt.Errorf("replication: pull %s: %w", name, err)
-	}
-	resp, err := f.opts.Client.Do(req)
-	if err != nil {
-		f.opts.Breaker.Failure()
-		return pullResult{}, err
-	}
-	// Any response means the upstream is alive; what it said is a protocol
-	// matter, not a transport one.
-	f.opts.Breaker.Success()
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusGone:
-	case http.StatusNotFound:
-		return pullResult{}, fmt.Errorf("replication: pull %s: %w", name, tenant.ErrNotFound)
-	case http.StatusMisdirectedRequest:
-		return pullResult{}, f.fencedByUpstream("pull", name, resp)
-	default:
-		return pullResult{}, fmt.Errorf("replication: pull %s: upstream status %d", name, resp.StatusCode)
-	}
-	if err := f.adoptEpoch("pull", name, resp); err != nil {
-		return pullResult{}, err
-	}
-	var res pullResult
-	head, err := strconv.ParseUint(resp.Header.Get(HeaderHead), 10, 64)
-	if err != nil {
-		return pullResult{}, fmt.Errorf("replication: pull %s: bad %s header", name, HeaderHead)
-	}
-	res.head = head
-	res.edges = -1
-	if edges, err := strconv.Atoi(resp.Header.Get(HeaderEdges)); err == nil {
-		res.edges = edges
-	}
-	if resp.StatusCode == http.StatusGone {
-		res.snapshotNeeded = true
-		return res, nil
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPullBody))
-	if err != nil {
-		return pullResult{}, fmt.Errorf("replication: pull %s: read body: %w", name, err)
-	}
-	n, records := storage.DecodeFrames(body)
-	if n != len(body) {
-		// A truncated transfer (or a peer exceeding our read limit, which a
-		// well-behaved source never does — it caps batches in whole frames).
-		// The valid prefix is real history either way: apply it so the
-		// replica makes progress, and let the next pull fetch the rest.
-		// Only a body with no whole frame at all is a hard fault.
-		if len(records) == 0 {
-			return pullResult{}, fmt.Errorf("replication: pull %s: %d trailing bytes undecodable", name, len(body)-n)
+		if !tenant.IsOutOfSync(err) {
+			return false, err
 		}
 	}
-	res.records = records
-	return res, nil
+	return true, f.bootstrap(ft)
 }
 
 // bootstrap fetches the primary's snapshot and installs it locally, leaving
@@ -533,100 +452,23 @@ func (f *Follower) pull(name string, afterSeq, afterEpoch uint64) (pullResult, e
 func (f *Follower) bootstrap(ft *followTenant) error {
 	ctx, cancel := context.WithTimeout(f.ctx, f.opts.SnapshotTimeout)
 	defer cancel()
-	url := fmt.Sprintf("%s/v1/replicate/%s/snapshot", f.opts.Upstream, ft.name)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	seq, seqEpoch, err := f.up.snapshot(ctx, f.reg, ft.name)
 	if err != nil {
-		return err
-	}
-	req.Header.Set(HeaderEpoch, strconv.FormatUint(f.opts.Epoch.Current(), 10))
-	if err := f.opts.Breaker.Allow(); err != nil {
-		return fmt.Errorf("replication: snapshot %s: %w", ft.name, err)
-	}
-	resp, err := f.snapClient.Do(req)
-	if err != nil {
-		f.opts.Breaker.Failure()
-		return err
-	}
-	f.opts.Breaker.Success()
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return fmt.Errorf("replication: snapshot %s: %w", ft.name, tenant.ErrNotFound)
-	case http.StatusMisdirectedRequest:
-		return f.fencedByUpstream("snapshot", ft.name, resp)
-	default:
-		return fmt.Errorf("replication: snapshot %s: upstream status %d", ft.name, resp.StatusCode)
-	}
-	if err := f.adoptEpoch("snapshot", ft.name, resp); err != nil {
-		return err
-	}
-	var payload struct {
-		Seq      uint64           `json:"seq"`
-		SeqEpoch uint64           `json:"seq_epoch"`
-		Policy   json.RawMessage  `json:"policy"`
-		Audit    []storage.Record `json:"audit"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxPullBody)).Decode(&payload); err != nil {
-		return fmt.Errorf("replication: snapshot %s: decode: %w", ft.name, err)
-	}
-	if err := f.reg.InstallReplicaSnapshot(ft.name, payload.Policy, payload.Seq, payload.SeqEpoch, payload.Audit); err != nil {
 		return err
 	}
 	ft.update(func() {
 		ft.bootstr++
-		ft.gen = payload.Seq
-		ft.epoch = payload.SeqEpoch
-		if payload.Seq > ft.head {
-			ft.head = payload.Seq
+		ft.gen = seq
+		ft.epoch = seqEpoch
+		if seq > ft.head {
+			ft.head = seq
 		}
-		ft.haveLocal = true
 		ft.healthy = true
 		ft.lastOK = time.Now()
 		ft.lastErr = ""
 	})
+	ft.haveLocal.Store(true)
 	return nil
-}
-
-// fencedByUpstream turns a 421 into ErrUpstreamFenced, first adopting the
-// epoch the upstream proved exists (a deposed ex-primary answering 421
-// still teaches us the current epoch).
-func (f *Follower) fencedByUpstream(what, name string, resp *http.Response) error {
-	if peer, err := parseEpoch(resp.Header.Get(HeaderEpoch)); err == nil {
-		f.opts.Epoch.Observe(peer)
-	}
-	return fmt.Errorf("replication: %s %s: upstream at epoch %s: %w",
-		what, name, resp.Header.Get(HeaderEpoch), ErrUpstreamFenced)
-}
-
-// adoptEpoch processes a successful response's epoch header: an epoch above
-// ours is adopted durably BEFORE any record or snapshot from the response
-// is applied (so local stamps always match the primary's), and an upstream
-// behind our own epoch is refused — a deposed primary that somehow still
-// answers 200 must not feed us history.
-func (f *Follower) adoptEpoch(what, name string, resp *http.Response) error {
-	respEpoch, err := parseEpoch(resp.Header.Get(HeaderEpoch))
-	if err != nil {
-		return fmt.Errorf("replication: %s %s: bad %s header", what, name, HeaderEpoch)
-	}
-	own := f.opts.Epoch.Current()
-	switch {
-	case respEpoch < own:
-		return fmt.Errorf("replication: %s %s: upstream epoch %d behind ours %d: %w",
-			what, name, respEpoch, own, ErrUpstreamFenced)
-	case respEpoch > own:
-		if _, err := f.opts.Epoch.Observe(respEpoch); err != nil {
-			return fmt.Errorf("replication: %s %s: adopt epoch %d: %w", what, name, respEpoch, err)
-		}
-	}
-	return nil
-}
-
-// localPosition reads the tenant's local replication position — WAL head
-// sequence plus the epoch of the record there — without blocking
-// (tenant.IsNotFound when there is no durable local state).
-func (f *Follower) localPosition(name string) (uint64, uint64, error) {
-	return f.reg.ReplicaPosition(name)
 }
 
 // jitter spreads a retry delay over [d/2, 3d/2): deterministic doubling
@@ -639,12 +481,6 @@ func (f *Follower) jitter(d time.Duration) time.Duration {
 	f.rngMu.Lock()
 	defer f.rngMu.Unlock()
 	return d/2 + time.Duration(f.rng.Int63n(int64(d)))
-}
-
-// localEdges counts the local policy's edges — the follower half of the
-// pull checksum.
-func (f *Follower) localEdges(name string) (int, error) {
-	return f.reg.EdgeCount(name)
 }
 
 // sleep blocks for d or until the follower closes.
@@ -663,23 +499,13 @@ func (ft *followTenant) update(fn func()) {
 	fn()
 }
 
-func (ft *followTenant) hasLocal() bool {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.haveLocal
-}
-
 func (ft *followTenant) position() (uint64, uint64) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	return ft.gen, ft.epoch
 }
 
-func (ft *followTenant) touched() time.Time {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.lastTouch
-}
+func (ft *followTenant) touched() time.Time { return time.Unix(0, ft.lastTouch.Load()) }
 
 // finishSync concludes the first sync attempt: Ensure unblocks and reads
 // the outcome. Later calls only refresh the recorded error.

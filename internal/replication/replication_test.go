@@ -263,3 +263,39 @@ func TestEnsureUnknownTenantIsNotFound(t *testing.T) {
 		return !ok
 	})
 }
+
+// TestSourceCloseReleasesParkedPull: a draining primary must not wait out its
+// followers' long-polls. http.Server.Shutdown does not cancel the contexts of
+// active handlers, so Close has to.
+func TestSourceCloseReleasesParkedPull(t *testing.T) {
+	prim := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+	defer prim.Close()
+	if err := prim.InstallPolicy("t", workload.ChurnPolicy(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(prim, SourceOptions{})
+	mux := http.NewServeMux()
+	src.Register(mux)
+	for _, parkFirst := range []bool{true, false} {
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/replicate/t/pull?after_seq=0&wait_ms=30000", nil))
+		}()
+		if parkFirst {
+			// Long enough to park in the long-poll on any box; the second round
+			// covers a poll arriving after the close.
+			time.Sleep(50 * time.Millisecond)
+		}
+		src.Close()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("parkFirst=%v: pull still parked 5s after Source.Close", parkFirst)
+		}
+		if rec.Code != http.StatusOK || rec.Body.Len() != 0 || rec.Header().Get(HeaderHead) != "0" {
+			t.Fatalf("parkFirst=%v: released pull answered %d, %d bytes, head %q", parkFirst, rec.Code, rec.Body.Len(), rec.Header().Get(HeaderHead))
+		}
+	}
+}

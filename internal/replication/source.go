@@ -5,9 +5,17 @@
 // storage.DecodeFrames) plus a snapshot bootstrap endpoint for followers
 // that have no local state or fell behind a compaction. Each follower runs a
 // Follower: per-tenant pull loops that feed pulled record batches through
-// engine.SubmitBatch on a local registry (readers never observe a
-// half-applied batch) and persist them to a local WAL, so a SIGKILLed
-// follower resumes from its own log.
+// the engine on a local registry (readers never observe a half-applied
+// batch) and persist them to a local WAL, so a SIGKILLed follower resumes
+// from its own log.
+//
+// A primary shows readers nothing that is not durable. A replica's rule is
+// the other half of that promise: visible at a replica ⇒ durable at its
+// primary (a record is served to pullers only after the primary's fsync);
+// durable at the replica ⇒ before tenant.ApplyReplicated returns (so every
+// position a pull cursor, CatchUp or a promotion carries is durable here
+// too, while readers need not wait for this node's fsync); a failed late
+// fsync ⇒ snapshot install, never a step back.
 //
 // Consistency is generation-token based, after the paper's generation-
 // ordered refinement semantics: every write on the primary has a generation,
@@ -52,6 +60,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adminrefine/internal/policy"
 	"adminrefine/internal/storage"
 	"adminrefine/internal/tenant"
 )
@@ -101,10 +110,11 @@ type Source struct {
 	// mounted but answers 421 + its epoch, which is exactly the re-point
 	// signal a stray puller needs. Promotion flips it on (see server).
 	serving atomic.Bool
-	// done, when closed, aborts in-flight long-polls: http.Server.Shutdown
+	// done, when cancelled, aborts in-flight long-polls: http.Server.Shutdown
 	// waits for active handlers but does not cancel their request contexts,
 	// so a draining primary must wake its parked pulls itself (see Close).
-	done chan struct{}
+	done context.Context
+	stop context.CancelFunc
 }
 
 // NewSource builds the log-shipping source over a registry, initially
@@ -116,7 +126,8 @@ func NewSource(reg *tenant.Registry, opts SourceOptions) *Source {
 	if opts.MaxBatchBytes <= 0 {
 		opts.MaxBatchBytes = 4 << 20
 	}
-	s := &Source{reg: reg, opts: opts, done: make(chan struct{})}
+	s := &Source{reg: reg, opts: opts}
+	s.done, s.stop = context.WithCancel(context.Background())
 	s.serving.Store(true)
 	return s
 }
@@ -171,13 +182,7 @@ func parseEpoch(v string) (uint64, error) {
 
 // Close wakes every in-flight long-poll so a graceful server shutdown is
 // not held hostage by parked follower pulls. Idempotent.
-func (s *Source) Close() {
-	select {
-	case <-s.done:
-	default:
-		close(s.done)
-	}
-}
+func (s *Source) Close() { s.stop() }
 
 // Register mounts the replication endpoints on mux.
 func (s *Source) Register(mux *http.ServeMux) {
@@ -194,7 +199,7 @@ type SnapshotPayload struct {
 	// SeqEpoch is the fencing epoch of the record at Seq; the follower
 	// resumes pulling from after_seq=Seq&after_epoch=SeqEpoch.
 	SeqEpoch uint64           `json:"seq_epoch,omitempty"`
-	Policy   any              `json:"policy"`
+	Policy   policy.Wire      `json:"policy"`
 	Audit    []storage.Record `json:"audit,omitempty"`
 }
 
@@ -230,13 +235,7 @@ func (s *Source) handlePull(w http.ResponseWriter, r *http.Request) {
 	// or the primary drains (Close).
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	go func() {
-		select {
-		case <-s.done:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
+	defer context.AfterFunc(s.done, cancel)()
 	res, err := s.reg.PullWAL(ctx, name, afterSeq, afterEpoch, wait)
 	if err != nil {
 		sourceError(w, err)

@@ -214,9 +214,13 @@ type Store struct {
 	f    File
 	seq  int
 	// off is the file offset one past the last fully landed frame — the
-	// truncation point that repairs a torn append (a partial write or a
-	// failed fsync leaves bytes of unknown durability; see appendLocked).
-	off int64
+	// truncation point that repairs a torn write. durable trails it: one past
+	// the last frame a completed sync covered, the truncation point that
+	// repairs a failed fsync (bytes of unknown durability; see syncLocked).
+	// landed holds the records in between, which the bookkeeping below does
+	// not count yet: seq, tail and audit only ever describe synced frames.
+	off, durable int64
+	landed       []Record
 	// damaged is set when that repair itself failed; see ErrDamaged.
 	damaged bool
 	// epoch is the durable fencing epoch: the highest KindEpoch control
@@ -270,7 +274,7 @@ type Store struct {
 	// signal.
 	sinceCompact int
 	// staged buffers records accepted by StageCommit but not yet landed by
-	// FlushStaged — the group-commit window. Nothing in it is durable or
+	// the commit flush — the group-commit window. Nothing in it is durable or
 	// acknowledged; a flush failure simply drops it.
 	staged []Record
 }
@@ -448,7 +452,7 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 	// records, and counting those would re-trigger a full compaction on the
 	// first submit after every restart of a store with a populated window.
 	s := &Store{dir: dir, opts: opts, f: f, seq: seq, snapBase: snapSeq,
-		off: validEnd, epoch: epoch, stampEpoch: lastEpoch,
+		off: validEnd, durable: validEnd, epoch: epoch, stampEpoch: lastEpoch,
 		lastEpoch: lastEpoch, snapEpoch: snapEpoch, placement: placementData,
 		sinceCompact: len(records) - len(auditRecs) - ctrlRecs}
 	// Seed the in-memory tail with the decoded log (records at or below
@@ -549,7 +553,7 @@ func (s *Store) NewEngine(pol *policy.Policy, mode engine.Mode, cache *decision.
 	eng.SetCommitHook(func(gen uint64, res command.StepResult) error {
 		return s.StageCommit(int(gen), res)
 	})
-	eng.SetCommitFlush(s.FlushStaged)
+	eng.SetCommitFlush(s.flushStaged)
 	return eng
 }
 
@@ -701,15 +705,20 @@ func (s *Store) StageCommit(seq int, res command.StepResult) error {
 	return nil
 }
 
-// FlushStaged lands every staged record with one file write (and one fsync
-// under Options.Sync) — the group half of group commit. The records are
+// FlushStaged lands every staged record with one file write and syncs it (one
+// fsync under Options.Sync) — the group half of group commit. The records are
 // epoch-stamped and audit-indexed at flush time, in stage order. On failure
-// the staged buffer is discarded and writeLocked has already truncated the
-// log back to the last known-good frame boundary, so the on-disk state is
-// exactly as if the group never happened — the engine turns that into a
-// rollback of every command the group covered. A flush with nothing staged
-// is a no-op. Safe for concurrent use.
-func (s *Store) FlushStaged() error {
+// the staged buffer is discarded and the log has already been truncated back
+// to the last known-good frame boundary, so the on-disk state is exactly as
+// if the group never happened — the engine turns that into a rollback of
+// every command the group covered. A flush with nothing staged is a no-op.
+// Safe for concurrent use.
+func (s *Store) FlushStaged() error { return s.flushStaged(true) }
+
+// flushStaged is the engine's commit flush (see engine.SetCommitFlush). With
+// sync false it stops after the write: the replica's order, where the caller
+// publishes first and owes the covering Sync before it reports the position.
+func (s *Store) flushStaged(sync bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.staged) == 0 {
@@ -717,7 +726,25 @@ func (s *Store) FlushStaged() error {
 	}
 	recs := s.staged
 	s.staged = nil
-	return s.appendRecordsLocked(true, recs...)
+	err := s.landLocked(true, recs...)
+	if err == nil && sync {
+		err = s.syncLocked(false)
+	}
+	return err
+}
+
+// Sync completes the durability step for everything landed and not yet
+// synced, and only then moves Seq, the tail and the audit log over it. On
+// failure the log is back at the last synced frame and the landed records are
+// gone, uncounted: a caller that already published them is out of sync with
+// its own log and must reinstall (see tenant.ApplyReplicated).
+func (s *Store) Sync() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.off == s.durable {
+		return nil
+	}
+	return s.syncLocked(false)
 }
 
 // AppendAudit logs the audit observation of a command that did not change
@@ -750,8 +777,8 @@ func (s *Store) AppendRecords(records ...Record) error {
 	return s.appendRecords(false, records...)
 }
 
-// appendRecords frames every record into one buffer and lands them with a
-// single write, then updates the sequence, tail and audit bookkeeping.
+// appendRecords frames every record into one buffer, lands them with a
+// single write and syncs them; only then do they count (see syncLocked).
 // Audit records are (re)assigned this store's next audit index before
 // encoding, so the persisted frame carries the same node-local pagination
 // cursor the in-memory log serves — incoming indexes from another node
@@ -762,18 +789,28 @@ func (s *Store) AppendRecords(records ...Record) error {
 func (s *Store) appendRecords(stamp bool, records ...Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.appendRecordsLocked(stamp, records...)
+	err := s.landLocked(stamp, records...)
+	if err == nil {
+		err = s.syncLocked(false)
+	}
+	return err
 }
 
-// appendRecordsLocked is appendRecords under an already-held s.mu — shared by
-// the direct append paths and the group-commit flush.
-func (s *Store) appendRecordsLocked(stamp bool, records ...Record) error {
+// landLocked frames the records and lands them with one write(2). They wait
+// in s.landed, uncounted, for the sync that covers them. Caller holds s.mu.
+func (s *Store) landLocked(stamp bool, records ...Record) error {
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
 	var buf []byte
 	var err error
 	next := s.lastASeq
+	for i := len(s.landed) - 1; i >= 0; i-- {
+		if s.landed[i].IsAudit() {
+			next = s.landed[i].ASeq
+			break
+		}
+	}
 	for i := range records {
 		if records[i].IsAudit() {
 			next++
@@ -786,19 +823,13 @@ func (s *Store) appendRecordsLocked(stamp bool, records ...Record) error {
 			return err
 		}
 	}
-	if err := s.writeLocked(buf, s.opts.Sync); err != nil {
+	if err := s.writeLocked(buf); err != nil {
 		return err
 	}
-	for _, r := range records {
-		if r.Seq > s.seq && !r.IsAudit() {
-			s.seq = r.Seq
-			s.lastEpoch = r.Epoch
-		}
-		s.appendTailLocked(r)
-		if r.IsAudit() {
-			s.appendAuditLocked(r)
-		}
-		s.sinceCompact++
+	if s.landed == nil {
+		s.landed = records // ours until the sync: staged records, or a caller blocked in this append
+	} else {
+		s.landed = append(s.landed, records...)
 	}
 	return nil
 }
@@ -815,44 +846,85 @@ func (s *Store) writableLocked() error {
 	return nil
 }
 
-// writeLocked lands buf at the current append offset, fsyncs when asked, and
-// — on any failure — truncates back to the last known-good offset so a torn
-// frame (or bytes of unknown durability after a failed fsync) never corrupts
-// the records appended after it. A caller seeing an error knows the write is
-// not durable AND the log still ends at a CRC-valid frame boundary; the
-// engine's commit hook turns that into a rollback, so acknowledged state and
-// recovered state agree. If the repair itself fails the store wedges
-// (ErrDamaged) rather than risk appending after garbage. Caller holds s.mu.
-func (s *Store) writeLocked(buf []byte, sync bool) error {
-	pos := s.off
+// writeLocked lands buf at the append offset and, on a failed or short write,
+// truncates the torn frame away so it never corrupts the records appended
+// after it. Nothing it lands is durable before syncLocked. Caller holds s.mu.
+func (s *Store) writeLocked(buf []byte) error {
 	n, err := s.f.Write(buf)
 	if err == nil && n < len(buf) {
 		err = io.ErrShortWrite
 	}
-	if err == nil && sync {
-		err = s.f.Sync()
-	}
 	if err != nil {
-		if s.repairLocked(pos) != nil {
-			s.damaged = true
-		}
+		s.repairLocked(s.off)
 		return err
 	}
-	s.off = pos + int64(len(buf))
+	s.off += int64(len(buf))
+	return nil
+}
+
+// syncLocked is the second half of the durability step: one fsync (under
+// Options.Sync, or forced for control records) covering everything landed
+// since the last one, after which the landed records count — seq, tail and
+// audit bookkeeping describe synced frames only. A failed fsync leaves bytes
+// of unknown durability, so the log is truncated back to the durable
+// watermark and the landed records are dropped: a caller seeing an error
+// knows none of them is durable AND the log still ends at a CRC-valid frame
+// boundary. On a primary, where every land is synced before anything else
+// happens, that is the pre-write state and the engine rolls the group back, so
+// acknowledged state and recovered state agree. Caller holds s.mu.
+func (s *Store) syncLocked(force bool) error {
+	if force || s.opts.Sync {
+		if err := s.f.Sync(); err != nil {
+			s.repairLocked(s.durable)
+			s.landed = nil
+			return err
+		}
+	}
+	s.durable = s.off
+	for _, r := range s.landed {
+		if r.Seq > s.seq && !r.IsAudit() {
+			s.seq = r.Seq
+			s.lastEpoch = r.Epoch
+		}
+		s.appendTailLocked(r)
+		if r.IsAudit() {
+			s.appendAuditLocked(r)
+		}
+		s.sinceCompact++
+	}
+	s.landed = nil
 	return nil
 }
 
 // repairLocked truncates the log back to pos and restores the append
 // position, fsyncing the shrunken length so the discarded suffix cannot
-// resurface after a crash. Caller holds s.mu.
-func (s *Store) repairLocked(pos int64) error {
-	if err := s.f.Truncate(pos); err != nil {
+// resurface after a crash. If the repair itself fails the store wedges
+// (ErrDamaged) rather than risk appending after garbage. Caller holds s.mu.
+func (s *Store) repairLocked(pos int64) {
+	err := s.f.Truncate(pos)
+	if err == nil {
+		_, err = s.f.Seek(pos, io.SeekStart)
+	}
+	if err == nil {
+		err = s.f.Sync()
+	}
+	s.off, s.damaged = pos, s.damaged || err != nil
+}
+
+// controlLocked appends one node-level control record, fsynced regardless of
+// Options.Sync. Caller holds s.mu.
+func (s *Store) controlLocked(r Record) error {
+	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	if _, err := s.f.Seek(pos, io.SeekStart); err != nil {
-		return err
+	buf, err := EncodeFrame(nil, r)
+	if err == nil {
+		err = s.writeLocked(buf)
 	}
-	return s.f.Sync()
+	if err == nil {
+		err = s.syncLocked(true)
+	}
+	return err
 }
 
 // Epoch reports the store's durable fencing epoch: the highest KindEpoch
@@ -875,14 +947,7 @@ func (s *Store) SetEpoch(e uint64) error {
 	if e <= s.epoch {
 		return nil
 	}
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	buf, err := EncodeFrame(nil, Record{Kind: KindEpoch, Epoch: e})
-	if err != nil {
-		return err
-	}
-	if err := s.writeLocked(buf, true); err != nil {
+	if err := s.controlLocked(Record{Kind: KindEpoch, Epoch: e}); err != nil {
 		return err
 	}
 	s.epoch = e
@@ -908,14 +973,7 @@ func (s *Store) Placement() []byte {
 func (s *Store) SetPlacement(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writableLocked(); err != nil {
-		return err
-	}
-	buf, err := EncodeFrame(nil, Record{Kind: KindPlacement, Data: data})
-	if err != nil {
-		return err
-	}
-	if err := s.writeLocked(buf, true); err != nil {
+	if err := s.controlLocked(Record{Kind: KindPlacement, Data: data}); err != nil {
 		return err
 	}
 	s.placement = append([]byte(nil), data...)
@@ -1057,7 +1115,7 @@ func (s *Store) compactLocked(p *policy.Policy, seq int, seqEpoch uint64, keepAu
 	if _, err := s.f.Seek(0, io.SeekEnd); err != nil {
 		return err
 	}
-	s.off = int64(len(logMagic))
+	s.off, s.durable, s.landed = int64(len(logMagic)), int64(len(logMagic)), nil
 	// Re-append the retained audit window: compaction folds *state* into the
 	// snapshot, but audit records are observations with no representation in
 	// it, so truncating them away would erase the trail on every graceful
@@ -1072,7 +1130,7 @@ func (s *Store) compactLocked(p *policy.Policy, seq int, seqEpoch uint64, keepAu
 				return err
 			}
 		}
-		if err := s.writeLocked(buf, false); err != nil {
+		if err := s.writeLocked(buf); err != nil {
 			return err
 		}
 	}
@@ -1092,10 +1150,7 @@ func (s *Store) compactLocked(p *policy.Policy, seq int, seqEpoch uint64, keepAu
 	s.snapBase = seq
 	s.snapEpoch = seqEpoch
 	s.sinceCompact = 0
-	if s.opts.Sync {
-		return s.f.Sync()
-	}
-	return nil
+	return s.syncLocked(false)
 }
 
 // SnapBase reports the sequence number the on-disk snapshot covers; the log

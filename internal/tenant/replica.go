@@ -2,8 +2,8 @@
 // per-tenant WAL to pullers (PullWAL, SnapshotDump) and the follower side
 // applies what it pulled (ApplyReplicated, InstallReplicaSnapshot). The
 // transport lives in internal/replication; this file is the storage/engine
-// coupling — a pulled record batch flows through engine.SubmitBatch, so a
-// follower re-runs the transition function on an identical pre-state and
+// coupling — a pulled record batch flows through engine.SubmitReplicated, so
+// a follower re-runs the transition function on an identical pre-state and
 // readers never observe a half-applied batch.
 package tenant
 
@@ -20,10 +20,20 @@ import (
 )
 
 // errOutOfSync marks a replication apply that cannot extend the local state:
-// a sequence gap (the primary compacted past us) or a divergent replay (a
-// replicated command stepped differently than the primary logged). Either
-// way the cure is a snapshot bootstrap, not a retry.
+// a sequence gap (the primary compacted past us), a divergent replay (a
+// replicated command stepped differently than the primary logged), or a local
+// log behind the published generation (see behind). Either way the cure is a
+// snapshot bootstrap, not a retry.
 var errOutOfSync = errors.New("replica out of sync")
+
+// behind reports a store that lost records its engine already published: a
+// replicated apply's late fsync failed (see ApplyReplicated). Published state
+// cannot be rolled back, so until a snapshot install at or above it replaces
+// both, nothing may extend, compact or reopen the log: an append would leave a
+// gap in it, a compaction would label newer state with an older position, and
+// an eviction would reopen below a generation readers were already served.
+// Caller holds t.submu or has the tenant unlinked and idle.
+func (t *tenant) behind() bool { return uint64(t.store.Seq()) != t.engine().Generation() }
 
 // IsOutOfSync reports whether err calls for a snapshot bootstrap: the
 // tenant's local state can no longer be extended record-by-record.
@@ -177,16 +187,12 @@ func (r *Registry) SnapshotDump(name string) (uint64, uint64, []byte, []storage.
 // rewinding us is the fork-healing install, discarding a suffix the deposed
 // primary acknowledged but the promoted one never had (the puller was
 // fenced off extending it record-by-record by PullWAL's prefix check).
-func (r *Registry) InstallReplicaSnapshot(name string, policyJSON []byte, seq uint64, seqEpoch uint64, audit []storage.Record) error {
+func (r *Registry) InstallReplicaSnapshot(name string, p *policy.Policy, seq uint64, seqEpoch uint64, audit []storage.Record) error {
 	t, err := r.acquire(name, true)
 	if err != nil {
 		return err
 	}
 	defer t.release()
-	p := policy.New()
-	if err := json.Unmarshal(policyJSON, p); err != nil {
-		return fmt.Errorf("tenant %s: replica snapshot: %w", name, err)
-	}
 	t.submu.Lock()
 	defer t.submu.Unlock()
 	rewind := false
@@ -215,14 +221,26 @@ func (r *Registry) InstallReplicaSnapshot(name string, policyJSON []byte, seq ui
 }
 
 // ApplyReplicated extends the tenant's state with records pulled from the
-// upstream primary, feeding the step records as one engine.SubmitBatch so
-// readers never observe a half-applied batch and the local WAL (via the
-// engine's commit hook) logs exactly what the primary logged. Records at or
-// below the local generation are skipped (pull overlap on reconnect); a
-// sequence gap or a replay that converges to a different generation than
-// the primary's reports out-of-sync (see IsOutOfSync) and the caller
-// bootstraps from a snapshot. It returns the tenant's generation after the
-// apply.
+// upstream primary, feeding the step records as one engine batch so readers
+// never observe a half-applied batch and the local WAL (via the engine's
+// commit hook) logs exactly what the primary logged. Records at or below the
+// local generation are skipped (pull overlap on reconnect); a sequence gap or
+// a replay that converges to a different generation than the primary's
+// reports out-of-sync (see IsOutOfSync) and the caller bootstraps from a
+// snapshot. It returns the tenant's generation after the apply.
+//
+// The order is land → publish → sync, where a primary's commit is land → sync
+// → publish: every record here was fsynced by the primary before it was
+// served, so visible at a replica already implies durable at its primary and
+// a reader holding the generation token need not wait for this node's fsync.
+// The fsync still runs — one per apply, covering every record landed — and
+// ApplyReplicated returns only after it, so the position it reports (the pull
+// cursor, CatchUp's result, what Promote inherits) is durable here too. If
+// that fsync fails the published generation cannot be taken back: the store
+// drops the unsynced records, the tenant is behind, and this and every later
+// apply report out-of-sync until a snapshot install at the primary's head (at
+// or above anything served) replaces the state — the served generation never
+// steps back and the log never acquires a gap.
 //
 // Audit records ride the same stream but are observations, not effects:
 // applied-command audits are dropped here (the local commit hook re-mints
@@ -242,6 +260,9 @@ func (r *Registry) ApplyReplicated(name string, records []storage.Record) (uint6
 	defer t.submu.Unlock()
 	eng := t.eng.Load()
 	gen := eng.Generation()
+	if t.behind() {
+		return gen, fmt.Errorf("tenant %s: log at %d behind published generation %d: %w", name, t.store.Seq(), gen, errOutOfSync)
+	}
 	cmds := make([]command.Command, 0, len(records))
 	epochs := make([]uint64, 0, len(records))
 	var audits []storage.Record
@@ -270,35 +291,40 @@ func (r *Registry) ApplyReplicated(name string, records []storage.Record) (uint6
 	if len(cmds) == 0 && len(audits) == 0 {
 		return gen, nil
 	}
-	if len(cmds) > 0 {
-		t.submits.Add(uint64(len(cmds)))
-		// Apply in runs of equal epoch, syncing the store's stamp epoch per
-		// run: the commit hook re-logs each replayed step, and the local
-		// record must carry the epoch the primary stamped — not the node's
-		// current one — or the prefix check (PullWAL) would see phantom
-		// forks. Runs are almost always the whole batch; a batch spanning an
-		// epoch boundary (records from before and after a failover in one
-		// pull) splits once.
-		for i := 0; i < len(cmds); {
-			j := i + 1
-			for j < len(cmds) && epochs[j] == epochs[i] {
-				j++
-			}
-			t.store.SetStampEpoch(epochs[i])
-			if _, err := eng.SubmitBatch(cmds[i:j], nil); err != nil {
-				return eng.Generation(), err
-			}
-			i = j
+	t.submits.Add(uint64(len(cmds)))
+	// Apply in runs of equal epoch, syncing the store's stamp epoch per run:
+	// the commit hook re-logs each replayed step, and the local record must
+	// carry the epoch the primary stamped — not the node's current one — or
+	// the prefix check (PullWAL) would see phantom forks. Runs are almost
+	// always the whole batch; a batch spanning an epoch boundary (records from
+	// before and after a failover in one pull) splits once.
+	var applyErr, syncErr error
+	for i := 0; i < len(cmds) && applyErr == nil; {
+		j := i + 1
+		for j < len(cmds) && epochs[j] == epochs[i] {
+			j++
 		}
-		if got := eng.Generation(); got != next {
-			// A replayed command stepped differently than on the primary
-			// (denied or no-change): the states diverged somewhere behind us.
-			return got, fmt.Errorf("tenant %s: replicated batch converged to generation %d, want %d: %w", name, got, next, errOutOfSync)
-		}
+		t.store.SetStampEpoch(epochs[i])
+		_, applyErr = eng.SubmitReplicated(cmds[i:j])
+		i = j
 	}
-	// Best-effort, one write, after the steps landed: a lost no-effect audit
-	// loses no state, and a failing WAL surfaces through the step path.
-	t.store.AppendRecords(audits...)
+	// One write for the no-effect audits (best-effort: a lost one loses no
+	// state), then the one fsync that covers everything this apply landed.
+	if applyErr == nil {
+		syncErr = t.store.AppendRecords(audits...)
+	}
+	syncErr = errors.Join(syncErr, t.store.Sync())
+	got := eng.Generation()
+	switch {
+	case t.behind():
+		return got, fmt.Errorf("tenant %s: generation %d published but not durable here (%v): %w", name, got, syncErr, errOutOfSync)
+	case applyErr != nil:
+		return got, applyErr
+	case got != next:
+		// A replayed command stepped differently than on the primary (denied
+		// or no-change): the states diverged somewhere behind us.
+		return got, fmt.Errorf("tenant %s: replicated batch converged to generation %d, want %d: %w", name, got, next, errOutOfSync)
+	}
 	t.maybeCompact(r.opts.CompactEvery)
 	return next, nil
 }

@@ -9,6 +9,7 @@ import (
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
+	"adminrefine/internal/policy"
 	"adminrefine/internal/workload"
 )
 
@@ -54,7 +55,7 @@ func TestPullWALAndApplyReplicated(t *testing.T) {
 	defer fol.Close()
 	// Snapshot carries the whole state: installing at seq makes the pulled
 	// suffix after seq a no-op overlap.
-	if err := fol.InstallReplicaSnapshot("t", polJSON, seq, seqEpoch, nil); err != nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, polJSON), seq, seqEpoch, nil); err != nil {
 		t.Fatal(err)
 	}
 	gen, err := fol.ApplyReplicated("t", res.Records)
@@ -95,7 +96,7 @@ func TestApplyReplicatedFromInitialPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.InstallReplicaSnapshot("t", initJSON, 0, 0, nil); err != nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, initJSON), 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	all, err := prim.PullWAL(context.Background(), "t", 0, 0, 0)
@@ -137,7 +138,7 @@ func TestApplyReplicatedGapIsOutOfSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.InstallReplicaSnapshot("t", initJSON, 0, 0, nil); err != nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, initJSON), 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Records 3..5 cannot extend generation 0: seq gap.
@@ -158,10 +159,10 @@ func TestInstallReplicaSnapshotRefusesRewind(t *testing.T) {
 	}
 	fol := New(Options{Dir: t.TempDir(), Mode: engine.Refined})
 	defer fol.Close()
-	if err := fol.InstallReplicaSnapshot("t", polJSON, seq, seqEpoch, nil); err != nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, polJSON), seq, seqEpoch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.InstallReplicaSnapshot("t", polJSON, seq-1, seqEpoch, nil); err == nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, polJSON), seq-1, seqEpoch, nil); err == nil {
 		t.Fatal("installing a snapshot behind the local generation must fail")
 	}
 }
@@ -234,7 +235,7 @@ func TestWaitGenerationSurvivesEngineSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.InstallReplicaSnapshot("t", initJSON, 0, 0, nil); err != nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, initJSON), 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -249,7 +250,7 @@ func TestWaitGenerationSurvivesEngineSwap(t *testing.T) {
 		done <- result{gen, ok, err}
 	}()
 	time.Sleep(50 * time.Millisecond) // let the waiter block on the old engine
-	if err := fol.InstallReplicaSnapshot("t", polJSON, seq, seqEpoch, nil); err != nil {
+	if err := fol.InstallReplicaSnapshot("t", wirePolicy(t, polJSON), seq, seqEpoch, nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -285,4 +286,19 @@ func TestPullWALLongPollWakesOnWrite(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("long-poll did not wake on write")
 	}
+}
+
+// wirePolicy decodes a snapshot document's policy member the way the
+// replication client does: into policy.Wire, then built and validated.
+func wirePolicy(t *testing.T, data []byte) *policy.Policy {
+	t.Helper()
+	var w policy.Wire
+	if err := json.Unmarshal(data, &w); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

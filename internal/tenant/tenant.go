@@ -471,7 +471,7 @@ func (r *Registry) evictLocked(sh *shard) []*tenant {
 	for e := sh.lru.Back(); e != nil && sh.lru.Len() > r.opts.MaxResident; {
 		prev := e.Prev()
 		t := e.Value.(*tenant)
-		if t.inuse.Load() == 0 {
+		if t.inuse.Load() == 0 && !t.behind() {
 			sh.unlinkLocked(t)
 			out = append(out, t)
 		}
@@ -485,7 +485,7 @@ func (r *Registry) evictLocked(sh *shard) []*tenant {
 func (t *tenant) shutdown() {
 	t.submu.Lock()
 	defer t.submu.Unlock()
-	if t.store.SinceCompact() > 0 {
+	if t.store.SinceCompact() > 0 && !t.behind() {
 		s := t.engine().Snapshot()
 		// Best-effort: an eviction-time compaction failure loses nothing —
 		// the WAL still holds every applied command.
@@ -501,7 +501,7 @@ func (t *tenant) shutdown() {
 // commands are already WAL-durable, and the un-reset SinceCompact counter
 // retries compaction on the next submit.
 func (t *tenant) maybeCompact(every int) {
-	if every <= 0 || t.store.SinceCompact() < every {
+	if every <= 0 || t.store.SinceCompact() < every || t.behind() {
 		return
 	}
 	s := t.engine().Snapshot()
@@ -753,13 +753,21 @@ func (r *Registry) submitGrouped(ctx context.Context, t *tenant, cmds []command.
 // group — monotone, hence a valid read-your-writes token for every member.
 // Caller holds t.submu.
 func (r *Registry) commitGroup(t *tenant, group []*submitWaiter) {
+	var refuse error
 	if t.fenced.Load() {
 		// A submitter that passed the entry check before the fence landed can
 		// still become a leader afterwards; FenceWrites sets the flag before
 		// taking submu, so re-checking here (under submu) guarantees no group
 		// commits once FenceWrites has returned.
+		refuse = ErrFenced
+	} else if t.behind() {
+		// A promoted ex-follower whose log lost published records (see behind):
+		// a local write on top would leave a gap in it.
+		refuse = errOutOfSync
+	}
+	if refuse != nil {
 		for _, w := range group {
-			w.err = fmt.Errorf("tenant %s: %w", t.name, ErrFenced)
+			w.err = fmt.Errorf("tenant %s: %w", t.name, refuse)
 			close(w.done)
 		}
 		return
@@ -1012,7 +1020,7 @@ func (r *Registry) Evict(name string) bool {
 	sh := r.shardOf(name)
 	sh.mu.Lock()
 	t, ok := sh.tenants[name]
-	if ok = ok && t.inuse.Load() == 0; ok {
+	if ok = ok && t.inuse.Load() == 0 && !t.behind(); ok {
 		sh.unlinkLocked(t)
 	}
 	sh.mu.Unlock()
