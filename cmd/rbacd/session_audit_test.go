@@ -180,7 +180,7 @@ func TestSessionAuditEndToEnd(t *testing.T) {
 		if !r.IsAudit() {
 			t.Fatalf("non-audit record on the audit endpoint: %+v", r)
 		}
-		if r.Outcome == "denied" {
+		if r.Outcome == command.Denied {
 			denials++
 		}
 	}
@@ -194,7 +194,7 @@ func TestSessionAuditEndToEnd(t *testing.T) {
 	frecs, _ := fol.audit(t, "hosp")
 	fapplied := 0
 	for _, r := range frecs {
-		if r.IsAudit() && r.Outcome == "applied" {
+		if r.IsAudit() && r.Outcome == command.Applied {
 			fapplied++
 		}
 	}
@@ -226,7 +226,7 @@ func TestSessionAuditEndToEnd(t *testing.T) {
 		t.Fatalf("post-SIGKILL audit: %d records total %d, want %d/%d", len(rrecs), rtotal, len(precs), ptotal)
 	}
 	for i := range rrecs {
-		if rrecs[i].Outcome != precs[i].Outcome || rrecs[i].Seq != precs[i].Seq || rrecs[i].Actor != precs[i].Actor {
+		if rrecs[i].Outcome != precs[i].Outcome || rrecs[i].Seq != precs[i].Seq || rrecs[i].Cmd.Actor != precs[i].Cmd.Actor {
 			t.Fatalf("post-SIGKILL audit record %d = %+v, want %+v", i, rrecs[i], precs[i])
 		}
 	}

@@ -136,7 +136,9 @@ func (Strict) Authorize(p *policy.Policy, c Command) (model.Privilege, bool) {
 // Name implements Authorizer.
 func (Strict) Name() string { return "strict" }
 
-// Outcome describes what Definition 5 did with one command.
+// Outcome describes what Definition 5 did with one command. Its value is a
+// stable byte — 1 applied through 4 ill-formed — that the wire plane's submit
+// answers and the log's records carry as is, so the constants never change.
 type Outcome uint8
 
 const (
@@ -168,9 +170,9 @@ func (o Outcome) String() string {
 	}
 }
 
-// WireName is the stable machine encoding of the outcome, shared by the WAL
-// record format and the HTTP API (distinct from the human-facing String).
-// Changing these strings breaks WAL replay compatibility.
+// WireName is the stable machine name of the outcome, shared by the HTTP API
+// and the JSON of a record (distinct from the human-facing String). Changing
+// these strings breaks replay of log format v1, which stored them.
 func (o Outcome) WireName() string {
 	switch o {
 	case Applied:
@@ -182,6 +184,20 @@ func (o Outcome) WireName() string {
 	default:
 		return "illformed"
 	}
+}
+
+// ParseOutcome inverts WireName; "" is the zero Outcome of a record that
+// carries no command.
+func ParseOutcome(name string) (Outcome, error) {
+	if name == "" {
+		return 0, nil
+	}
+	for o := Applied; o <= IllFormed; o++ {
+		if o.WireName() == name {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown outcome %q", name)
 }
 
 // StepResult records one ⇒ transition.

@@ -201,6 +201,10 @@ func TestResetHandsOverAnEmptyCache(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// The readers may all have run before either writer stored a thing: one
+	// store and one hit after them makes the previous owner's counts certain.
+	c.Put(1, 7, true, 1)
+	c.Get(1, 7, 0, 0)
 	if st := c.Stats(); st.Stores == 0 || st.Evictions == 0 || st.Hits == 0 {
 		t.Fatalf("the previous owner left nothing to reset: %+v", st)
 	}

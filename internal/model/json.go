@@ -53,7 +53,12 @@ func WireOf(p Privilege) (*PrivWire, error) {
 
 // Privilege builds the term w describes and validates it against the
 // grammar.
-func (w *PrivWire) Privilege() (Privilege, error) {
+func (w *PrivWire) Privilege() (Privilege, error) { return w.term(true) }
+
+// term builds the term w describes. strict validates it against the grammar
+// (Privilege); otherwise any term WireOf writes reads back, grammatical or
+// not (an entity destination, written by name alone, as a role).
+func (w *PrivWire) term(strict bool) (Privilege, error) {
 	switch {
 	case w == nil:
 		return nil, fmt.Errorf("unmarshal privilege: empty term")
@@ -61,7 +66,7 @@ func (w *PrivWire) Privilege() (Privilege, error) {
 		return nil, fmt.Errorf("unmarshal privilege: both perm and admin set")
 	case w.Perm != nil:
 		q := Perm(w.Perm.Action, w.Perm.Object)
-		if err := q.Validate(); err != nil {
+		if err := q.Validate(); strict && err != nil {
 			return nil, err
 		}
 		return q, nil
@@ -90,16 +95,19 @@ func (w *PrivWire) Privilege() (Privilege, error) {
 		switch {
 		case a.DstRole != "" && a.DstPriv != nil:
 			return nil, fmt.Errorf("unmarshal privilege: both dstRole and dstPriv set")
-		case a.DstRole != "":
-			dst = Role(a.DstRole)
 		case a.DstPriv != nil:
-			inner, err := a.DstPriv.Privilege()
+			inner, err := a.DstPriv.term(strict)
 			if err != nil {
 				return nil, err
 			}
 			dst = inner
+		case a.DstRole != "" || !strict:
+			dst = Role(a.DstRole)
 		default:
 			return nil, fmt.Errorf("unmarshal privilege: no destination")
+		}
+		if !strict {
+			return AdminPrivilege{Op: op, Src: src, Dst: dst}, nil
 		}
 		return NewAdmin(op, src, dst)
 	default:
@@ -132,7 +140,14 @@ func MarshalVertex(v Vertex) ([]byte, error) {
 }
 
 // UnmarshalVertex decodes an entity or privilege vertex from JSON.
-func UnmarshalVertex(data []byte) (Vertex, error) {
+func UnmarshalVertex(data []byte) (Vertex, error) { return unmarshalVertex(data, true) }
+
+// UnmarshalAnyVertex is UnmarshalVertex without the grammar of Definition 2:
+// every vertex MarshalVertex writes reads back — the vertex an ill-formed
+// command was refused for, as its audit record keeps it.
+func UnmarshalAnyVertex(data []byte) (Vertex, error) { return unmarshalVertex(data, false) }
+
+func unmarshalVertex(data []byte, strict bool) (Vertex, error) {
 	var w vertexWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, err
@@ -141,8 +156,8 @@ func UnmarshalVertex(data []byte) (Vertex, error) {
 	case w.Priv != nil && w.Name != "":
 		return nil, fmt.Errorf("unmarshal vertex: both entity and privilege set")
 	case w.Priv != nil:
-		return w.Priv.Privilege()
-	case w.Name != "":
+		return w.Priv.term(strict)
+	case w.Name != "" || (!strict && w.Kind != ""):
 		switch w.Kind {
 		case "user":
 			return User(w.Name), nil

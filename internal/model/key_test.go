@@ -54,3 +54,21 @@ func FuzzParseKey(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendKeyAllocatesNothing: the writer behind every key appends into the
+// caller's buffer, and refuses what ParseKey could not read back.
+func TestAppendKeyAllocatesNothing(t *testing.T) {
+	v := Vertex(Revoke(Role("a,b"), Grant(User("ü→"), Perm("read", "t%1"))))
+	buf := make([]byte, 0, 256)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendKey(buf[:0], v) }); allocs != 0 {
+		t.Fatalf("AppendKey allocates %.1f times", allocs)
+	}
+	if string(buf) != v.Key() {
+		t.Fatalf("AppendKey wrote %q, Key is %q", buf, v.Key())
+	}
+	for _, bad := range []Vertex{nil, Entity{Name: "x"}, Grant(Role("r"), nil), AdminPrivilege{Op: 7, Src: Role("r"), Dst: Role("s")}} {
+		if _, err := AppendKey(nil, bad); err == nil {
+			t.Errorf("AppendKey(%#v) accepted a vertex ParseKey cannot rebuild", bad)
+		}
+	}
+}

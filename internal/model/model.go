@@ -12,6 +12,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -63,15 +64,17 @@ func (e Entity) IsRole() bool { return e.Kind == KindRole }
 
 // Key returns the canonical unique key of the entity ("u:name" or "r:name",
 // with the name escaped so keys never collide).
-func (e Entity) Key() string {
+func (e Entity) Key() string { return string(e.appendKey(make([]byte, 0, 64))) }
+
+func (e Entity) appendKey(dst []byte) []byte {
+	sort := byte('?')
 	switch e.Kind {
 	case KindUser:
-		return "u:" + escape(e.Name)
+		sort = 'u'
 	case KindRole:
-		return "r:" + escape(e.Name)
-	default:
-		return "?:" + escape(e.Name)
+		sort = 'r'
 	}
+	return appendEscaped(append(dst, sort, ':'), e.Name)
 }
 
 // String returns the bare entity name, as in the paper's figures.
@@ -166,8 +169,11 @@ func Perm(action, object string) UserPrivilege {
 }
 
 // Key returns the canonical key "p:(action,object)".
-func (q UserPrivilege) Key() string {
-	return "p:(" + escape(q.Action) + "," + escape(q.Object) + ")"
+func (q UserPrivilege) Key() string { return string(q.appendKey(make([]byte, 0, 64))) }
+
+func (q UserPrivilege) appendKey(dst []byte) []byte {
+	dst = appendEscaped(append(dst, "p:("...), q.Action)
+	return append(appendEscaped(append(dst, ','), q.Object), ')')
 }
 
 // String renders the privilege as "(action,object)", matching the paper.
@@ -228,31 +234,17 @@ func NewAdmin(op Op, src Entity, dst Vertex) (AdminPrivilege, error) {
 // Key returns the canonical key, e.g. "+(u:bob,r:staff)" for ¤(bob,staff)
 // or "-(r:a,+(u:b,r:c))" for ♦(a,¤(b,c)).
 func (a AdminPrivilege) Key() string {
-	var b strings.Builder
-	a.writeKey(&b)
-	return b.String()
+	b, _ := a.appendKey(make([]byte, 0, 64))
+	return string(b)
 }
 
-func (a AdminPrivilege) writeKey(b *strings.Builder) {
-	b.WriteString(a.Op.Symbol())
-	b.WriteByte('(')
-	b.WriteString(a.Src.Key())
-	b.WriteByte(',')
-	switch d := a.Dst.(type) {
-	case Entity:
-		b.WriteString(d.Key())
-	case AdminPrivilege:
-		d.writeKey(b)
-	case UserPrivilege:
-		b.WriteString(d.Key())
-	default:
-		if a.Dst == nil {
-			b.WriteString("<nil>")
-		} else {
-			b.WriteString(a.Dst.Key())
-		}
+func (a AdminPrivilege) appendKey(dst []byte) ([]byte, error) {
+	dst = append(a.Src.appendKey(append(append(dst, a.Op.Symbol()...), '(')), ',')
+	dst, err := AppendKey(dst, a.Dst)
+	if !a.Op.Valid() || !a.Src.Kind.Valid() {
+		err = errNoKey
 	}
-	b.WriteByte(')')
+	return append(dst, ')'), err
 }
 
 // String renders the privilege in RPL concrete syntax, e.g.
@@ -437,22 +429,44 @@ func Entities(p Privilege) []Entity {
 	return out
 }
 
-// escape makes a name safe for embedding in canonical keys: the characters
-// used by the key syntax — '(', ')', ',', ':' and '%' — are percent-encoded.
-func escape(s string) string {
-	if !strings.ContainsAny(s, "(),:%") {
-		return s
+// errNoKey marks a vertex ParseKey could not rebuild from what Key renders.
+var errNoKey = errors.New("model: vertex has no canonical key")
+
+// AppendKey appends v's canonical key — the bytes Key returns — to dst
+// without allocating: the one writer of every key, which Key renders into a
+// string. It fails, having appended what Key would render, on a vertex
+// ParseKey cannot rebuild: nil (rendered "<nil>"), an entity of no kind, a
+// connective other than ¤ and ♦, or a Vertex of another package.
+func AppendKey(dst []byte, v Vertex) ([]byte, error) {
+	switch t := v.(type) {
+	case Entity:
+		if !t.Kind.Valid() {
+			return t.appendKey(dst), errNoKey
+		}
+		return t.appendKey(dst), nil
+	case UserPrivilege:
+		return t.appendKey(dst), nil
+	case AdminPrivilege:
+		return t.appendKey(dst)
+	case nil:
+		return append(dst, "<nil>"...), errNoKey
+	default:
+		return append(dst, v.Key()...), errNoKey
 	}
-	var b strings.Builder
+}
+
+// appendEscaped appends a name safe for embedding in canonical keys: the
+// characters used by the key syntax — '(', ')', ',', ':' and '%' — are
+// percent-encoded.
+func appendEscaped(dst []byte, s string) []byte {
+	plain := 0
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '(', ')', ',', ':', '%':
-			fmt.Fprintf(&b, "%%%02X", c)
-		default:
-			b.WriteByte(c)
+		if c := s[i]; keySyntax[c] {
+			dst = append(append(dst, s[plain:i]...), '%', "0123456789ABCDEF"[c>>4], "0123456789ABCDEF"[c&15])
+			plain = i + 1
 		}
 	}
-	return b.String()
+	return append(dst, s[plain:]...)
 }
 
 // maxKeyDepth bounds the nesting ParseKey accepts, as encoding/json bounds
@@ -522,7 +536,7 @@ func parseEntityKey(k string) (e Entity, err error) {
 	return e, err
 }
 
-// keySyntax marks the bytes escape encodes.
+// keySyntax marks the bytes appendEscaped encodes.
 var keySyntax = [256]bool{'(': true, ')': true, ',': true, ':': true, '%': true}
 
 // unescape inverts escape, refusing what escape never writes: a bare key

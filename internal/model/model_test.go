@@ -176,12 +176,12 @@ func TestKeyInjectivity(t *testing.T) {
 }
 
 func TestEscapeRoundTripsViaQuick(t *testing.T) {
-	// escape must be injective: distinct names yield distinct escapes.
+	// Escaping must be injective: distinct names yield distinct escapes.
 	f := func(a, b string) bool {
 		if a == b {
 			return true
 		}
-		return escape(a) != escape(b)
+		return string(appendEscaped(nil, a)) != string(appendEscaped(nil, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)

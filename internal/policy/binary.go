@@ -20,7 +20,9 @@ import (
 // nothing; the reader builds no key, every key and unescaped name being a
 // substring of one copy of the input, and returns the vertex ids and
 // adjacency order that were written. Storage frames this form with a length
-// and a checksum; the API and replication keep speaking the JSON Wire form.
+// and a checksum, and every logged or wire-plane command names its vertices by
+// the same keys; only replication's bootstrap document carries a policy as
+// JSON (Wire).
 
 // AppendBinary appends the policy's binary form to b.
 func (p *Policy) AppendBinary(b []byte) []byte {

@@ -1,8 +1,8 @@
 // Package replication streams per-tenant write-ahead logs from a primary
 // rbacd process to follower processes over HTTP — horizontal read fan-out
 // for the authorization service. The primary mounts a Source: a long-poll
-// pull endpoint framed exactly like the on-disk WAL (storage.EncodeFrame /
-// storage.DecodeFrames) plus a snapshot bootstrap endpoint for followers
+// pull endpoint whose body is the log's own record frames (storage.EncodeFrame
+// / storage.DecodeFrames) plus a snapshot bootstrap endpoint for followers
 // that have no local state or fell behind a compaction. Each follower runs a
 // Follower: per-tenant pull loops that feed pulled record batches through
 // the engine on a local registry (readers never observe a half-applied
@@ -29,7 +29,8 @@
 // response carries the sender's fencing epoch in X-Replication-Epoch):
 //
 //	GET /v1/replicate/{tenant}/pull?after_seq=N&after_epoch=T&wait_ms=M
-//	    200: body = WAL frames of the records with seq > N
+//	    200: body = the WAL's frames of the records with seq > N (binary;
+//	         JSON from a primary on log format v1: upgrade followers first)
 //	         X-Replication-Head: primary generation
 //	         X-Replication-Edges: policy edge count at head (state checksum)
 //	         X-Replication-Epoch: primary fencing epoch (follower adopts)

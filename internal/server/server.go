@@ -81,9 +81,11 @@
 // Config.PromoteOnUpstreamLoss a follower probes its upstream's /healthz
 // and self-promotes after ProbeThreshold consecutive failures.
 //
-// Commands travel as {"actor","op","from","to"} with vertices in the wire
-// form of model.MarshalVertex — the same encoding the WAL uses, so a logged
-// record and a request body agree.
+// Commands travel as {"actor","op","from","to"} with vertices in the JSON
+// form of model.MarshalVertex (command.Wire). JSON lives at this edge only:
+// below it a command is the binary form of internal/command, which the wire
+// plane and the log share, and the audit endpoint renders a record's JSON
+// (storage.Record) as it answers.
 package server
 
 import (
@@ -600,49 +602,12 @@ func (s *Server) gateWrite(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// WireCommand is the JSON form of an administrative command.
-type WireCommand struct {
-	Actor string          `json:"actor"`
-	Op    string          `json:"op"` // "grant" or "revoke"
-	From  json.RawMessage `json:"from"`
-	To    json.RawMessage `json:"to"`
-}
-
-// Command decodes the wire form.
-func (wc WireCommand) Command() (command.Command, error) {
-	var op model.Op
-	switch wc.Op {
-	case "grant":
-		op = model.OpGrant
-	case "revoke":
-		op = model.OpRevoke
-	default:
-		return command.Command{}, fmt.Errorf("unknown op %q (want grant or revoke)", wc.Op)
-	}
-	from, err := model.UnmarshalVertex(wc.From)
-	if err != nil {
-		return command.Command{}, fmt.Errorf("from vertex: %w", err)
-	}
-	to, err := model.UnmarshalVertex(wc.To)
-	if err != nil {
-		return command.Command{}, fmt.Errorf("to vertex: %w", err)
-	}
-	return command.Command{Actor: wc.Actor, Op: op, From: from, To: to}, nil
-}
+// WireCommand is the JSON form of an administrative command (command.Wire).
+type WireCommand = command.Wire
 
 // EncodeCommand converts a command to its wire form (the client-side helper
 // tests and load drivers use).
-func EncodeCommand(c command.Command) (WireCommand, error) {
-	from, err := model.MarshalVertex(c.From)
-	if err != nil {
-		return WireCommand{}, err
-	}
-	to, err := model.MarshalVertex(c.To)
-	if err != nil {
-		return WireCommand{}, err
-	}
-	return WireCommand{Actor: c.Actor, Op: c.Op.String(), From: from, To: to}, nil
-}
+func EncodeCommand(c command.Command) (WireCommand, error) { return command.EncodeWire(c) }
 
 // BatchRequest carries the commands of an authorize or submit call.
 type BatchRequest struct {

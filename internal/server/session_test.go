@@ -115,9 +115,9 @@ func TestAuditEndpoint(t *testing.T) {
 		if !r.IsAudit() {
 			t.Fatalf("non-audit record on the audit endpoint: %+v", r)
 		}
-		byOutcome[r.Outcome]++
-		if r.Outcome == "applied" && r.Actor != "jane" {
-			t.Fatalf("applied audit actor %q", r.Actor)
+		byOutcome[r.Outcome.WireName()]++
+		if r.Outcome == command.Applied && r.Cmd.Actor != "jane" {
+			t.Fatalf("applied audit actor %q", r.Cmd.Actor)
 		}
 	}
 	if byOutcome["applied"] != 1 || byOutcome["denied"] != 2 {

@@ -158,15 +158,7 @@ func TestEngineAckedStateSurvivesInjectedWriteFaults(t *testing.T) {
 func stepAndAudit(t *testing.T, seq int) []Record {
 	t.Helper()
 	res := command.StepResult{Cmd: workload.ChurnGrant(seq-1, 16, 16), Outcome: command.Applied}
-	step, err := NewStepRecord(seq, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit, err := NewAuditRecord(seq, res, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Record{step, audit}
+	return []Record{NewStepRecord(seq, res), NewAuditRecord(seq, res, "")}
 }
 
 // TestAppendRecordsInjectedFaultsLeaveStoreConsistent pins the bulk append

@@ -1,9 +1,13 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
+
+	"adminrefine/internal/command"
+	"adminrefine/internal/model"
 )
 
 // TestReadSinceTailMatchesFile pins the in-memory tail cache against the
@@ -20,8 +24,7 @@ func TestReadSinceTailMatchesFile(t *testing.T) {
 	// below exercises both the cached window and the file fallback.
 	const n = maxTail + 500
 	for i := 1; i <= n; i++ {
-		r := Record{Seq: i, Actor: "a", Op: "grant",
-			From: json.RawMessage(`{"kind":"user","name":"u"}`), To: json.RawMessage(`{"kind":"role","name":"r"}`), Outcome: "applied"}
+		r := Record{Seq: i, Cmd: command.Grant("a", model.User("u"), model.Role("r")), Outcome: command.Applied}
 		if err := st.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +72,7 @@ func TestReadSinceSurvivesCompaction(t *testing.T) {
 	defer st.Close()
 	const n = 40
 	for i := 1; i <= n; i++ {
-		r := Record{Seq: i, Actor: "a", Op: "grant",
-			From: json.RawMessage(`{"kind":"user","name":"u"}`), To: json.RawMessage(`{"kind":"role","name":"r"}`), Outcome: "denied"}
+		r := Record{Seq: i, Cmd: command.Grant("a", model.User("u"), model.Role("r")), Outcome: command.Denied}
 		if err := st.AppendRecord(r); err != nil {
 			t.Fatal(err)
 		}
@@ -99,23 +101,22 @@ func TestReadSinceSurvivesCompaction(t *testing.T) {
 
 // FuzzWALDecode fuzzes the shared frame decoder — the parser both the WAL
 // recovery path and the replication pull client run over bytes that crossed
-// a crash or a network. Properties: never panic, never read past the input,
-// report a valid prefix whose re-encoding is byte-identical, and stay
-// prefix-stable (decoding a truncation of the input never yields records the
-// full input did not).
+// a crash or a network, in both record forms (v1 JSON, v2 binary). Properties:
+// never panic, never read past the input, report a valid prefix whose records
+// re-encode (in the binary form) to frames that decode to the same records,
+// and stay prefix-stable (decoding a truncation of the input never yields
+// records the full input did not).
 func FuzzWALDecode(f *testing.F) {
-	// Seed with well-formed streams, a torn tail, and corrupt bytes.
-	frame := func(recs ...Record) []byte {
+	// Seed with well-formed streams, a torn tail, and corrupt bytes: first
+	// the JSON frames of log format v1, as its encoder wrote them.
+	frame := func(recs ...recordV1) []byte {
 		var buf []byte
 		for _, r := range recs {
-			var err error
-			if buf, err = EncodeFrame(buf, r); err != nil {
-				f.Fatal(err)
-			}
+			buf = v1Frame(buf, r)
 		}
 		return buf
 	}
-	rec := Record{Seq: 1, Actor: "jane", Op: "grant",
+	rec := recordV1{Seq: 1, Actor: "jane", Op: "grant",
 		From: json.RawMessage(`{"user":"bob"}`), To: json.RawMessage(`{"role":"staff"}`), Outcome: "applied"}
 	rec2 := rec
 	rec2.Seq, rec2.Op, rec2.Outcome = 2, "revoke", "denied"
@@ -123,9 +124,9 @@ func FuzzWALDecode(f *testing.F) {
 	// twin (the commit-hook layout), a standalone veto audit, and a tear
 	// landing between a step and its audit.
 	audit := rec
-	audit.Kind, audit.Reason = KindAudit, ""
+	audit.Kind, audit.Reason = "audit", ""
 	veto := rec2
-	veto.Kind, veto.Reason = KindAudit, "SSD eng-qa violated by bob"
+	veto.Kind, veto.Reason = "audit", "SSD eng-qa violated by bob"
 	f.Add([]byte{})
 	f.Add(frame(rec))
 	f.Add(frame(rec, rec2))
@@ -137,27 +138,43 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(append(frame(veto), 0xff, 0x00, 0x13))        // garbage after an audit frame
 	f.Add(append(frame(rec), 0xff, 0x00, 0x13))         // garbage tail
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})   // implausible length
+	// Then the binary frames of log format v2, alone, torn, and after v1
+	// frames as an upgraded log holds them.
+	bin := func(recs ...Record) []byte {
+		var buf []byte
+		for _, r := range recs {
+			var err error
+			if buf, err = EncodeFrame(buf, r); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return buf
+	}
+	step := Record{Seq: 1, Cmd: command.Grant("jane", model.User("bob"), model.Role("staff")), Outcome: command.Applied, Epoch: 2}
+	nested := Record{Kind: KindAudit, Seq: 2, ASeq: 7, Outcome: command.Denied, Reason: "SSD eng-qa violated by bob",
+		Cmd: command.Revoke("ü(,)", model.Role("a:b%"), model.Revoke(model.Role("r,1"), model.Grant(model.User("x"), model.Role("y"))))}
+	epoch := Record{Kind: KindEpoch, Epoch: math.MaxUint64}
+	place := Record{Kind: KindPlacement, Data: []byte(`{"version":3}`)}
+	f.Add(bin(step))
+	f.Add(bin(step, nested, epoch, place))
+	f.Add(bin(step, nested)[:len(bin(step))+9])
+	f.Add(append(frame(rec, audit), bin(step, nested)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		validEnd, records := DecodeFrames(data)
 		if validEnd < 0 || validEnd > len(data) {
 			t.Fatalf("validEnd %d out of range [0,%d]", validEnd, len(data))
 		}
-		// Round-trip: re-encoding the decoded records must reproduce the
-		// valid prefix byte-for-byte (frames are canonical).
+		// Round-trip: the decoded records re-encode, and decode back to the
+		// same records from the whole re-encoded stream.
 		var rebuilt []byte
 		var err error
 		for _, r := range records {
 			if rebuilt, err = EncodeFrame(rebuilt, r); err != nil {
-				t.Fatalf("re-encode decoded record: %v", err)
+				t.Fatalf("re-encode decoded record %+v: %v", r, err)
 			}
 		}
-		if !bytes.Equal(rebuilt, data[:validEnd]) {
-			// JSON round-tripping is not canonical in general (map order,
-			// escapes), so only insist the re-encode decodes identically.
-			end2, records2 := DecodeFrames(rebuilt)
-			if end2 != len(rebuilt) || len(records2) != len(records) {
-				t.Fatalf("re-encoded prefix decodes to %d/%d records", len(records2), len(records))
-			}
+		if end2, records2 := DecodeFrames(rebuilt); end2 != len(rebuilt) || !reflect.DeepEqual(records2, records) {
+			t.Fatalf("re-encoded prefix decodes to %d/%d records", len(records2), len(records))
 		}
 		// Prefix stability: truncating the input never invents records.
 		if validEnd > 0 {

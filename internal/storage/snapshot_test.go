@@ -110,7 +110,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotDamageRejected flips every bit and cuts at every length of a
 // snapshot.bin: each damaged file is a corrupt snapshot, never a policy.
 func TestSnapshotDamageRejected(t *testing.T) {
-	good := encodeSnapshot(snapshotMeta{Seq: 7, SeqEpoch: 2, Epoch: 3, Placement: []byte(`{"v":1}`)}, snapshotFixtures(t)["tricky"])
+	good := snapshotBytes(t, snapshotMeta{Seq: 7, SeqEpoch: 2, Epoch: 3, Placement: []byte(`{"v":1}`)}, snapshotFixtures(t)["tricky"])
 	if _, _, err := decodeSnapshot(good); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSnapshotBinDecidesAlone(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, legacySnapshotFile), []byte(oldJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bin := encodeSnapshot(snapshotMeta{Seq: 9}, newer)
+	bin := snapshotBytes(t, snapshotMeta{Seq: 9}, newer)
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), bin, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,22 @@ func mustJSON(t *testing.T, p *policy.Policy) string {
 	return string(data)
 }
 
+// snapshotBytes is encodeSnapshot for policies that fit the frame.
+func snapshotBytes(tb testing.TB, meta snapshotMeta, p *policy.Policy) []byte {
+	tb.Helper()
+	b, err := encodeSnapshot(meta, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // FuzzSnapshotDecode: arbitrary bytes never panic the snapshot decoder, no
 // count in them is trusted beyond the bytes backing it, and whatever is
 // accepted is a valid policy that survives the encoder and decoder unchanged.
 func FuzzSnapshotDecode(f *testing.F) {
 	for _, p := range snapshotFixtures(f) {
-		f.Add(encodeSnapshot(snapshotMeta{Seq: 7, SeqEpoch: 2, Epoch: 3, Placement: []byte(`{"v":1}`)}, p))
+		f.Add(snapshotBytes(f, snapshotMeta{Seq: 7, SeqEpoch: 2, Epoch: 3, Placement: []byte(`{"v":1}`)}, p))
 	}
 	// A sealed frame whose policy claims 2^32 vertices in six bytes.
 	f.Add(reseal(append([]byte(snapshotMagic+"\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"), 0xff, 0xff, 0xff, 0xff, 0x0f, 0)))
@@ -200,7 +210,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if err := pol.Validate(); err != nil {
 				t.Fatalf("decoded an invalid policy: %v", err)
 			}
-			meta2, pol2, err := decodeSnapshot(encodeSnapshot(meta, pol))
+			meta2, pol2, err := decodeSnapshot(snapshotBytes(t, meta, pol))
 			if err != nil || meta2.Seq != meta.Seq || meta2.SeqEpoch != meta.SeqEpoch || meta2.Epoch != meta.Epoch ||
 				string(meta2.Placement) != string(meta.Placement) || !pol2.Equal(pol) ||
 				pol2.Graph().NumVertices() != pol.Graph().NumVertices() {

@@ -10,14 +10,19 @@
 // snapshot and truncates the log; SinceCompact exposes the log growth so
 // callers can trigger compaction on a budget.
 //
-// Log format: a fixed header followed by length-prefixed records,
+// Log format v2: a fixed header followed by records, each in the frame of
+// internal/command,
 //
-//	"ARWAL1\n" | rec* , rec = len(u32 LE) | crc32(u32 LE, IEEE) | payload
+//	"ARWAL2\n" | rec* , rec = len(u32 LE) | crc32(u32 LE, IEEE) | payload
 //
-// where payload is the JSON of a Record. A torn tail (incomplete or
-// corrupt final record, e.g. after a crash mid-append) is detected by the
-// CRC and truncated away on open; Recovery reports how many bytes were
-// dropped.
+// where payload is a Record's binary form (EncodeFrame), its command the very
+// bytes the wire plane carries. A torn tail (incomplete or corrupt final
+// record, e.g. after a crash mid-append) is detected by the CRC and truncated
+// away on open; Recovery reports how many bytes were dropped. A v1 log —
+// "ARWAL1\n" and JSON payloads, as stores wrote before this format — still
+// opens: a payload starting with '{' decodes as that JSON, and Open flips the
+// magic to v2 (fsynced) before anything is appended, so an older binary
+// refuses the mixed log rather than truncate it at the first binary record.
 //
 // Snapshot format (snapshot.bin): one frame of the same shape behind its own
 // magic,
@@ -37,11 +42,11 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -51,11 +56,14 @@ import (
 	"adminrefine/internal/command"
 	"adminrefine/internal/decision"
 	"adminrefine/internal/engine"
-	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
 )
 
-const logMagic = "ARWAL1\n"
+// The log's magics (see the package comment).
+const (
+	logMagic   = "ARWAL2\n"
+	logMagicV1 = "ARWAL1\n"
+)
 
 // The snapshot file, its magic, and the file name older stores wrote.
 const (
@@ -63,103 +71,6 @@ const (
 	snapshotMagic      = "ARSNAP1\n"
 	legacySnapshotFile = "snapshot.json"
 )
-
-// KindAudit marks an audit record: a logged observation of one processed
-// administrative command (any outcome, with an optional denial reason) that
-// is never replayed into the policy. An empty Kind is a step record — the
-// original WAL record kind, a command whose effect recovery replays.
-const KindAudit = "audit"
-
-// KindEpoch marks a fencing-epoch control record: a durable note that the
-// node adopted (or minted, at promotion) the given cluster epoch. Epoch
-// records carry no command — only Record.Epoch is meaningful — and are never
-// replayed into the policy or shipped to replication pullers; recovery takes
-// the highest one as the store's durable epoch. The node-level store (see
-// cmd/rbacd) is their home; per-tenant WALs carry epochs on the step records
-// themselves instead.
-const KindEpoch = "epoch"
-
-// KindPlacement marks a placement-map control record: the durable copy of
-// the cluster's tenant→primary placement map (see internal/placement) as
-// last adopted by this node. Like epoch records they carry no command, are
-// never replayed or shipped to replication pullers, and live only in the
-// node-level store; the payload is the encoded map in Record.Data. Recovery
-// keeps the last one in file order — the placement Table enforces version
-// monotonicity before anything is persisted, so append order is version
-// order.
-const KindPlacement = "placement"
-
-// Record is one logged administrative command with its outcome.
-type Record struct {
-	// Kind distinguishes step records ("" — replayed into the policy on
-	// recovery) from audit records (KindAudit — collected into the audit
-	// log, never replayed).
-	Kind    string          `json:"kind,omitempty"`
-	Seq     int             `json:"seq"`
-	Actor   string          `json:"actor"`
-	Op      string          `json:"op"` // "grant" or "revoke"
-	From    json.RawMessage `json:"from"`
-	To      json.RawMessage `json:"to"`
-	Outcome string          `json:"outcome"` // "applied", "nochange", "denied", "illformed"
-	// Reason carries a denial explanation beyond Definition 5 (e.g. a
-	// separation-of-duty veto) on audit records.
-	Reason string `json:"reason,omitempty"`
-	// ASeq is the store-local audit index (1, 2, …), assigned at append
-	// time on audit records. Unlike Seq — the engine generation, which
-	// every no-effect audit at the same generation shares — ASeq is unique
-	// per record, so it is the pagination cursor of the audit log. It is
-	// node-local: a follower re-indexes adopted/replicated audit records
-	// into its own sequence.
-	ASeq uint64 `json:"aseq,omitempty"`
-	// Epoch is the cluster fencing epoch the record was written under. On
-	// step and audit records it is stamped at append time from the store's
-	// stamp epoch and preserved verbatim by replication — the Raft-style
-	// (term, index) pair that lets a new primary distinguish a follower
-	// whose history is a prefix of its own (serve from its WAL seq) from one
-	// that forked across a failover (force a rewinding snapshot bootstrap).
-	// On KindEpoch control records it is the adopted epoch itself.
-	Epoch uint64 `json:"epoch,omitempty"`
-	// Data is the opaque payload of KindPlacement control records (the
-	// encoded placement map); empty on every other kind.
-	Data json.RawMessage `json:"data,omitempty"`
-}
-
-// IsAudit reports whether the record is an audit observation rather than a
-// replayable step.
-func (r Record) IsAudit() bool { return r.Kind == KindAudit }
-
-// IsEpoch reports whether the record is a fencing-epoch control record.
-func (r Record) IsEpoch() bool { return r.Kind == KindEpoch }
-
-// IsPlacement reports whether the record is a placement-map control record.
-func (r Record) IsPlacement() bool { return r.Kind == KindPlacement }
-
-// IsControl reports whether the record is node-level control state (epoch
-// or placement) rather than tenant history: never replayed, never tailed,
-// never replicated, excluded from the compaction trigger.
-func (r Record) IsControl() bool { return r.IsEpoch() || r.IsPlacement() }
-
-// Command reconstructs the administrative command of the record.
-func (r Record) Command() (command.Command, error) {
-	from, err := model.UnmarshalVertex(r.From)
-	if err != nil {
-		return command.Command{}, fmt.Errorf("storage: record %d from: %w", r.Seq, err)
-	}
-	to, err := model.UnmarshalVertex(r.To)
-	if err != nil {
-		return command.Command{}, fmt.Errorf("storage: record %d to: %w", r.Seq, err)
-	}
-	var op model.Op
-	switch r.Op {
-	case "grant":
-		op = model.OpGrant
-	case "revoke":
-		op = model.OpRevoke
-	default:
-		return command.Command{}, fmt.Errorf("storage: record %d: unknown op %q", r.Seq, r.Op)
-	}
-	return command.Command{Actor: r.Actor, Op: op, From: from, To: to}, nil
-}
 
 // Recovery summarises what Open found on disk.
 type Recovery struct {
@@ -306,47 +217,38 @@ type snapshotMeta struct {
 }
 
 // encodeSnapshot returns the bytes of a snapshot.bin (meta.Policy unused).
-func encodeSnapshot(meta snapshotMeta, p *policy.Policy) []byte {
-	b := append(make([]byte, 0, 4096), snapshotMagic+"\x00\x00\x00\x00\x00\x00\x00\x00"...)
-	for _, v := range []uint64{uint64(meta.Seq), meta.SeqEpoch, meta.Epoch, uint64(len(meta.Placement))} {
-		b = binary.AppendUvarint(b, v)
-	}
-	b = p.AppendBinary(append(b, meta.Placement...))
-	body := b[len(snapshotMagic)+8:]
-	binary.LittleEndian.PutUint32(b[len(snapshotMagic):], uint32(len(body)))
-	binary.LittleEndian.PutUint32(b[len(snapshotMagic)+4:], crc32.ChecksumIEEE(body))
-	return b
+func encodeSnapshot(meta snapshotMeta, p *policy.Policy) ([]byte, error) {
+	return command.AppendFrame(append(make([]byte, 0, 4096), snapshotMagic...), math.MaxInt32, func(b []byte) ([]byte, error) {
+		for _, v := range []uint64{uint64(meta.Seq), meta.SeqEpoch, meta.Epoch, uint64(len(meta.Placement))} {
+			b = binary.AppendUvarint(b, v)
+		}
+		return p.AppendBinary(append(b, meta.Placement...)), nil
+	})
 }
 
 // decodeSnapshot is the inverse of encodeSnapshot. Any deviation is an error
 // and yields no policy; arbitrary input never panics (FuzzSnapshotDecode).
 func decodeSnapshot(data []byte) (snapshotMeta, *policy.Policy, error) {
 	var meta snapshotMeta
-	hdr := len(snapshotMagic) + 8
-	if len(data) < hdr || string(data[:len(snapshotMagic)]) != snapshotMagic {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
 		return meta, nil, errors.New("bad header")
 	}
-	body := data[hdr:]
-	if uint64(binary.LittleEndian.Uint32(data[hdr-8:])) != uint64(len(body)) ||
-		binary.LittleEndian.Uint32(data[hdr-4:]) != crc32.ChecksumIEEE(body) {
+	body, n, ok, err := command.NextFrame(data[len(snapshotMagic):], math.MaxInt32)
+	if err != nil || !ok || len(snapshotMagic)+n != len(data) {
 		return meta, nil, errors.New("length or checksum mismatch")
 	}
-	var fields [4]uint64
-	for i := range fields {
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
-			return meta, nil, errors.New("bad header field")
-		}
-		fields[i], body = v, body[n:]
-	}
-	if fields[0] > math.MaxInt || fields[3] > uint64(len(body)) {
+	rd := command.NewReader(body)
+	seq := rd.Uvarint()
+	meta.SeqEpoch, meta.Epoch = rd.Uvarint(), rd.Uvarint()
+	placement, rest := rd.Bytes(), rd.Rest()
+	if rd.Err() != nil || seq > math.MaxInt {
 		return meta, nil, errors.New("bad header field")
 	}
-	meta.Seq, meta.SeqEpoch, meta.Epoch = int(fields[0]), fields[1], fields[2]
-	if n := int(fields[3]); n > 0 {
-		meta.Placement, body = append([]byte(nil), body[:n]...), body[n:]
+	meta.Seq = int(seq)
+	if len(placement) > 0 {
+		meta.Placement = append([]byte(nil), placement...)
 	}
-	pol, err := policy.DecodeBinary(body)
+	pol, err := policy.DecodeBinary(rest)
 	return meta, pol, err
 }
 
@@ -400,7 +302,7 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 	lastEpoch := snapEpoch
 	ctrlRecs := 0
 	for _, r := range records {
-		if r.IsEpoch() {
+		if r.Kind == KindEpoch {
 			// Fencing-epoch control records: adopt the highest, replay
 			// nothing.
 			if r.Epoch > epoch {
@@ -409,7 +311,7 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 			ctrlRecs++
 			continue
 		}
-		if r.IsPlacement() {
+		if r.Kind == KindPlacement {
 			// Placement control records: the last in file order wins (appends
 			// are version-ordered; see SetPlacement), replay nothing.
 			placementData = r.Data
@@ -428,13 +330,8 @@ func Open(dir string, opts Options) (*Store, *policy.Policy, Recovery, error) {
 			continue // already covered by the snapshot
 		}
 		rec.Records++
-		if r.Outcome == "applied" || r.Outcome == "nochange" {
-			c, err := r.Command()
-			if err != nil {
-				f.Close()
-				return nil, nil, rec, err
-			}
-			changed, err := command.Apply(pol, c)
+		if r.Outcome == command.Applied || r.Outcome == command.AppliedNoChange {
+			changed, err := command.Apply(pol, r.Cmd)
 			if err != nil {
 				f.Close()
 				return nil, nil, rec, fmt.Errorf("storage: replaying record %d: %w", r.Seq, err)
@@ -573,109 +470,51 @@ func readAll(f File) (validEnd, size int64, records []Record, err error) {
 		_, err := f.Write([]byte(logMagic))
 		return int64(len(logMagic)), int64(len(logMagic)), nil, err
 	}
-	if len(data) < len(logMagic) || string(data[:len(logMagic)]) != logMagic {
+	magic := string(data[:min(len(data), len(logMagic))])
+	if magic != logMagic && magic != logMagicV1 {
 		return 0, 0, nil, fmt.Errorf("storage: wal.log has no valid header")
+	}
+	if magic == logMagicV1 {
+		// Flip to v2, durably, before anything is appended: an older binary
+		// then refuses the log instead of truncating its first binary record
+		// as a torn tail.
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			_, err = f.Write([]byte(logMagic))
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err == nil {
+			_, err = f.Seek(0, io.SeekEnd)
+		}
+		if err != nil {
+			return 0, 0, nil, err
+		}
 	}
 	n, records := DecodeFrames(data[len(logMagic):])
 	return int64(len(logMagic) + n), int64(len(data)), records, nil
 }
 
-// maxFrameBytes bounds one frame's payload; larger length prefixes are
-// treated as a torn/corrupt tail rather than an allocation request.
-const maxFrameBytes = 1 << 28
-
-// DecodeFrames parses length-prefixed, CRC-checked record frames from data:
-// the WAL record stream after the file magic, and exactly the body of a
-// replication pull response (the two wire formats agree by construction, so
-// a follower applies what the primary logged). It returns the offset one
-// past the last whole valid frame and the decoded records; a torn, corrupt
-// or undecodable tail simply ends the scan. DecodeFrames never panics on
-// arbitrary input (fuzzed by FuzzWALDecode).
-func DecodeFrames(data []byte) (validEnd int, records []Record) {
-	off := 0
-	for {
-		if off+8 > len(data) {
-			break // torn length/crc header
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxFrameBytes { // implausible record: treat as torn tail
-			break
-		}
-		if off+8+int(n) > len(data) {
-			break // torn payload
-		}
-		payload := data[off+8 : off+8+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt tail
-		}
-		var r Record
-		if err := json.Unmarshal(payload, &r); err != nil {
-			break // undecodable tail
-		}
-		records = append(records, r)
-		off += 8 + int(n)
-	}
-	return off, records
-}
-
-// EncodeFrame appends r's length-prefix + CRC frame to buf, returning the
-// extended buffer — the inverse of DecodeFrames for one record.
-func EncodeFrame(buf []byte, r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return buf, err
-	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...), nil
-}
-
 // NewStepRecord converts an engine step result into a loggable record at the
 // given sequence number (the engine generation the step produced).
-func NewStepRecord(seq int, res command.StepResult) (Record, error) {
-	from, err := model.MarshalVertex(res.Cmd.From)
-	if err != nil {
-		return Record{}, fmt.Errorf("storage: encode from vertex: %w", err)
-	}
-	to, err := model.MarshalVertex(res.Cmd.To)
-	if err != nil {
-		return Record{}, fmt.Errorf("storage: encode to vertex: %w", err)
-	}
-	return Record{
-		Seq:     seq,
-		Actor:   res.Cmd.Actor,
-		Op:      res.Cmd.Op.String(),
-		From:    from,
-		To:      to,
-		Outcome: res.Outcome.WireName(),
-	}, nil
+func NewStepRecord(seq int, res command.StepResult) Record {
+	return Record{Seq: seq, Cmd: res.Cmd, Outcome: res.Outcome}
 }
 
 // NewAuditRecord converts an engine step result into the audit observation
 // of the command at the given sequence number: the engine generation after
 // the command for applied steps, the unchanged generation otherwise. reason
 // carries a veto explanation (e.g. an SSD violation) on denied commands.
-func NewAuditRecord(seq int, res command.StepResult, reason string) (Record, error) {
-	r, err := NewStepRecord(seq, res)
-	if err != nil {
-		return Record{}, err
-	}
-	r.Kind = KindAudit
-	r.Reason = reason
-	return r, nil
+func NewAuditRecord(seq int, res command.StepResult, reason string) Record {
+	r := NewStepRecord(seq, res)
+	r.Kind, r.Reason = KindAudit, reason
+	return r
 }
 
 // AppendStep logs one engine step result — the engine commit hook. Safe for
 // concurrent use.
 func (s *Store) AppendStep(seq int, res command.StepResult) error {
-	r, err := NewStepRecord(seq, res)
-	if err != nil {
-		return err
-	}
-	return s.AppendRecord(r)
+	return s.AppendRecord(NewStepRecord(seq, res))
 }
 
 // StageCommit buffers one applied engine step — its step record plus its
@@ -688,20 +527,12 @@ func (s *Store) AppendStep(seq int, res command.StepResult) error {
 // returns nil. Safe for concurrent use, though the engine already serialises
 // stage/flush pairs under its writer lock.
 func (s *Store) StageCommit(seq int, res command.StepResult) error {
-	step, err := NewStepRecord(seq, res)
-	if err != nil {
-		return err
-	}
-	audit, err := NewAuditRecord(seq, res, "")
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	s.staged = append(s.staged, step, audit)
+	s.staged = append(s.staged, NewStepRecord(seq, res), NewAuditRecord(seq, res, ""))
 	return nil
 }
 
@@ -751,11 +582,7 @@ func (s *Store) Sync() error {
 // the policy (denied, vetoed, no-change or ill-formed) at the current
 // sequence number. Safe for concurrent use.
 func (s *Store) AppendAudit(seq int, res command.StepResult, reason string) error {
-	r, err := NewAuditRecord(seq, res, reason)
-	if err != nil {
-		return err
-	}
-	return s.AppendRecord(r)
+	return s.AppendRecord(NewAuditRecord(seq, res, reason))
 }
 
 // AppendRecord logs one locally minted record with length-prefix + CRC
@@ -1095,7 +922,10 @@ func (s *Store) compactLocked(p *policy.Policy, seq int, seqEpoch uint64, keepAu
 	if err := s.writableLocked(); err != nil {
 		return err
 	}
-	data := encodeSnapshot(snapshotMeta{Seq: seq, SeqEpoch: seqEpoch, Epoch: s.epoch, Placement: s.placement}, p)
+	data, err := encodeSnapshot(snapshotMeta{Seq: seq, SeqEpoch: seqEpoch, Epoch: s.epoch, Placement: s.placement}, p)
+	if err != nil {
+		return err
+	}
 	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err

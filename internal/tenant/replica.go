@@ -100,7 +100,7 @@ func (r *Registry) PullWAL(ctx context.Context, name string, afterSeq uint64, af
 	// step to re-mint them from and pass through.
 	kept := recs[:0]
 	for _, rec := range recs {
-		if rec.IsAudit() && rec.Outcome == "applied" {
+		if rec.IsAudit() && rec.Outcome == command.Applied {
 			continue
 		}
 		kept = append(kept, rec)
@@ -269,7 +269,7 @@ func (r *Registry) ApplyReplicated(name string, records []storage.Record) (uint6
 	next := gen
 	for _, rec := range records {
 		if rec.IsAudit() {
-			if rec.Outcome != "applied" && uint64(rec.Seq) > gen {
+			if rec.Outcome != command.Applied && uint64(rec.Seq) > gen {
 				audits = append(audits, rec)
 			}
 			continue
@@ -280,11 +280,7 @@ func (r *Registry) ApplyReplicated(name string, records []storage.Record) (uint6
 		if uint64(rec.Seq) != next+1 {
 			return gen, fmt.Errorf("tenant %s: replicated record seq %d does not extend generation %d: %w", name, rec.Seq, next, errOutOfSync)
 		}
-		c, err := rec.Command()
-		if err != nil {
-			return gen, err
-		}
-		cmds = append(cmds, c)
+		cmds = append(cmds, rec.Cmd)
 		epochs = append(epochs, rec.Epoch)
 		next++
 	}

@@ -39,6 +39,10 @@ func fuzzSeeds(fatal func(error)) [][]byte {
 	supdate := Request{Op: OpSessionUpdate, ID: 5, Tenant: "t0", Session: 7,
 		Activate: []string{"c0001"}, Deactivate: []string{"c0000"}}
 	ping := Request{Op: OpPing, ID: 6}
+	// Names made of the key syntax's own characters and non-ASCII, in a
+	// nested revoke privilege: every vertex travels as its escaped key.
+	tricky := Request{Op: OpSubmit, ID: 7, Tenant: "t0", Cmds: []command.Command{command.Revoke("ü(,)",
+		model.Role("a:b%"), model.Revoke(model.Role("r,1"), model.Perm("read(x)", "o:%")))}}
 
 	respFrame := func(resps ...Response) []byte {
 		var buf []byte
@@ -70,9 +74,10 @@ func fuzzSeeds(fatal func(error)) [][]byte {
 		append(frame(ping), 0xde, 0xad, 0xbe), // garbage tail
 		flipBit(frame(authz, ping), 12),       // bit flip in the first payload
 		{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0},  // implausible length
-		AppendFrame(nil, []byte{0xff, 0x01, 0x02}),    // CRC-valid garbage body
-		AppendFrame(nil, nil),                         // empty payload
-		AppendFrame(nil, bytes.Repeat([]byte{9}, 40)), // CRC-valid noise
+		appendFrame(nil, []byte{0xff, 0x01, 0x02}),    // CRC-valid garbage body
+		appendFrame(nil, nil),                         // empty payload
+		appendFrame(nil, bytes.Repeat([]byte{9}, 40)), // CRC-valid noise
+		frame(tricky),
 	}
 }
 
@@ -93,7 +98,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		validEnd, payloads := DecodeFrames(data)
+		validEnd, payloads := decodeFrames(data)
 		if validEnd < 0 || validEnd > len(data) {
 			t.Fatalf("validEnd %d out of range [0,%d]", validEnd, len(data))
 		}
@@ -101,7 +106,7 @@ func FuzzWireDecode(f *testing.F) {
 		// payload doesn't determine.
 		var rebuilt []byte
 		for _, p := range payloads {
-			rebuilt = AppendFrame(rebuilt, p)
+			rebuilt = appendFrame(rebuilt, p)
 		}
 		if !bytes.Equal(rebuilt, data[:validEnd]) {
 			t.Fatalf("re-framed prefix differs from input prefix (validEnd %d)", validEnd)
@@ -109,7 +114,7 @@ func FuzzWireDecode(f *testing.F) {
 		// Chopping the stream anywhere inside the tail never changes the
 		// already-valid prefix (prefix stability).
 		if validEnd < len(data) {
-			chopEnd, chopped := DecodeFrames(data[:validEnd+(len(data)-validEnd)/2])
+			chopEnd, chopped := decodeFrames(data[:validEnd+(len(data)-validEnd)/2])
 			if chopEnd != validEnd || len(chopped) != len(payloads) {
 				t.Fatalf("chopped tail moved the valid prefix: %d -> %d", validEnd, chopEnd)
 			}

@@ -2,12 +2,14 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
 	"time"
 
 	"adminrefine/internal/api"
+	"adminrefine/internal/command"
 	"adminrefine/internal/model"
 	"adminrefine/internal/service"
 )
@@ -246,52 +248,41 @@ func (c *connState) reply(req *Request, r *service.Response) {
 	if r.Err != nil {
 		status = StatusFromCode(r.Err.Code)
 	}
-	off, out := beginFrame(c.out)
-	out = append(out, byte(status))
-	out = appendU64(out, req.ID)
-	out = appendU64(out, r.Generation)
-	out = appendU64(out, r.Epoch)
 	justify := req.Flags&FlagJustify != 0
-	switch {
-	case r.Err != nil:
-		// The frame has no placement-version field: a misroute's message
-		// states it (see service.Core.Owner).
-		out = appendString(out, r.Err.Message)
-		out = appendUvarint(out, uint64(r.Err.RetryAfter))
-		out = appendString(out, r.Err.Node)
-		out = appendU64(out, r.Err.MinGeneration)
-	case req.Op == OpAuthorize:
-		out = appendUvarint(out, uint64(len(r.Authz)))
-		for i := range r.Authz {
-			out = appendBool(out, r.Authz[i].OK)
-			out = appendJustification(out, justify, r.Authz[i].Justification)
-		}
-	case req.Op == OpSubmit:
-		out = appendUvarint(out, uint64(len(r.Steps)))
-		for i := range r.Steps {
-			out = append(out, OutcomeByte(r.Steps[i].Outcome))
-			out = appendJustification(out, justify, r.Steps[i].Justification)
-		}
-	case req.Op == OpCheck:
-		out = appendUvarint(out, uint64(len(r.Allowed)))
-		for _, ok := range r.Allowed {
-			out = appendBool(out, ok)
-		}
-	case req.Op == OpSessionCreate || req.Op == OpSessionUpdate:
-		out = appendU64(out, r.Session)
-		out = appendString(out, r.User)
-		out = appendUvarint(out, uint64(len(r.Roles)))
-		for _, role := range r.Roles {
-			out = appendString(out, role)
-		}
-	}
 	var err error
-	if c.out, err = endFrame(out, off); err != nil {
+	c.out, err = command.AppendFrame(c.out, maxFramePayload, func(out []byte) ([]byte, error) {
+		out = appendResponseHeader(out, status, req.ID, r.Generation, r.Epoch)
+		switch {
+		case r.Err != nil:
+			// The frame has no placement-version field: a misroute's message
+			// states it (see service.Core.Owner).
+			out = appendErrorBody(out, r.Err.Message, uint32(r.Err.RetryAfter), r.Err.Node, r.Err.MinGeneration)
+		case req.Op == OpAuthorize:
+			out = binary.AppendUvarint(out, uint64(len(r.Authz)))
+			for i := range r.Authz {
+				out = appendJustification(appendBool(out, r.Authz[i].OK), justify, r.Authz[i].Justification)
+			}
+		case req.Op == OpSubmit:
+			out = binary.AppendUvarint(out, uint64(len(r.Steps)))
+			for i := range r.Steps {
+				out = appendJustification(append(out, OutcomeByte(r.Steps[i].Outcome)), justify, r.Steps[i].Justification)
+			}
+		case req.Op == OpCheck:
+			out = binary.AppendUvarint(out, uint64(len(r.Allowed)))
+			for _, ok := range r.Allowed {
+				out = appendBool(out, ok)
+			}
+		case req.Op == OpSessionCreate || req.Op == OpSessionUpdate:
+			out = binary.LittleEndian.AppendUint64(out, r.Session)
+			out = appendStrings(command.AppendString(out, r.User), r.Roles)
+		}
+		return out, nil
+	})
+	if err != nil {
 		// A response overflowing the frame cap means a batch near the
 		// request cap with huge justifications — unreachable with maxBatch ×
-		// justification sizes, but defend anyway: truncate to a plain error
-		// (a submit was already fully applied server-side).
-		c.out = c.out[:off]
+		// justification sizes, but defend anyway: answer a plain error
+		// instead (a submit was already fully applied server-side).
 		c.reply(req, &service.Response{
 			Err:   &api.Error{Code: api.CodeInternal, Message: "response exceeded frame cap"},
 			Epoch: r.Epoch,
@@ -308,7 +299,7 @@ func appendBool(dst []byte, b bool) []byte {
 
 func appendJustification(dst []byte, justify bool, p model.Privilege) []byte {
 	if justify && p != nil {
-		return appendString(dst, p.String())
+		return command.AppendString(dst, p.String())
 	}
-	return appendUvarint(dst, 0)
+	return append(dst, 0)
 }

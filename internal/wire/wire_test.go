@@ -122,7 +122,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpSessionDelete, ID: 12, Tenant: "t0", Session: 4},
 		{Op: OpPing, ID: 13},
 	}
-	for _, in := range NewInterner().interners() {
+	for _, in := range interners() {
 		for i := range cases {
 			want := &cases[i]
 			buf, err := AppendRequest(nil, want)
@@ -145,7 +145,7 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 // interners gives round-trip tests both decode paths: interned and plain.
-func (in *Interner) interners() []*Interner { return []*Interner{nil, in} }
+func interners() []*Interner { return []*Interner{nil, NewInterner()} }
 
 func TestResponseRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -212,12 +212,38 @@ func TestStatusCodeMappingBijective(t *testing.T) {
 	}
 }
 
+// frameHeaderLen is the fixed [len][crc] prefix of every frame.
+const frameHeaderLen = 8
+
+// appendFrame appends one frame carrying payload to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst, err := command.AppendFrame(dst, maxFramePayload, func(b []byte) ([]byte, error) { return append(b, payload...), nil })
+	if err != nil {
+		panic(err)
+	}
+	return dst
+}
+
+// decodeFrames scans data for whole, checksummed frames from the front and
+// returns their payloads and the offset one past the last good frame: the
+// exact valid prefix, stopping at the first torn, corrupt or implausible one.
+func decodeFrames(data []byte) (validEnd int, payloads [][]byte) {
+	for {
+		payload, n, ok, err := NextFrame(data[validEnd:])
+		if !ok || err != nil {
+			return validEnd, payloads
+		}
+		payloads = append(payloads, payload)
+		validEnd += n
+	}
+}
+
 func TestDecodeFramesExactValidPrefix(t *testing.T) {
-	mk := func(payload []byte) []byte { return AppendFrame(nil, payload) }
+	mk := func(payload []byte) []byte { return appendFrame(nil, payload) }
 	f1, f2, f3 := mk([]byte("one")), mk([]byte("two!")), mk([]byte("three"))
 	stream := append(append(append([]byte{}, f1...), f2...), f3...)
 
-	validEnd, payloads := DecodeFrames(stream)
+	validEnd, payloads := decodeFrames(stream)
 	if validEnd != len(stream) || len(payloads) != 3 {
 		t.Fatalf("clean stream: validEnd=%d payloads=%d", validEnd, len(payloads))
 	}
@@ -226,20 +252,20 @@ func TestDecodeFramesExactValidPrefix(t *testing.T) {
 	// the first frame.
 	corrupt := append([]byte{}, stream...)
 	corrupt[len(f1)+frameHeaderLen] ^= 0x40
-	validEnd, payloads = DecodeFrames(corrupt)
+	validEnd, payloads = decodeFrames(corrupt)
 	if validEnd != len(f1) || len(payloads) != 1 || string(payloads[0]) != "one" {
 		t.Fatalf("corrupt middle: validEnd=%d (want %d) payloads=%d", validEnd, len(f1), len(payloads))
 	}
 
 	// Torn tail: the partial third frame is invisible.
 	torn := stream[:len(f1)+len(f2)+3]
-	validEnd, payloads = DecodeFrames(torn)
+	validEnd, payloads = decodeFrames(torn)
 	if validEnd != len(f1)+len(f2) || len(payloads) != 2 {
 		t.Fatalf("torn tail: validEnd=%d payloads=%d", validEnd, len(payloads))
 	}
 
 	// Implausible length: nothing decodes, no panic, no allocation attempt.
-	validEnd, payloads = DecodeFrames([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	validEnd, payloads = decodeFrames([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 	if validEnd != 0 || len(payloads) != 0 {
 		t.Fatalf("implausible length: validEnd=%d payloads=%d", validEnd, len(payloads))
 	}
@@ -278,7 +304,7 @@ func TestMalformedPayloadKeepsConnection(t *testing.T) {
 	defer conn.Close()
 
 	// Garbage body (framing intact), then a valid ping, in one write.
-	buf := AppendFrame(nil, []byte{0xff, 0x01, 0x02})
+	buf := appendFrame(nil, []byte{0xff, 0x01, 0x02})
 	ping := Request{Op: OpPing, ID: 99}
 	if buf, err = AppendRequest(buf, &ping); err != nil {
 		t.Fatal(err)
@@ -322,7 +348,7 @@ func TestMalformedPayloadKeepsConnection(t *testing.T) {
 	}
 
 	// A corrupt frame (bad CRC) is a transport lie: the connection drops.
-	bad := AppendFrame(nil, []byte("x"))
+	bad := appendFrame(nil, []byte("x"))
 	bad[frameHeaderLen] ^= 0x01
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
@@ -558,7 +584,7 @@ func TestDrainAllocs(t *testing.T) {
 		// The warm drain answered every request OK.
 		c.in = append(c.in[:0], frames...)
 		c.consume()
-		_, payloads := DecodeFrames(c.out)
+		_, payloads := decodeFrames(c.out)
 		c.out = c.out[:0]
 		if len(payloads) != reqsPerDrain {
 			t.Fatalf("%s: %d responses for %d requests", name, len(payloads), reqsPerDrain)
@@ -573,6 +599,33 @@ func TestDrainAllocs(t *testing.T) {
 		t.Logf("%s: %.1f allocs per drain of %d", name, perDrain, reqsPerDrain)
 		if perDrain >= 1 {
 			t.Errorf("%s: hot path allocates %.2f per request (want 0)", name, perDrain/reqsPerDrain)
+		}
+	}
+}
+
+// TestVertexDepthBound: a privilege nested maxVertexDepth connectives deep
+// decodes, one level more is malformed — with the interner and without, on
+// first sight and on a cache hit.
+func TestVertexDepthBound(t *testing.T) {
+	nest := func(depth int) model.Vertex {
+		var v model.Vertex = model.Role("r")
+		for i := 0; i < depth; i++ {
+			v = model.Grant(model.Role("a"), v)
+		}
+		return v
+	}
+	for _, in := range interners() {
+		for _, depth := range []int{maxVertexDepth, maxVertexDepth + 1, maxVertexDepth, maxVertexDepth + 1} {
+			req := Request{Op: OpSubmit, Tenant: "t0", Cmds: []command.Command{command.Grant("so", model.Role("hr"), nest(depth))}}
+			buf, err := AppendRequest(nil, &req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, _, _, _ := NextFrame(buf)
+			var got Request
+			if err := ParseRequest(payload, &got, in); (err != nil) != (depth > maxVertexDepth) {
+				t.Fatalf("depth %d (interner %v): %v", depth, in != nil, err)
+			}
 		}
 	}
 }

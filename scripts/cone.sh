@@ -1,5 +1,5 @@
 #!/bin/sh
-# ROADMAP item 5 by machine, for `make cone`, scripts/check.sh and the CI lint
+# ROADMAP item 1 by machine, for `make cone`, scripts/check.sh and the CI lint
 # job alike: the dependency cone (the daemon links none of the experiment,
 # analysis or test-support packages, and the two CLIs none of the serving
 # stack) and the size budget (non-test Go outside bench/ stays at or below
