@@ -13,8 +13,6 @@ import (
 type CatchUpOptions struct {
 	// Upstream is the source primary's base URL.
 	Upstream string
-	// Client performs the round trips (default: 30s-timeout client).
-	Client *http.Client
 	// Epoch is the node's fencing-epoch handle. CatchUp never SENDS an epoch
 	// — the source and target are independent primaries, and presenting the
 	// target's (possibly higher) epoch would make the source demote itself,
@@ -23,24 +21,15 @@ type CatchUpOptions struct {
 	// so records the target will stamp after the flip never move the
 	// tenant's epoch backwards. Nil reads as a permanent epoch 0.
 	Epoch *Epoch
-	// MaxAttempts bounds transient-error retries (default 3).
-	MaxAttempts int
-	// Backoff is the delay between retries (default 100ms).
-	Backoff time.Duration
 }
 
-func (o CatchUpOptions) withDefaults() CatchUpOptions {
-	if o.Client == nil {
-		o.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.Backoff <= 0 {
-		o.Backoff = 100 * time.Millisecond
-	}
-	return o
-}
+// A catch-up retries a transient error up to catchUpAttempts times in a
+// row, catchUpBackoff apart, each round trip bounded by catchUpTimeout.
+const (
+	catchUpAttempts = 3
+	catchUpBackoff  = 100 * time.Millisecond
+	catchUpTimeout  = 30 * time.Second
+)
 
 // CatchUp replicates one tenant from opts.Upstream into reg until the local
 // copy reaches the source's head, returning the generation it stopped at —
@@ -52,8 +41,8 @@ func (o CatchUpOptions) withDefaults() CatchUpOptions {
 // tenant's writes, when the head is frozen and the returned generation is
 // exactly the value the source verifies before flipping placement.
 func CatchUp(ctx context.Context, reg *tenant.Registry, name string, opts CatchUpOptions) (uint64, error) {
-	opts = opts.withDefaults()
-	u := &upstream{base: opts.Upstream, client: opts.Client, snap: opts.Client, epoch: opts.Epoch}
+	client := &http.Client{Timeout: catchUpTimeout}
+	u := &upstream{base: opts.Upstream, client: client, snap: client, epoch: opts.Epoch}
 	gen, epoch, err := reg.ReplicaPosition(name)
 	haveLocal := err == nil
 	if err != nil && !tenant.IsNotFound(err) {
@@ -70,10 +59,10 @@ func CatchUp(ctx context.Context, reg *tenant.Registry, name string, opts CatchU
 				return 0, err // no amount of retrying fixes these
 			}
 			attempts++
-			if attempts >= opts.MaxAttempts {
+			if attempts >= catchUpAttempts {
 				return 0, err
 			}
-			t := time.NewTimer(opts.Backoff)
+			t := time.NewTimer(catchUpBackoff)
 			select {
 			case <-t.C:
 			case <-ctx.Done():

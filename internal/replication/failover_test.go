@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/fault"
@@ -180,6 +181,50 @@ func TestSourceFencesOnHigherPeerEpoch(t *testing.T) {
 	}
 	if len(fencedWith) != 1 {
 		t.Fatalf("OnFenced fired again: %v", fencedWith)
+	}
+}
+
+// TestSourceRefusalsAreTheEnvelope: every refusal of the replication
+// endpoints is internal/api's typed envelope under an unchanged status, the
+// 421 carrying the epoch in its body as well as its header.
+func TestSourceRefusalsAreTheEnvelope(t *testing.T) {
+	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+	t.Cleanup(func() { reg.Close() })
+	if err := reg.InstallPolicy("alpha", workload.ChurnPolicy(8, 8)); err != nil {
+		t.Fatal(err)
+	}
+	src := NewSource(reg, SourceOptions{Epoch: NewEpoch(4, nil)})
+	mux := http.NewServeMux()
+	src.Register(mux)
+	for _, c := range []struct {
+		path, peerEpoch string
+		serving         bool
+		status          int
+		code            string
+	}{
+		{"/v1/replicate/nosuch/pull?after_seq=0", "", true, http.StatusNotFound, api.CodeNotFound},
+		{"/v1/replicate/nosuch/snapshot", "", true, http.StatusNotFound, api.CodeNotFound},
+		{"/v1/replicate/alpha/pull?after_seq=x", "", true, http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/replicate/alpha/pull?after_epoch=x", "", true, http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/replicate/alpha/pull?wait_ms=-1", "", true, http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/replicate/alpha/pull?after_seq=0", "banana", true, http.StatusBadRequest, api.CodeBadRequest},
+		{"/v1/replicate/alpha/pull?after_seq=0", "4", false, http.StatusMisdirectedRequest, api.CodeFenced},
+		{"/v1/replicate/alpha/snapshot", "", false, http.StatusMisdirectedRequest, api.CodeFenced},
+	} {
+		src.SetServing(c.serving)
+		req := httptest.NewRequest(http.MethodGet, c.path, nil)
+		if c.peerEpoch != "" {
+			req.Header.Set(HeaderEpoch, c.peerEpoch)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		e := api.Decode(rec.Code, rec.Body.Bytes())
+		if rec.Code != c.status || e.Code != c.code || e.Message == "" {
+			t.Fatalf("%s: %d %+v, want %d and code %q", c.path, rec.Code, e, c.status, c.code)
+		}
+		if c.code == api.CodeFenced && (e.Epoch != 4 || rec.Header().Get(HeaderEpoch) != "4") {
+			t.Fatalf("%s: fenced at epoch %d, header %q, want 4", c.path, e.Epoch, rec.Header().Get(HeaderEpoch))
+		}
 	}
 }
 

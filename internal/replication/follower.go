@@ -49,17 +49,11 @@ type FollowerOptions struct {
 	// re-Ensures and replication resumes from the local WAL position.
 	// Negative disables retirement.
 	IdleAfter time.Duration
-	// SnapshotTimeout bounds one snapshot bootstrap round-trip (default
-	// 90s). Bootstraps get their own context deadline instead of riding
-	// Client's overall timeout: that timeout is sized for long-polls, and a
-	// large tenant's snapshot transfer should not share a budget chosen for
-	// an idle pull.
-	SnapshotTimeout time.Duration
 	// Client overrides the HTTP client (tests, fault injection — wrap its
 	// Transport with a fault.Transport to chaos-test convergence). Its
 	// timeout must exceed PollWait or every idle long-poll errors; snapshot
 	// bootstraps reuse its Transport but not its timeout (see
-	// SnapshotTimeout).
+	// snapshotTimeout).
 	Client *http.Client
 	// Epoch is the node's fencing epoch handle, shared with the server and
 	// the node-level store. Every pull carries it and every response epoch
@@ -93,9 +87,6 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 	if o.IdleAfter == 0 {
 		o.IdleAfter = 5 * time.Minute
 	}
-	if o.SnapshotTimeout <= 0 {
-		o.SnapshotTimeout = 90 * time.Second
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{Timeout: o.PollWait + 15*time.Second}
 	}
@@ -113,7 +104,7 @@ type Follower struct {
 	opts FollowerOptions
 	// up talks to the primary. Its snapshot client shares Client's transport
 	// but drops its overall timeout: snapshot bootstraps are bounded
-	// per-request by SnapshotTimeout contexts instead of the long-poll-sized
+	// per-request by snapshotTimeout contexts instead of the long-poll-sized
 	// Client.Timeout.
 	up upstream
 
@@ -444,13 +435,16 @@ func (f *Follower) step(ft *followTenant) (advanced bool, err error) {
 	return true, f.bootstrap(ft)
 }
 
+// snapshotTimeout bounds one snapshot bootstrap round trip.
+const snapshotTimeout = 90 * time.Second
+
 // bootstrap fetches the primary's snapshot and installs it locally, leaving
 // the tenant at the snapshot's generation. The request runs under its own
-// SnapshotTimeout deadline on the timeout-free snapshot client: a large
+// snapshotTimeout deadline on the timeout-free snapshot client: a large
 // tenant's transfer must not be cut off by the long-poll-sized
 // Client.Timeout.
 func (f *Follower) bootstrap(ft *followTenant) error {
-	ctx, cancel := context.WithTimeout(f.ctx, f.opts.SnapshotTimeout)
+	ctx, cancel := context.WithTimeout(f.ctx, snapshotTimeout)
 	defer cancel()
 	seq, seqEpoch, err := f.up.snapshot(ctx, f.reg, ft.name)
 	if err != nil {

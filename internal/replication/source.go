@@ -45,6 +45,11 @@
 //	    200: {"seq":G,"seq_epoch":T,"policy":{...}} — install, then pull
 //	         from after_seq=G&after_epoch=T
 //
+// Every non-2xx body is internal/api's error envelope: bad_request (400),
+// not_found (404), fenced carrying the epoch (421), internal (500). A
+// follower reads only the status, so nodes on either side of that change
+// interoperate.
+//
 // The bootstrap document is JSON (policy.Wire, sorted and deterministic),
 // not the binary snapshot.bin the store keeps on disk: that file carries
 // one node's vertex ids, which no other node needs to share, and the
@@ -61,6 +66,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"adminrefine/internal/api"
 	"adminrefine/internal/policy"
 	"adminrefine/internal/storage"
 	"adminrefine/internal/tenant"
@@ -83,16 +89,19 @@ const (
 	HeaderEpoch = "X-Replication-Epoch"
 )
 
+const (
+	// maxPollWait caps how long one pull may long-poll server-side regardless
+	// of the wait_ms the follower asked for.
+	maxPollWait = 30 * time.Second
+	// maxBatchBytes caps one pull response's framed payload, comfortably
+	// under the follower's read limit. A backlog larger than the cap ships
+	// across several pulls — the follower re-pulls from its new position
+	// immediately — so a response is never truncated mid-frame.
+	maxBatchBytes = 4 << 20
+)
+
 // SourceOptions configures the primary's log-shipping endpoints.
 type SourceOptions struct {
-	// MaxWait caps how long one pull may long-poll server-side regardless of
-	// the wait_ms the follower asked for (default 30s).
-	MaxWait time.Duration
-	// MaxBatchBytes caps one pull response's framed payload (default 4 MiB,
-	// comfortably under the follower's read limit). A backlog larger than
-	// the cap ships across several pulls — the follower re-pulls from its
-	// new position immediately — so a response is never truncated mid-frame.
-	MaxBatchBytes int
 	// Epoch is the node's fencing epoch handle (nil reads as a permanent
 	// epoch 0 — the pre-failover deployments).
 	Epoch *Epoch
@@ -121,12 +130,6 @@ type Source struct {
 // NewSource builds the log-shipping source over a registry, initially
 // serving.
 func NewSource(reg *tenant.Registry, opts SourceOptions) *Source {
-	if opts.MaxWait <= 0 {
-		opts.MaxWait = 30 * time.Second
-	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = 4 << 20
-	}
 	s := &Source{reg: reg, opts: opts}
 	s.done, s.stop = context.WithCancel(context.Background())
 	s.serving.Store(true)
@@ -137,16 +140,13 @@ func NewSource(reg *tenant.Registry, opts SourceOptions) *Source {
 // (follower / demoted node).
 func (s *Source) SetServing(on bool) { s.serving.Store(on) }
 
-// Serving reports whether the endpoints currently serve pulls.
-func (s *Source) Serving() bool { return s.serving.Load() }
-
 // gate runs the fencing protocol for one request: it demotes this node if
 // the peer proves a higher epoch exists, then rejects the request with 421
 // unless this node is the serving primary. It reports whether the handler
 // may proceed.
 func (s *Source) gate(w http.ResponseWriter, r *http.Request) bool {
 	if peer, err := parseEpoch(r.Header.Get(HeaderEpoch)); err != nil {
-		http.Error(w, "bad "+HeaderEpoch, http.StatusBadRequest)
+		badRequest(w, "bad "+HeaderEpoch)
 		return false
 	} else if peer > s.opts.Epoch.Current() {
 		if s.opts.OnFenced != nil {
@@ -167,10 +167,11 @@ func (s *Source) gate(w http.ResponseWriter, r *http.Request) bool {
 // fenced answers 421 Misdirected Request with this node's (possibly just
 // raised) epoch — the re-point signal.
 func (s *Source) fenced(w http.ResponseWriter) {
-	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.opts.Epoch.Current(), 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusMisdirectedRequest)
-	fmt.Fprintf(w, `{"error":"not the primary of epoch %d"}`+"\n", s.opts.Epoch.Current())
+	epoch := s.opts.Epoch.Current()
+	w.Header().Set(HeaderEpoch, strconv.FormatUint(epoch, 10))
+	api.Write(w, http.StatusMisdirectedRequest, &api.Error{
+		Code: api.CodeFenced, Message: fmt.Sprintf("not the primary of epoch %d", epoch), Epoch: epoch,
+	})
 }
 
 // parseEpoch decodes an epoch header value ("" = 0, the pre-epoch peers).
@@ -212,25 +213,22 @@ func (s *Source) handlePull(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	afterSeq, err := strconv.ParseUint(q.Get("after_seq"), 10, 64)
 	if err != nil && q.Get("after_seq") != "" {
-		http.Error(w, "bad after_seq", http.StatusBadRequest)
+		badRequest(w, "bad after_seq")
 		return
 	}
 	afterEpoch, err := parseEpoch(q.Get("after_epoch"))
 	if err != nil {
-		http.Error(w, "bad after_epoch", http.StatusBadRequest)
+		badRequest(w, "bad after_epoch")
 		return
 	}
 	wait := time.Duration(0)
 	if ms := q.Get("wait_ms"); ms != "" {
 		n, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil || n < 0 {
-			http.Error(w, "bad wait_ms", http.StatusBadRequest)
+			badRequest(w, "bad wait_ms")
 			return
 		}
-		wait = time.Duration(n) * time.Millisecond
-	}
-	if wait > s.opts.MaxWait {
-		wait = s.opts.MaxWait
+		wait = min(time.Duration(n)*time.Millisecond, maxPollWait)
 	}
 	// The long-poll aborts when the follower disconnects (request context)
 	// or the primary drains (Close).
@@ -254,10 +252,10 @@ func (s *Source) handlePull(w http.ResponseWriter, r *http.Request) {
 	var buf []byte
 	for _, rec := range res.Records {
 		if buf, err = storage.EncodeFrame(buf, rec); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			sourceError(w, err)
 			return
 		}
-		if len(buf) >= s.opts.MaxBatchBytes {
+		if len(buf) >= maxBatchBytes {
 			// Whole frames only, never a mid-frame cut: the follower applies
 			// this batch and immediately re-pulls the rest from its new
 			// position (Head in the header shows it the remaining lag).
@@ -279,7 +277,7 @@ func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	auditJSON, err := json.Marshal(audit)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		sourceError(w, err)
 		return
 	}
 	w.Header().Set(HeaderEpoch, strconv.FormatUint(s.opts.Epoch.Current(), 10))
@@ -290,13 +288,18 @@ func (s *Source) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `{"seq":%d,"seq_epoch":%d,"policy":%s,"audit":%s}`, seq, seqEpoch, policyJSON, auditJSON)
 }
 
+// sourceError answers a registry or codec failure in the unified envelope.
 func sourceError(w http.ResponseWriter, err error) {
+	status, code := http.StatusInternalServerError, api.CodeInternal
 	switch {
 	case tenant.IsBadName(err):
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status, code = http.StatusBadRequest, api.CodeBadRequest
 	case tenant.IsNotFound(err):
-		http.Error(w, err.Error(), http.StatusNotFound)
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		status, code = http.StatusNotFound, api.CodeNotFound
 	}
+	api.Write(w, status, &api.Error{Code: code, Message: err.Error()})
+}
+
+func badRequest(w http.ResponseWriter, msg string) {
+	api.Write(w, http.StatusBadRequest, &api.Error{Code: api.CodeBadRequest, Message: msg})
 }

@@ -20,7 +20,7 @@ import (
 type upstream struct {
 	base string
 	// client runs pulls and snap runs snapshot transfers: the same transport,
-	// but a follower's snap carries no overall timeout (see SnapshotTimeout).
+	// but a follower's snap carries no overall timeout (see snapshotTimeout).
 	client, snap *http.Client
 	// epoch is the node's fencing-epoch handle: a response epoch above it is
 	// adopted durably BEFORE any record or snapshot from that response is

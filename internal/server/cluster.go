@@ -137,7 +137,7 @@ func (s *Server) forwardToOwner(w http.ResponseWriter, r *http.Request, owner st
 		}
 	}
 	req.Header.Set(api.HeaderRoutedBy, s.nodeID)
-	resp, err := s.peerClient.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		br.Failure()
 		api.Write(w, http.StatusBadGateway, &api.Error{
@@ -166,7 +166,7 @@ func (s *Server) peerBreaker(addr string) *admission.Breaker {
 	defer s.peersMu.Unlock()
 	br, ok := s.peerBreakers[addr]
 	if !ok {
-		br = admission.NewBreaker(s.peerBreakerOpts)
+		br = admission.NewBreaker(admission.BreakerOptions{})
 		s.peerBreakers[addr] = br
 	}
 	return br
@@ -335,7 +335,7 @@ func (s *Server) gossipPlacement(m *placement.Map) {
 				return
 			}
 			req.Header.Set("Content-Type", "application/json")
-			if resp, err := s.peerClient.Do(req); err == nil {
+			if resp, err := peerClient.Do(req); err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
@@ -549,7 +549,7 @@ func (s *Server) adoptOnTarget(ctx context.Context, target placement.Node, name,
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.peerClient.Do(req)
+	resp, err := peerClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

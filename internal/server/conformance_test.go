@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -725,7 +726,7 @@ func clusterPlanes(t *testing.T, n *clusterNode) *planes {
 // TestHTTPOnlyEndpointsPassTheCoreGates saturates both admission classes and
 // checks the endpoints that exist only on HTTP: explain and audit shed as
 // reads, a policy upload as a write, a replication pull in its own class —
-// they call the core's gates, not a copy — while the control plane, /healthz
+// they cross the core's gates, not a copy — while the control plane, /healthz
 // and /stats cross no gate at all.
 func TestHTTPOnlyEndpointsPassTheCoreGates(t *testing.T) {
 	one := admission.Limits{MaxInFlight: 1}
@@ -741,22 +742,28 @@ func TestHTTPOnlyEndpointsPassTheCoreGates(t *testing.T) {
 		}
 		defer release()
 	}
+	explain, err := json.Marshal(ExplainRequest{Command: wire(t, grant(1)...).Commands[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		method, path string
 		status       int
+		body         string
 	}{
-		{http.MethodPost, "/v1/tenants/t0/explain", http.StatusTooManyRequests},
-		{http.MethodGet, "/v1/tenants/t0/audit", http.StatusTooManyRequests},
-		{http.MethodPut, "/v1/tenants/t0/policy", http.StatusServiceUnavailable},
-		{http.MethodGet, "/v1/replicate/t0/pull?after_seq=0", http.StatusServiceUnavailable},
-		{http.MethodGet, "/v1/tenants/t0/stats", http.StatusOK},
-		{http.MethodGet, "/healthz", http.StatusOK},
-		{http.MethodPost, "/v1/cluster/promote", http.StatusOK},
+		// Decoded before admission: only a well-formed explain reaches the gate.
+		{http.MethodPost, "/v1/tenants/t0/explain", http.StatusTooManyRequests, string(explain)},
+		{http.MethodGet, "/v1/tenants/t0/audit", http.StatusTooManyRequests, ""},
+		{http.MethodPut, "/v1/tenants/t0/policy", http.StatusServiceUnavailable, ""},
+		{http.MethodGet, "/v1/replicate/t0/pull?after_seq=0", http.StatusServiceUnavailable, ""},
+		{http.MethodGet, "/v1/tenants/t0/stats", http.StatusOK, ""},
+		{http.MethodGet, "/healthz", http.StatusOK, ""},
+		{http.MethodPost, "/v1/cluster/promote", http.StatusOK, ""},
 		// The pre-cluster aliases are gone: the envelope's not_found.
-		{http.MethodPost, "/v1/promote", http.StatusNotFound},
-		{http.MethodPost, "/v1/repoint", http.StatusNotFound},
+		{http.MethodPost, "/v1/promote", http.StatusNotFound, ""},
+		{http.MethodPost, "/v1/repoint", http.StatusNotFound, ""},
 	} {
-		req, _ := http.NewRequest(c.method, p.http.URL+c.path, nil)
+		req, _ := http.NewRequest(c.method, p.http.URL+c.path, strings.NewReader(c.body))
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)

@@ -2,13 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
+	"adminrefine/internal/admission"
 	"adminrefine/internal/engine"
+	"adminrefine/internal/parser"
 	"adminrefine/internal/tenant"
 	"adminrefine/internal/workload"
 )
@@ -88,5 +91,50 @@ func waitForCond(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkShedPath prices what a request refused for capacity still costs,
+// now that every op decodes its body before admission: a one-command
+// authorize and a 64-role × 256-user policy upload through ServeHTTP while
+// both admission classes are held full.
+func BenchmarkShedPath(b *testing.B) {
+	adm := admission.New(admission.Config{Read: admission.Limits{MaxInFlight: 1}, Write: admission.Limits{MaxInFlight: 1}})
+	reg := tenant.New(tenant.Options{Dir: b.TempDir(), Mode: engine.Refined})
+	srv := NewWithConfig(Config{Registry: reg, Admission: adm})
+	b.Cleanup(func() { srv.Close(); reg.Close() })
+	for _, cl := range []admission.Class{admission.Read, admission.Write} {
+		release, err := adm.Acquire(context.Background(), cl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(release)
+	}
+	wc, err := EncodeCommand(workload.ChurnGrant(0, 8, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	authz, err := json.Marshal(BatchRequest{Commands: []WireCommand{wc}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, method, path string
+		body               []byte
+		status             int
+	}{
+		{"authorize", http.MethodPost, "/v1/tenants/t/authorize", authz, http.StatusTooManyRequests},
+		{"policy-64x256", http.MethodPut, "/v1/tenants/t/policy", []byte(parser.Print(workload.ChurnPolicy(64, 256), nil)), http.StatusServiceUnavailable},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, bytes.NewReader(c.body)))
+				if rec.Code != c.status {
+					b.Fatalf("shed %s: %d, want %d", c.name, rec.Code, c.status)
+				}
+			}
+		})
 	}
 }

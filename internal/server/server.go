@@ -26,15 +26,18 @@
 // {"error":{"code":...,"message":...,...}} — clients dispatch on the code,
 // never on message text.
 //
-// This package is the JSON codec of the request core (internal/service): the
-// seven data-plane ops decode into a service.Request, cross service.Core.Do —
-// the same pipeline the binary plane (internal/wire) crosses — and encode
-// from its Response; one table maps the core's error codes onto HTTP
-// statuses. What stays here is what only HTTP can do: stream-forward a
-// non-owner's write, 307 a body-less request or a follower's write, parse
-// X-Request-Deadline, stamp placement-version and epoch headers — plus the
-// HTTP-only endpoints (explain, audit, policy upload), which pass the same
-// gates by calling the core's exported steps, and the control plane.
+// This package is the JSON codec of the request core (internal/service):
+// every route under /v1/tenants/{tenant}/ but stats decodes into a
+// service.Request, crosses service.Core.Do — the pipeline the binary plane
+// (internal/wire) crosses, whose ten ops include the three only this codec
+// decodes (explain, audit, policy upload) — and encodes from its Response;
+// one table maps the core's error codes onto HTTP statuses. HTTP decodes a
+// body before admission, as the wire plane does. What HTTP still does before
+// it reads a body: route a foreign tenant by the core's Owner verdict (307,
+// transparent forward, or 421), 307 a follower's write on GateWrite's
+// misrouted, admit /v1/replicate/ under the replication class, and serve
+// /stats ungated. Beyond that it parses X-Request-Deadline, stamps
+// placement-version and epoch headers, and serves the control plane.
 //
 // Reads (authorize, explain, stats, sessions, check, audit) of a tenant with
 // no durable state return 404 and never create one; writes (submit, policy)
@@ -78,8 +81,8 @@
 // A primary that observes a higher epoch on any replication exchange
 // demotes itself to fenced on the spot (split-brain is structurally
 // impossible: at most one node serves writes per epoch). With
-// Config.PromoteOnUpstreamLoss a follower probes its upstream's /healthz
-// and self-promotes after ProbeThreshold consecutive failures.
+// Config.PromoteOnUpstreamLoss the core probes a follower's upstream's
+// /healthz and self-promotes after ProbeThreshold consecutive failures.
 //
 // Commands travel as {"actor","op","from","to"} with vertices in the JSON
 // form of model.MarshalVertex (command.Wire). JSON lives at this edge only:
@@ -89,7 +92,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,7 +107,6 @@ import (
 	"adminrefine/internal/admission"
 	"adminrefine/internal/api"
 	"adminrefine/internal/command"
-	"adminrefine/internal/constraints"
 	"adminrefine/internal/model"
 	"adminrefine/internal/parser"
 	"adminrefine/internal/placement"
@@ -187,91 +188,9 @@ func getScratch() *batchScratch {
 }
 func putScratch(s *batchScratch) { scratchPool.Put(s) }
 
-// Config configures a Server beyond its registry.
-type Config struct {
-	// Registry is the tenant registry served (required).
-	Registry *tenant.Registry
-	// Follower, when non-nil, switches the server into replica mode: reads
-	// ensure replication and serve the local replayed state, writes redirect
-	// to the follower's upstream primary.
-	Follower *replication.Follower
-	// MinGenWait bounds how long a read carrying min_generation may block
-	// waiting for the replica to catch up before failing with 409 (default
-	// 2s).
-	MinGenWait time.Duration
-	// ReplicationMaxWait caps the primary's long-poll pull hold (default
-	// 30s; ignored in follower mode).
-	ReplicationMaxWait time.Duration
-	// Constraints optionally guards session role activations (DSD). Pass
-	// the same set as tenant.Options.Constraints so the write path (SSD)
-	// and the activation path enforce one regime.
-	Constraints *constraints.Set
-	// SessionCacheSlots sizes each tenant's session check-verdict cache
-	// (0 = default; negative disables).
-	SessionCacheSlots int
-	// Epoch is the node's fencing epoch handle, shared with the follower and
-	// the registry's stamp hook. Nil gets an in-memory epoch starting at 0 —
-	// fine for tests and single-node deployments, but a real cluster must
-	// pass a durably-persisted one (see replication.NewEpoch) or a crashed
-	// promotion could resurrect a fenced epoch.
-	Epoch *replication.Epoch
-	// FollowerOptions is the template the server uses to build a follower it
-	// was not constructed with: a fenced ex-primary rejoining the cluster via
-	// /v1/cluster/repoint (Upstream is overwritten per repoint). When
-	// Follower is non-nil its own options take precedence as the template.
-	FollowerOptions replication.FollowerOptions
-	// PromoteOnUpstreamLoss, on a follower, self-promotes this node after its
-	// upstream's /healthz fails ProbeThreshold consecutive probes — unattended
-	// failover for two-node deployments. Leave it off when an external
-	// orchestrator calls /v1/cluster/promote (two followers probing the same
-	// dead primary would both promote).
-	PromoteOnUpstreamLoss bool
-	// ProbeInterval is the upstream health-probe period (default 1s).
-	ProbeInterval time.Duration
-	// ProbeThreshold is how many consecutive probe failures depose the
-	// upstream (default 5).
-	ProbeThreshold int
-	// MaxRequestTime is the server-side time budget every data-plane request
-	// runs under: the request's context expires after this long, so a request
-	// stuck behind a stalled fsync or a saturated queue is cut loose with 503
-	// instead of holding its goroutine (and its admission slot) indefinitely.
-	// A client's X-Request-Deadline header tightens (never extends) the
-	// budget. Zero means no server-imposed deadline. Replication long-polls
-	// are exempt — their hold time is the protocol, bounded by
-	// ReplicationMaxWait.
-	MaxRequestTime time.Duration
-	// Admission, when non-nil, gates data-plane requests by class
-	// (read / write / replication): a class at its concurrency limit queues
-	// up to its queue cap, and beyond that sheds immediately — reads with
-	// 429, writes with 503, both with Retry-After. Nil admits everything (no
-	// limits, no accounting).
-	Admission *admission.Controller
-	// Breaker, when non-nil, fast-fails the follower's write-forwarding path
-	// while the upstream primary is unreachable: instead of a 307 redirect
-	// pointing clients at a dead node, the follower answers 503 with a
-	// Retry-After derived from the breaker's cooldown. Share the same breaker
-	// with FollowerOptions.Breaker so the pull loop's transport failures are
-	// what trip it. Repoint resets it (new upstream, fresh verdict).
-	Breaker *admission.Breaker
-	// Placement, together with NodeID, switches the node into cluster mode:
-	// the request core consults the table's current map on every data-plane
-	// request (see cluster.go for what HTTP does with a non-owner's answer)
-	// and the /v1/cluster/* mutations operate on it. Nil (or a table holding
-	// no map) disables routing — the single-primary deployments of earlier
-	// PRs.
-	Placement *placement.Table
-	// NodeID is this node's stable placement identity. In a primary/follower
-	// pair both nodes carry the SAME ID: the follower serves the ID's reads
-	// from its replicated state and 307s the ID's writes upstream, and a
-	// promotion re-points the ID's address without moving any tenants.
-	NodeID string
-	// PeerClient performs node-to-node requests (forwards, gossip, adopt).
-	// The default client passes redirects through to the caller untouched.
-	PeerClient *http.Client
-	// PeerBreakerOptions configures the per-peer circuit breakers guarding
-	// the forwarding path (zero value = admission defaults).
-	PeerBreakerOptions admission.BreakerOptions
-}
+// Config configures a Server: it is the request core's configuration, and
+// the facade reads only its Registry, Placement and NodeID.
+type Config = service.Config
 
 // Server is the HTTP facade over a node's request core (internal/service),
 // which owns the data-plane pipeline and the role state machine; the facade
@@ -284,20 +203,21 @@ type Server struct {
 
 	// Cluster plane (see cluster.go): nil placement (or one holding no map)
 	// disables routing and the /v1/cluster mutations.
-	placement       *placement.Table
-	nodeID          string
-	peerClient      *http.Client
-	peerBreakerOpts admission.BreakerOptions
-	peersMu         sync.Mutex
-	peerBreakers    map[string]*admission.Breaker
+	placement    *placement.Table
+	nodeID       string
+	peersMu      sync.Mutex
+	peerBreakers map[string]*admission.Breaker
 	// peerFastFail counts forwards answered 503 on an open peer breaker; it
 	// is reported inside the core's breaker_fast_fail.
 	peerFastFail atomic.Uint64
+}
 
-	probeThreshold int
-	probeInterval  time.Duration
-	probeCancel    context.CancelFunc
-	probeWG        sync.WaitGroup
+// peerClient performs node-to-node requests (forwards, gossip, adopt).
+// Redirects from a peer (e.g. a follower sharing the owner's node ID) pass
+// through verbatim: the original client follows them, exactly as it would
+// a direct 307.
+var peerClient = &http.Client{
+	CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
 }
 
 // New builds a primary server. The registry stays owned by the caller (close
@@ -310,46 +230,14 @@ func New(reg *tenant.Registry) *Server {
 // the replication source endpoints, a follower (cfg.Follower non-nil)
 // redirects writes upstream instead.
 func NewWithConfig(cfg Config) *Server {
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = time.Second
-	}
-	if cfg.ProbeThreshold <= 0 {
-		cfg.ProbeThreshold = 5
-	}
 	s := &Server{
-		core: service.New(service.Config{
-			Registry:           cfg.Registry,
-			Constraints:        cfg.Constraints,
-			SessionCacheSlots:  cfg.SessionCacheSlots,
-			Epoch:              cfg.Epoch,
-			Admission:          cfg.Admission,
-			Breaker:            cfg.Breaker,
-			MinGenWait:         cfg.MinGenWait,
-			MaxRequestTime:     cfg.MaxRequestTime,
-			Placement:          cfg.Placement,
-			NodeID:             cfg.NodeID,
-			Follower:           cfg.Follower,
-			FollowerOptions:    cfg.FollowerOptions,
-			ReplicationMaxWait: cfg.ReplicationMaxWait,
-		}),
-		reg:             cfg.Registry,
-		mux:             http.NewServeMux(),
-		start:           time.Now(),
-		probeInterval:   cfg.ProbeInterval,
-		probeThreshold:  cfg.ProbeThreshold,
-		placement:       cfg.Placement,
-		nodeID:          cfg.NodeID,
-		peerClient:      cfg.PeerClient,
-		peerBreakerOpts: cfg.PeerBreakerOptions,
-		peerBreakers:    make(map[string]*admission.Breaker),
-	}
-	if s.peerClient == nil {
-		// Redirects from a peer (e.g. a follower sharing the owner's node ID)
-		// pass through verbatim: the original client follows them, exactly as
-		// it would a direct 307.
-		s.peerClient = &http.Client{
-			CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-		}
+		core:         service.New(cfg),
+		reg:          cfg.Registry,
+		mux:          http.NewServeMux(),
+		start:        time.Now(),
+		placement:    cfg.Placement,
+		nodeID:       cfg.NodeID,
+		peerBreakers: make(map[string]*admission.Breaker),
 	}
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/authorize", s.serveOp(service.OpAuthorize, decodeBatch))
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/submit", s.serveOp(service.OpSubmit, decodeBatch))
@@ -357,9 +245,9 @@ func NewWithConfig(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/sessions/{sid}", s.serveOp(service.OpSessionUpdate, decodeSession))
 	s.mux.HandleFunc("DELETE /v1/tenants/{tenant}/sessions/{sid}", s.serveOp(service.OpSessionDelete, decodeSession))
 	s.mux.HandleFunc("POST /v1/tenants/{tenant}/check", s.serveOp(service.OpCheck, decodeCheck))
-	s.mux.HandleFunc("POST /v1/tenants/{tenant}/explain", s.handleExplain)
-	s.mux.HandleFunc("GET /v1/tenants/{tenant}/audit", s.handleAudit)
-	s.mux.HandleFunc("PUT /v1/tenants/{tenant}/policy", s.handlePutPolicy)
+	s.mux.HandleFunc("POST /v1/tenants/{tenant}/explain", s.serveOp(service.OpExplain, decodeExplain))
+	s.mux.HandleFunc("GET /v1/tenants/{tenant}/audit", s.serveOp(service.OpAudit, decodeAudit))
+	s.mux.HandleFunc("PUT /v1/tenants/{tenant}/policy", s.serveOp(service.OpInstallPolicy, decodePolicy))
 	s.mux.HandleFunc("GET /v1/tenants/{tenant}/stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	// Control plane: role transitions and cluster topology.
@@ -379,26 +267,14 @@ func NewWithConfig(cfg Config) *Server {
 	// plus its epoch — exactly the re-point signal a stray puller (or a
 	// resurrected ex-primary's follower) needs.
 	s.core.Source().Register(s.mux)
-	if cfg.Follower != nil && cfg.PromoteOnUpstreamLoss {
-		ctx, cancel := context.WithCancel(context.Background())
-		s.probeCancel = cancel
-		s.probeWG.Add(1)
-		go s.probeUpstream(ctx)
-	}
 	return s
 }
 
-// Close stops the auto-promotion probe and releases the core's serving
-// state: the follower's pull loops, the node-local sessions, and every
-// parked replication long-poll (http.Server.Shutdown does not cancel
-// in-flight request contexts). Call it before or alongside Shutdown.
-func (s *Server) Close() {
-	if s.probeCancel != nil {
-		s.probeCancel()
-	}
-	s.probeWG.Wait()
-	s.core.Close()
-}
+// Close releases the core's serving state: the failover probe, the
+// follower's pull loops, the node-local sessions, and every parked
+// replication long-poll (http.Server.Shutdown does not cancel in-flight
+// request contexts). Call it before or alongside Shutdown.
+func (s *Server) Close() { s.core.Close() }
 
 // DrainSessions drops every open session on this node, returning how many
 // were live — the SIGTERM hook (idempotent; Close calls it too).
@@ -417,72 +293,16 @@ func (s *Server) Repoint(upstream string, ifEpoch uint64) error {
 	return s.core.Repoint(upstream, ifEpoch)
 }
 
-// probeUpstream is the unattended-failover loop: it probes the upstream's
-// /healthz every probeInterval and promotes this node after probeThreshold
-// consecutive failures. A successful probe or a repoint resets the count.
-func (s *Server) probeUpstream(ctx context.Context) {
-	defer s.probeWG.Done()
-	client := &http.Client{Timeout: s.probeInterval}
-	fails := 0
-	last := ""
-	t := time.NewTicker(s.probeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		f := s.core.Follower()
-		if f == nil {
-			// Promoted (by us or an operator) or fenced: nothing to probe.
-			// Keep ticking — a later repoint re-arms the probe.
-			fails = 0
-			continue
-		}
-		up := f.Upstream()
-		if up != last {
-			fails, last = 0, up
-		}
-		if s.upstreamHealthy(ctx, client, up) {
-			fails = 0
-			continue
-		}
-		fails++
-		if fails >= s.probeThreshold {
-			if _, err := s.Promote(0); err == nil {
-				return
-			}
-			fails = 0
-		}
-	}
-}
-
-// upstreamHealthy performs one health probe.
-func (s *Server) upstreamHealthy(ctx context.Context, client *http.Client, upstream string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, upstream+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
 // ServeHTTP implements http.Handler. Before any handler reads a body it
 // does the two things only this transport can: in cluster mode, stamp the
 // placement version and act on the core's ownership verdict — redirect,
 // forward, or 421 (see cluster.go) — without spending local admission
 // capacity; and admit replication long-polls under their own class (never
 // deadline-bounded: their hold time is the protocol). Everything else —
-// deadline, admission, role, generation — is the core's, inside the
-// handlers; the control plane, /healthz and /stats cross no gate, because
-// observability and operator intervention must keep working precisely when
-// the node is saturated.
+// deadline, admission, role, generation — is the core's, inside Do; the
+// control plane, /healthz and /stats cross no gate, because observability
+// and operator intervention must keep working precisely when the node is
+// saturated.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	s.stampPlacement(w.Header())
@@ -759,12 +579,62 @@ func decodeSession(sc *batchScratch, r *http.Request) error {
 	return nil
 }
 
-// serveOp is the handler of the seven core ops: decode one request, cross
-// the core, encode its answer. A submit asks the write gate first — a
-// follower redirects without ever reading the body.
+func decodeExplain(sc *batchScratch, r *http.Request) error {
+	var body ExplainRequest
+	if err := decodeJSON(r, &body); err != nil {
+		return err
+	}
+	c, err := body.Command.Command()
+	if err != nil {
+		return err
+	}
+	req := &sc.reqs[0]
+	req.Cmds, req.MinGen = append(req.Cmds, c), body.MinGeneration
+	return nil
+}
+
+// decodeAudit reads the ?after=N&limit=K page (default: from the start, 256).
+func decodeAudit(sc *batchScratch, r *http.Request) error {
+	req, q := &sc.reqs[0], r.URL.Query()
+	req.Limit = 256
+	if v := q.Get("after"); v != "" {
+		var err error
+		if req.After, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return fmt.Errorf("bad after %q", v)
+		}
+	}
+	if v := q.Get("limit"); v != "" {
+		var err error
+		if req.Limit, err = strconv.Atoi(v); err != nil || req.Limit <= 0 {
+			return fmt.Errorf("bad limit %q", v)
+		}
+	}
+	return nil
+}
+
+// decodePolicy parses an RPL upload: a policy, and nothing to run.
+func decodePolicy(sc *batchScratch, r *http.Request) error {
+	src, err := io.ReadAll(r.Body)
+	if err != nil {
+		return fmt.Errorf("read body: %w", err)
+	}
+	doc, err := parser.Parse(string(src))
+	if err != nil {
+		return fmt.Errorf("parse policy: %w", err)
+	}
+	if len(doc.Queue) > 0 || len(doc.Checks) > 0 {
+		return errors.New("policy upload must not contain do/expect statements")
+	}
+	sc.reqs[0].Policy = doc.Policy
+	return nil
+}
+
+// serveOp is the handler of the ten core ops: decode one request, cross the
+// core, encode its answer. A write asks the write gate first — a follower
+// redirects without ever reading the body.
 func (s *Server) serveOp(op service.Op, decode func(*batchScratch, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if op == service.OpSubmit && !s.gateWrite(w, r) {
+		if op.Class() == admission.Write && !s.gateWrite(w, r) {
 			return
 		}
 		sc := getScratch()
@@ -824,6 +694,20 @@ func (s *Server) writeResult(w http.ResponseWriter, op service.Op, sc *batchScra
 	case service.OpSessionDelete:
 		w.WriteHeader(http.StatusNoContent)
 		return
+	case service.OpExplain:
+		writeJSON(w, http.StatusOK, map[string]any{"explanation": resp.Text, "generation": resp.Generation})
+		return
+	case service.OpAudit:
+		out := auditResponse{Records: resp.Records, Total: resp.Total, Generation: resp.Generation}
+		if out.Records == nil {
+			out.Records = []storage.Record{}
+		}
+		writeJSON(w, http.StatusOK, out)
+		return
+	case service.OpInstallPolicy:
+		w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(resp.Epoch, 10))
+		w.WriteHeader(http.StatusNoContent)
+		return
 	}
 	writeJSON(w, status, body)
 }
@@ -835,53 +719,6 @@ func justification(p model.Privilege) string {
 	return p.String()
 }
 
-// begin opens an HTTP-only data-plane endpoint (explain, audit, policy
-// upload) through the same gates the core ops pass — ownership, budget,
-// admission, role — by calling the same step. On refusal the response has
-// been written.
-func (s *Server) begin(w http.ResponseWriter, r *http.Request, cl admission.Class) (service.Grant, bool) {
-	ms, err := requestDeadline(r)
-	if err != nil {
-		httpError(w, api.CodeBadRequest, err)
-		return service.Grant{}, false
-	}
-	g, e := s.core.Begin(r.Context(), r.PathValue("tenant"), cl, ms)
-	if e != nil {
-		writeError(w, cl, e)
-		return service.Grant{}, false
-	}
-	return g, true
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	g, ok := s.begin(w, r, admission.Read)
-	if !ok {
-		return
-	}
-	defer g.Release()
-	var req ExplainRequest
-	err := decodeJSON(r, &req)
-	var c command.Command
-	if err == nil {
-		c, err = req.Command.Command()
-	}
-	if err != nil {
-		httpError(w, api.CodeBadRequest, err)
-		return
-	}
-	name := r.PathValue("tenant")
-	if e := s.core.AwaitGeneration(g.Ctx, name, req.MinGeneration); e != nil {
-		writeError(w, admission.Read, e)
-		return
-	}
-	text, gen, err := s.reg.Explain(name, c)
-	if err != nil {
-		writeError(w, admission.Read, s.core.Fail(admission.Read, err))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"explanation": text, "generation": gen})
-}
-
 // auditResponse is the audit endpoint's envelope: the retained records, the
 // total ever seen (a larger total means the in-memory window trimmed older
 // entries), and the generation served at.
@@ -889,71 +726,6 @@ type auditResponse struct {
 	Records    []storage.Record `json:"records"`
 	Total      uint64           `json:"total"`
 	Generation uint64           `json:"generation"`
-}
-
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	g, ok := s.begin(w, r, admission.Read)
-	if !ok {
-		return
-	}
-	defer g.Release()
-	after, limit := uint64(0), 256
-	if v := r.URL.Query().Get("after"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, api.CodeBadRequest, fmt.Errorf("bad after %q", v))
-			return
-		}
-		after = n
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			httpError(w, api.CodeBadRequest, fmt.Errorf("bad limit %q", v))
-			return
-		}
-		limit = n
-	}
-	records, total, gen, err := s.reg.Audit(r.PathValue("tenant"), after, limit)
-	if err != nil {
-		writeError(w, admission.Read, s.core.Fail(admission.Read, err))
-		return
-	}
-	if records == nil {
-		records = []storage.Record{}
-	}
-	writeJSON(w, http.StatusOK, auditResponse{Records: records, Total: total, Generation: gen})
-}
-
-func (s *Server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
-	if !s.gateWrite(w, r) {
-		return
-	}
-	g, ok := s.begin(w, r, admission.Write)
-	if !ok {
-		return
-	}
-	defer g.Release()
-	src, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpError(w, api.CodeBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	doc, err := parser.Parse(string(src))
-	if err != nil {
-		httpError(w, api.CodeBadRequest, fmt.Errorf("parse policy: %w", err))
-		return
-	}
-	if len(doc.Queue) > 0 || len(doc.Checks) > 0 {
-		httpError(w, api.CodeBadRequest, fmt.Errorf("policy upload must not contain do/expect statements"))
-		return
-	}
-	if err := s.reg.InstallPolicy(r.PathValue("tenant"), doc.Policy); err != nil {
-		writeError(w, admission.Write, s.core.Fail(admission.Write, err))
-		return
-	}
-	w.Header().Set(replication.HeaderEpoch, strconv.FormatUint(s.Epoch(), 10))
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // statsResponse wraps tenant stats with the follower's replication

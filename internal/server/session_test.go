@@ -2,14 +2,18 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/constraints"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
+	"adminrefine/internal/parser"
 	"adminrefine/internal/policy"
 	"adminrefine/internal/tenant"
 )
@@ -67,6 +71,42 @@ func ssdFixture() (*policy.Policy, *constraints.Set, error) {
 		Name: "eng-qa", Kind: constraints.SSD, Roles: []string{"eng", "qa"}, N: 2,
 	})
 	return p, cons, err
+}
+
+// TestPolicyUploadViolatingConstraintIsForbidden: the install-path veto is
+// the policy saying no, as a DSD veto of a session activation is — 403
+// forbidden, not a 500 — and provisions nothing.
+func TestPolicyUploadViolatingConstraintIsForbidden(t *testing.T) {
+	_, cons, err := ssdFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined, Constraints: cons})
+	ts := httptest.NewServer(NewWithConfig(Config{Registry: reg, Constraints: cons}))
+	t.Cleanup(func() {
+		ts.Close()
+		reg.Close()
+	})
+	bad := policy.New()
+	bad.Assign("bob", "eng")
+	bad.Assign("bob", "qa")
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/tenants/acme/policy", strings.NewReader(parser.Print(bad, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if e := api.Decode(resp.StatusCode, raw); err != nil || resp.StatusCode != http.StatusForbidden || e.Code != api.CodeForbidden ||
+		!strings.Contains(e.Message, "eng-qa") {
+		t.Fatalf("constraint-violating upload: %d %+v (%v), want 403 forbidden naming eng-qa", resp.StatusCode, e, err)
+	}
+	if st, err := reg.Stats("acme"); err == nil && st.Policy.UA != 0 {
+		t.Fatalf("a vetoed upload installed %d assignments", st.Policy.UA)
+	}
 }
 
 // TestAuditEndpoint drives applied, denied and constraint-vetoed submits and

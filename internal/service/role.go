@@ -1,8 +1,11 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"time"
 
 	"adminrefine/internal/admission"
@@ -168,6 +171,71 @@ func (c *Core) Repoint(upstream string, ifEpoch uint64) error {
 	return nil
 }
 
+// startProbe starts the unattended-failover loop (Config.PromoteOnUpstreamLoss):
+// it probes the upstream's /healthz every interval and promotes this node
+// after threshold consecutive failures. A successful probe or a repoint
+// resets the count. Close stops it.
+func (c *Core) startProbe(interval time.Duration, threshold int) {
+	if interval <= 0 {
+		interval = time.Second
+	}
+	if threshold <= 0 {
+		threshold = 5
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	c.stopProbe = cancel
+	c.probeWG.Add(1)
+	go func() {
+		defer c.probeWG.Done()
+		client := &http.Client{Timeout: interval}
+		fails, last := 0, ""
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+			}
+			f := c.Follower()
+			if f == nil {
+				// Promoted (by us or an operator) or fenced: nothing to probe.
+				// Keep ticking — a later repoint re-arms the probe.
+				fails = 0
+				continue
+			}
+			if up := f.Upstream(); up != last {
+				fails, last = 0, up
+			}
+			if upstreamHealthy(ctx, client, last) {
+				fails = 0
+				continue
+			}
+			if fails++; fails >= threshold {
+				if _, err := c.Promote(0); err == nil {
+					return
+				}
+				fails = 0
+			}
+		}
+	}()
+}
+
+// upstreamHealthy performs one health probe.
+func upstreamHealthy(ctx context.Context, client *http.Client, upstream string) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, upstream+"/healthz", nil)
+	if err != nil {
+		return false
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK
+}
+
 // fence demotes this node after a replication exchange proved a higher epoch
 // exists (the source's OnFenced hook): adopt the epoch durably, stop serving
 // writes and the WAL stream, and drop the node-local sessions — their
@@ -185,13 +253,17 @@ func (c *Core) fence(peer uint64) {
 	c.sessions.DrainAll()
 }
 
-// Close releases the serving state: it closes the current follower's pull
-// loops (the core owns the follower's lifecycle — repoints swap it at
-// runtime), drains the node-local session tables (sessions die with the
-// node, before the registry compacts and closes) and wakes every parked
-// replication long-poll so an http.Server.Shutdown can drain without
-// waiting out their poll budgets.
+// Close releases the serving state: it stops the failover probe, closes the
+// current follower's pull loops (the core owns the follower's lifecycle —
+// repoints swap it at runtime), drains the node-local session tables
+// (sessions die with the node, before the registry compacts and closes) and
+// wakes every parked replication long-poll so an http.Server.Shutdown can
+// drain without waiting out their poll budgets.
 func (c *Core) Close() {
+	if c.stopProbe != nil {
+		c.stopProbe()
+	}
+	c.probeWG.Wait()
 	if f := c.Follower(); f != nil {
 		f.Close()
 	}

@@ -4,11 +4,15 @@
 // (internal/wire) are codecs over it — they decode a Request, call Do, and
 // encode the Response; neither re-implements a gate.
 //
-// Do runs each request (or merged run of requests) through one pipeline, in
-// this order and nowhere else:
+// Do answers ten ops: authorize, check, submit, the three session ops and
+// ping on both planes, and explain, audit and policy upload, which only the
+// HTTP codec decodes. It runs each request (or merged run of requests)
+// through one pipeline, in this order and nowhere else:
 //
 //	ping            answers ungated, like /healthz
-//	shape           an empty batch or a user-less session create is bad_request
+//	shape           an empty batch, a user-less session create, an explain
+//	                of other than one command, a non-positive audit limit
+//	                or a policy-less upload is bad_request
 //	ownership       cluster mode: a non-owner answers misrouted + owner address
 //	budget          min(MaxRequestTime, the request's own deadline)
 //	admission       one slot per group, by class; refusals are shed-accounted
@@ -17,19 +21,20 @@
 //	                unavailable, fenced ⇒ fenced + epoch)
 //	min_generation  reads wait (bounded) for the token; a budget that expires
 //	                inside the wait is deadline, a token out of reach is stale
-//	dispatch        the seven ops; adjacent mergeable authorize/submit runs
-//	                share one engine pass under one slot
+//	dispatch        the op; adjacent mergeable authorize/submit runs share
+//	                one engine pass under one slot
 //	errors          Fail maps every registry/session/admission error to a code
 //	stamp           generation + epoch on every response
 //
-// api.Error is the only error type that leaves the package. The steps are
-// exported (Owner, GateWrite, Begin, AwaitGeneration, Fail) so the HTTP-only
-// endpoints — explain, audit, policy upload — pass the same gates by calling
-// them, and so HTTP can act on ownership and role before it reads a body.
+// api.Error is the only error type that leaves the package. Owner, GateWrite,
+// Admit, EnsureReplica and Fail are exported for what HTTP does before it
+// reads a body: route a foreign tenant, redirect a follower's write, admit a
+// replication long-poll, serve /stats.
 //
 // The Core also owns the node's role state machine (role.go): primary,
-// follower or fenced, the upstream breaker, and the shed counters — both
-// planes read one state, and Promote/Repoint/fence are its only writers.
+// follower or fenced, the upstream breaker, the failover probe and the shed
+// counters — both planes read one state, and Promote/Repoint/fence are its
+// only writers.
 package service
 
 import (
@@ -47,13 +52,16 @@ import (
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/placement"
+	"adminrefine/internal/policy"
 	"adminrefine/internal/replication"
 	"adminrefine/internal/session"
+	"adminrefine/internal/storage"
 	"adminrefine/internal/tenant"
 )
 
-// Op identifies one of the seven data-plane operations. The values are the
-// binary protocol's opcodes (internal/wire aliases them).
+// Op identifies one of the ten data-plane operations. The values up to
+// OpPing are the binary protocol's opcodes (internal/wire aliases them); the
+// rest are HTTP-only.
 type Op uint8
 
 const (
@@ -72,10 +80,17 @@ const (
 	// OpPing: liveness/fence probe; role-independent OK with the node's
 	// current epoch and no tenant access.
 	OpPing Op = 7
+	// OpExplain: why the one command in Cmds would be allowed or denied (read).
+	OpExplain Op = 8
+	// OpAudit: the audit records after After, at most Limit (read).
+	OpAudit Op = 9
+	// OpInstallPolicy: provision a tenant with Policy (write).
+	OpInstallPolicy Op = 10
 )
 
 var opNames = [...]string{OpAuthorize: "authorize", OpCheck: "check", OpSubmit: "submit",
-	OpSessionCreate: "session_create", OpSessionUpdate: "session_update", OpSessionDelete: "session_delete", OpPing: "ping"}
+	OpSessionCreate: "session_create", OpSessionUpdate: "session_update", OpSessionDelete: "session_delete", OpPing: "ping",
+	OpExplain: "explain", OpAudit: "audit", OpInstallPolicy: "install_policy"}
 
 // String names the op for diagnostics.
 func (o Op) String() string {
@@ -86,12 +101,12 @@ func (o Op) String() string {
 }
 
 // Valid reports whether o is a known op.
-func (o Op) Valid() bool { return o >= OpAuthorize && o <= OpPing }
+func (o Op) Valid() bool { return o >= OpAuthorize && o <= OpInstallPolicy }
 
-// Class is the admission class the op contends in: submits are writes,
-// everything else reads.
+// Class is the admission class the op contends in: submits and policy
+// uploads are writes, everything else reads.
 func (o Op) Class() admission.Class {
-	if o == OpSubmit {
+	if o == OpSubmit || o == OpInstallPolicy {
 		return admission.Write
 	}
 	return admission.Read
@@ -123,7 +138,7 @@ type Request struct {
 	Flags      uint8
 	Tenant     string
 
-	// Cmds carries the authorize/submit batch.
+	// Cmds carries the authorize/submit batch, or the one command explained.
 	Cmds []command.Command
 	// Session targets check/session_update/session_delete.
 	Session uint64
@@ -135,6 +150,11 @@ type Request struct {
 	// Activate and Deactivate parameterize session_update.
 	Activate   []string
 	Deactivate []string
+	// Policy is the document a policy upload installs.
+	Policy *policy.Policy
+	// After and Limit page the audit trail by audit index.
+	After uint64
+	Limit int
 }
 
 // Reset clears r for reuse, keeping slice capacity.
@@ -162,6 +182,9 @@ type Response struct {
 	Session uint64               // session_create / session_update
 	User    string
 	Roles   []string
+	Text    string           // explain
+	Records []storage.Record // audit
+	Total   uint64           // audit: records ever seen, trimmed ones included
 }
 
 // Scratch is the reusable working set of one Do caller: a connection owns
@@ -200,27 +223,35 @@ func room[T any](buf []T, n int) []T {
 	return make([]T, 0, 2*(len(buf)+n))
 }
 
-// Config wires a Core into a node.
+// Config wires a Core into a node (server.Config is this type).
 type Config struct {
 	// Registry is the tenant registry served (required).
 	Registry *tenant.Registry
-	// Constraints optionally guards session role activations (DSD).
+	// Constraints optionally guards session role activations (DSD). Pass the
+	// set tenant.Options.Constraints holds, so the write path (SSD) and the
+	// activation path enforce one regime.
 	Constraints *constraints.Set
-	// SessionCacheSlots sizes each tenant's session check-verdict cache.
-	SessionCacheSlots int
-	// Epoch is the node's fencing epoch (nil: in-memory, starting at 0).
+	// Epoch is the node's fencing epoch. Nil gets an in-memory epoch starting
+	// at 0; a real cluster passes a durable one (replication.NewEpoch) or a
+	// crashed promotion could resurrect a fenced epoch.
 	Epoch *replication.Epoch
-	// Admission gates requests by class; nil admits everything.
+	// Admission gates requests by class (read / write / replication): a class
+	// at its concurrency limit queues up to its queue cap and sheds beyond
+	// it. Nil admits everything.
 	Admission *admission.Controller
 	// Breaker, when non-nil, fast-fails follower writes while the upstream
-	// is unreachable. Repoint resets it.
+	// is unreachable; share it with FollowerOptions.Breaker so the pull
+	// loop's transport failures trip it. Repoint resets it.
 	Breaker *admission.Breaker
 	// MinGenWait bounds the min_generation catch-up wait (default 2s).
 	MinGenWait time.Duration
-	// MaxRequestTime is the server-side budget per request (0 = none).
+	// MaxRequestTime is the budget every data-plane request runs under; a
+	// client's deadline tightens, never extends, it. Zero means none.
+	// Replication long-polls are exempt: their hold time is the protocol.
 	MaxRequestTime time.Duration
 	// Placement and NodeID switch on cluster mode: requests for tenants the
-	// current map assigns elsewhere answer misrouted.
+	// current map assigns elsewhere answer misrouted. A follower carries its
+	// primary's NodeID.
 	Placement *placement.Table
 	NodeID    string
 	// Follower, when non-nil, starts the node in follower role. The core
@@ -229,8 +260,13 @@ type Config struct {
 	// FollowerOptions is the template for a follower the node was not built
 	// with (a fenced ex-primary repointed at a new upstream).
 	FollowerOptions replication.FollowerOptions
-	// ReplicationMaxWait caps the log-shipping source's long-poll hold.
-	ReplicationMaxWait time.Duration
+	// PromoteOnUpstreamLoss, on a follower, self-promotes the node after its
+	// upstream's /healthz fails ProbeThreshold (default 5) consecutive
+	// probes, one every ProbeInterval (default 1s). Leave it off when an
+	// orchestrator promotes: two followers of one dead primary would both.
+	PromoteOnUpstreamLoss bool
+	ProbeInterval         time.Duration
+	ProbeThreshold        int
 }
 
 // Core is the request core plus the role state it gates on.
@@ -256,6 +292,10 @@ type Core struct {
 	follower     *replication.Follower
 	fenced       bool
 	followerTmpl replication.FollowerOptions
+
+	// stopProbe and probeWG stop and await the failover probe (role.go).
+	stopProbe context.CancelFunc
+	probeWG   sync.WaitGroup
 }
 
 // New builds a Core in the role cfg implies.
@@ -267,11 +307,8 @@ func New(cfg Config) *Core {
 		cfg.Epoch = replication.NewEpoch(0, nil)
 	}
 	c := &Core{
-		reg: cfg.Registry,
-		sessions: session.NewRegistry(session.Options{
-			Constraints: cfg.Constraints,
-			CacheSlots:  cfg.SessionCacheSlots,
-		}),
+		reg:            cfg.Registry,
+		sessions:       session.NewRegistry(session.Options{Constraints: cfg.Constraints}),
 		epoch:          cfg.Epoch,
 		admission:      cfg.Admission,
 		breaker:        cfg.Breaker,
@@ -296,11 +333,13 @@ func New(cfg Config) *Core {
 	// The source exists in every role: a non-primary answers its endpoints
 	// 421 plus its epoch — the re-point signal a stray puller needs.
 	c.source = replication.NewSource(c.reg, replication.SourceOptions{
-		MaxWait:  cfg.ReplicationMaxWait,
 		Epoch:    c.epoch,
 		OnFenced: c.fence,
 	})
 	c.source.SetServing(c.follower == nil)
+	if cfg.Follower != nil && cfg.PromoteOnUpstreamLoss {
+		c.startProbe(cfg.ProbeInterval, cfg.ProbeThreshold)
+	}
 	return c
 }
 
@@ -377,19 +416,9 @@ func (c *Core) group(ctx context.Context, group []Request, resps []Response, sc 
 	for i := range resps {
 		resps[i] = Response{}
 	}
-	req := &group[0]
-	e := shape(req)
-	if e == nil && req.Op != OpPing {
-		var g Grant
-		if g, e = c.Begin(ctx, req.Tenant, req.Op.Class(), req.DeadlineMS); e == nil {
-			if req.Op.Class() == admission.Read {
-				e = c.AwaitGeneration(g.Ctx, req.Tenant, req.MinGen)
-			}
-			if e == nil {
-				e = c.dispatch(g.Ctx, group, resps, sc)
-			}
-			g.Release()
-		}
+	e := shape(&group[0])
+	if e == nil && group[0].Op != OpPing {
+		e = c.gated(ctx, group, resps, sc)
 	}
 	epoch := c.epoch.Current()
 	for i := range resps {
@@ -415,6 +444,12 @@ func shape(req *Request) *api.Error {
 		msg = "empty check batch"
 	case req.Op == OpSessionCreate && req.User == "":
 		msg = "session create needs a user"
+	case req.Op == OpExplain && len(req.Cmds) != 1:
+		msg = "explain needs exactly one command"
+	case req.Op == OpAudit && req.Limit <= 0:
+		msg = "audit needs a positive limit"
+	case req.Op == OpInstallPolicy && req.Policy == nil:
+		msg = "policy upload needs a policy"
 	default:
 		return nil
 	}
@@ -441,53 +476,39 @@ func (c *Core) Owner(name string) *api.Error {
 	}
 }
 
-// Grant is an admitted request's hold on the node: its budgeted context and
-// its admission slot. Release it exactly once.
-type Grant struct {
-	Ctx     context.Context
-	cancel  context.CancelFunc
-	release func()
-}
-
-// Release frees the admission slot and the budget timer.
-func (g Grant) Release() {
-	g.release()
-	if g.cancel != nil {
-		g.cancel()
+// gated runs the gates every tenant-addressed request passes before it may
+// touch tenant state — ownership, budget, admission, then role: reads ensure
+// the follower's replica and wait for their generation token, writes pass
+// the write gate — and dispatches the group under them.
+func (c *Core) gated(ctx context.Context, group []Request, resps []Response, sc *Scratch) *api.Error {
+	req := &group[0]
+	if e := c.Owner(req.Tenant); e != nil {
+		return e
 	}
-}
-
-// Begin runs the gates every tenant-addressed request passes before it may
-// touch tenant state: ownership, budget, admission, then role — reads ensure
-// the follower's replica, writes pass the write gate.
-func (c *Core) Begin(ctx context.Context, name string, cl admission.Class, deadlineMS uint32) (Grant, *api.Error) {
-	if e := c.Owner(name); e != nil {
-		return Grant{}, e
-	}
-	g := Grant{Ctx: ctx}
 	budget := c.maxRequestTime
-	if d := time.Duration(deadlineMS) * time.Millisecond; d > 0 && (budget <= 0 || d < budget) {
+	if d := time.Duration(req.DeadlineMS) * time.Millisecond; d > 0 && (budget <= 0 || d < budget) {
 		budget = d
 	}
 	if budget > 0 {
-		g.Ctx, g.cancel = context.WithTimeout(ctx, budget)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
 	}
-	var e *api.Error
-	if g.release, e = c.Admit(g.Ctx, cl); e == nil {
-		if cl == admission.Write {
-			e = c.GateWrite()
-		} else {
-			e = c.EnsureReplica(name)
-		}
-		if e == nil {
-			return g, nil
-		}
-		g.release()
+	cl := req.Op.Class()
+	release, e := c.Admit(ctx, cl)
+	if e != nil {
+		return e
 	}
-	if g.cancel != nil {
-		g.cancel()
+	defer release()
+	if cl == admission.Write {
+		e = c.GateWrite()
+	} else if e = c.EnsureReplica(req.Tenant); e == nil {
+		e = c.awaitGeneration(ctx, req.Tenant, req.MinGen)
 	}
-	return Grant{}, e
+	if e != nil {
+		return e
+	}
+	return c.dispatch(ctx, group, resps, sc)
 }
 
 // Admit acquires one admission slot of class cl within ctx's deadline — the
@@ -501,12 +522,12 @@ func (c *Core) Admit(ctx context.Context, cl admission.Class) (release func(), e
 	return release, nil
 }
 
-// AwaitGeneration enforces a min_generation token: it waits (bounded by
+// awaitGeneration enforces a min_generation token: it waits (bounded by
 // MinGenWait and ctx) for the serving replica to reach min — the replica
 // never serves a read older than the client's token. A budget that runs out
 // inside the wait is overload (or a stalled replica), not staleness, so the
 // client retries instead of treating it as a consistency miss.
-func (c *Core) AwaitGeneration(ctx context.Context, name string, min uint64) *api.Error {
+func (c *Core) awaitGeneration(ctx context.Context, name string, min uint64) *api.Error {
 	if min == 0 {
 		return nil
 	}
@@ -549,6 +570,9 @@ func (c *Core) Fail(cl admission.Class, err error) *api.Error {
 		code = api.CodeNotFound
 	case tenant.IsProvisioned(err):
 		code = api.CodeConflict
+	case errors.Is(err, tenant.ErrConstraint):
+		// The policy said no, as a DSD veto of a session activation does.
+		code = api.CodeForbidden
 	case tenant.IsFenced(err):
 		// The tenant's writes are fenced for a migration flip — a short
 		// window; the retry lands after the flip and meets the new owner.
@@ -629,11 +653,25 @@ func (c *Core) dispatch(ctx context.Context, group []Request, resps []Response, 
 			return c.Fail(cl, err)
 		}
 		return nil
+
+	case OpAudit:
+		records, total, gen, err := c.reg.Audit(req.Tenant, req.After, req.Limit)
+		if err != nil {
+			return c.Fail(cl, err)
+		}
+		resp.Records, resp.Total, resp.Generation = records, total, gen
+		return nil
+
+	case OpInstallPolicy:
+		if err := c.reg.InstallPolicy(req.Tenant, req.Policy); err != nil {
+			return c.Fail(cl, err)
+		}
+		return nil
 	}
 
 	// The remaining ops read one snapshot of the tenant.
 	var tbl *session.Table
-	if req.Op != OpSessionCreate {
+	if req.Op == OpCheck || req.Op == OpSessionUpdate {
 		var ok bool
 		if tbl, ok = c.sessions.Peek(req.Tenant); !ok {
 			return noSession(req.Session)
@@ -648,6 +686,9 @@ func (c *Core) dispatch(ctx context.Context, group []Request, resps []Response, 
 	resp.Generation = snap.Generation()
 	var sess *session.Session
 	switch req.Op {
+	case OpExplain:
+		resp.Text = snap.ExplainCommand(req.Cmds[0])
+		return nil
 	case OpCheck:
 		sc.allowed = room(sc.allowed, len(req.Checks))
 		used := len(sc.allowed)

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"adminrefine/internal/admission"
 	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/policy"
+	"adminrefine/internal/replication"
 	"adminrefine/internal/session"
 	"adminrefine/internal/tenant"
 	"adminrefine/internal/workload"
@@ -138,5 +140,91 @@ func TestFailMapsEveryErrorOnce(t *testing.T) {
 		if want := map[bool]admission.Class{true: admission.Write, false: admission.Read}[op == OpSubmit]; op.Class() != want {
 			t.Errorf("%v contends as %v, want %v", op, op.Class(), want)
 		}
+	}
+}
+
+// TestHTTPOnlyOpsPassTheGates: explain, audit and policy upload are ops of
+// the one pipeline — each answers through the shape, role, generation and
+// not-found gates the seven binary-plane ops answer through.
+func TestHTTPOnlyOpsPassTheGates(t *testing.T) {
+	newRegistry := func() *tenant.Registry {
+		// No bootstrap: a tenant exists only once a policy upload made it.
+		return tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+	}
+	newCore := func(cfg Config) *Core {
+		if cfg.Registry == nil {
+			cfg.Registry = newRegistry()
+		}
+		c := New(cfg)
+		t.Cleanup(func() { c.Close(); cfg.Registry.Close() })
+		return c
+	}
+	do := func(c *Core, req Request) Response {
+		var resp [1]Response
+		c.Do(context.Background(), []Request{req}, resp[:], &Scratch{})
+		return resp[0]
+	}
+	want := func(what string, resp Response, code string) *api.Error {
+		t.Helper()
+		if resp.Err == nil || resp.Err.Code != code {
+			t.Fatalf("%s: %+v, want code %q", what, resp.Err, code)
+		}
+		return resp.Err
+	}
+	cmd := workload.ChurnGrant(0, 8, 8)
+	explain := Request{Op: OpExplain, Tenant: "t0", Cmds: []command.Command{cmd}}
+	audit := Request{Op: OpAudit, Tenant: "t0", Limit: 10}
+	install := Request{Op: OpInstallPolicy, Tenant: "t0", Policy: workload.ChurnPolicy(8, 8)}
+
+	c := newCore(Config{MinGenWait: 10 * time.Millisecond})
+	for _, req := range []Request{explain, audit} {
+		want("unknown tenant "+req.Op.String(), do(c, req), api.CodeNotFound)
+	}
+	if _, err := c.reg.Stats("t0"); !tenant.IsNotFound(err) {
+		t.Fatalf("reads minted the tenant: %v", err)
+	}
+	for what, req := range map[string]Request{
+		"explain of no command":   {Op: OpExplain, Tenant: "t0"},
+		"explain of two":          {Op: OpExplain, Tenant: "t0", Cmds: []command.Command{cmd, cmd}},
+		"audit without a limit":   {Op: OpAudit, Tenant: "t0"},
+		"upload without a policy": {Op: OpInstallPolicy, Tenant: "t0"},
+	} {
+		want(what, do(c, req), api.CodeBadRequest)
+	}
+	if r := do(c, install); r.Err != nil || r.Epoch != 0 {
+		t.Fatalf("install: %+v", r)
+	}
+	if r := do(c, explain); r.Err != nil || r.Text == "" {
+		t.Fatalf("explain: %+v", r)
+	}
+	if _, _, err := c.reg.SubmitBatch("t0", []command.Command{cmd}); err != nil {
+		t.Fatal(err)
+	}
+	if r := do(c, audit); r.Err != nil || len(r.Records) != 1 || r.Total != 1 || r.Generation != 1 {
+		t.Fatalf("audit: %+v", r)
+	}
+	want("install over history", do(c, install), api.CodeConflict)
+	stale := explain
+	stale.MinGen = 1 << 40
+	if e := want("unreachable token", do(c, stale), api.CodeStaleGeneration); e.MinGeneration != 1<<40 || e.Generation != 1 {
+		t.Fatalf("stale envelope %+v", e)
+	}
+	slow := newCore(Config{})
+	if r := do(slow, install); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	stale.DeadlineMS = 20
+	want("budget inside the wait", do(slow, stale), api.CodeDeadline)
+
+	// A fenced node refuses an upload with its epoch; a follower points it
+	// at the upstream.
+	c.fence(5)
+	if e := want("upload on a fenced node", do(c, install), api.CodeFenced); e.Epoch != 5 {
+		t.Fatalf("fenced envelope %+v", e)
+	}
+	reg := newRegistry()
+	fol := newCore(Config{Registry: reg, Follower: replication.NewFollower(reg, replication.FollowerOptions{Upstream: "http://127.0.0.1:1"})})
+	if e := want("upload on a follower", do(fol, install), api.CodeMisrouted); e.Node != "http://127.0.0.1:1" {
+		t.Fatalf("misrouted envelope %+v", e)
 	}
 }

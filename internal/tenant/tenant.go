@@ -248,6 +248,9 @@ var (
 	// another primary (see Registry.FenceWrites). Transient: clients retry
 	// and land on the new owner once placement flips.
 	ErrFenced = errors.New("tenant writes fenced for migration")
+	// ErrConstraint refuses installing a policy that violates the registry's
+	// SSD constraints.
+	ErrConstraint = errors.New("policy violates constraint")
 )
 
 // IsBadName reports whether err came from an inadmissible tenant name.
@@ -435,7 +438,7 @@ func (r *Registry) checkInstall(p *policy.Policy) error {
 		return nil
 	}
 	if vs := r.opts.Constraints.CheckPolicy(p); len(vs) > 0 {
-		return fmt.Errorf("policy violates constraint: %s", vs[0].Error())
+		return fmt.Errorf("%w: %s", ErrConstraint, vs[0].Error())
 	}
 	return nil
 }
@@ -593,23 +596,13 @@ func (r *Registry) WaitGenerationCtx(ctx context.Context, name string, min uint6
 // are audited with their veto reason. Concurrent submitters on one tenant
 // are coalesced into commit groups sharing a single write and fsync.
 func (r *Registry) Submit(name string, c command.Command) (command.StepResult, error) {
-	return r.SubmitCtx(context.Background(), name, c)
-}
-
-// SubmitCtx is Submit bounded by ctx: a submitter whose context expires
-// while queued behind the in-flight commit group is refused with
-// admission.ErrDeadline and its queue slot is reclaimed before the next
-// leader drains — the commands never reach the WAL. Once a leader has
-// drained the waiter the commit's verdict is authoritative: an acknowledged
-// write is never reported as expired.
-func (r *Registry) SubmitCtx(ctx context.Context, name string, c command.Command) (command.StepResult, error) {
 	t, err := r.acquire(name, true)
 	if err != nil {
 		return command.StepResult{}, err
 	}
 	defer t.release()
 	t.submits.Add(1)
-	w := r.submitGrouped(ctx, t, []command.Command{c})
+	w := r.submitGrouped(context.Background(), t, []command.Command{c})
 	res := command.StepResult{Cmd: c, Outcome: command.Denied}
 	if len(w.results) > 0 {
 		res = w.results[0]
@@ -635,10 +628,13 @@ func (r *Registry) SubmitBatch(name string, cmds []command.Command) ([]command.S
 	return r.SubmitBatchCtx(context.Background(), name, cmds)
 }
 
-// SubmitBatchCtx is SubmitBatch bounded by ctx, with the same queued-expiry
-// semantics as SubmitCtx: admission.ErrDeadline while queued (slot
-// reclaimed, nothing committed), admission.ErrOverloaded when the tenant's
-// commit queue is at its MaxQueuedSubmits cap.
+// SubmitBatchCtx is SubmitBatch bounded by ctx: a batch whose context
+// expires while queued behind the in-flight commit group is refused with
+// admission.ErrDeadline and its queue slot is reclaimed before the next
+// leader drains — nothing reaches the WAL. Once a leader has drained it the
+// commit's verdict is authoritative: an acknowledged write is never reported
+// as expired. A tenant whose commit queue is at its MaxQueuedSubmits cap
+// refuses with admission.ErrOverloaded.
 func (r *Registry) SubmitBatchCtx(ctx context.Context, name string, cmds []command.Command) ([]command.StepResult, uint64, error) {
 	t, err := r.acquire(name, true)
 	if err != nil {
@@ -843,20 +839,6 @@ func (t *tenant) auditMisses(eng *engine.Engine, results []command.StepResult, v
 		}
 		t.store.AppendAudit(gen, res, reason)
 	}
-}
-
-// Explain describes why a command would be authorized or denied for the
-// tenant right now, without executing it, together with the generation the
-// explanation was taken at.
-func (r *Registry) Explain(name string, c command.Command) (string, uint64, error) {
-	t, err := r.acquire(name, false)
-	if err != nil {
-		return "", 0, err
-	}
-	defer t.release()
-	s := t.engine().Snapshot()
-	defer s.Close()
-	return s.ExplainCommand(c), s.Generation(), nil
 }
 
 // InstallPolicy provisions a tenant with an initial policy. It only

@@ -14,8 +14,6 @@ type ClientOptions struct {
 	// round-robin; calls sharing a connection pipeline, which is what lets
 	// the server batch them into single engine passes.
 	Conns int
-	// DialTimeout bounds each dial (default 5s).
-	DialTimeout time.Duration
 	// CallTimeout bounds one call end-to-end (0 = none). A timed-out call
 	// kills its connection — the pipeline behind it is dead anyway, and the
 	// pool redials on next use.
@@ -42,9 +40,6 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	if opts.Conns <= 0 {
 		opts.Conns = 4
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	c := &Client{addr: addr, opts: opts, conns: make([]*clientConn, opts.Conns)}
 	cc, err := c.dial()
 	if err != nil {
@@ -54,8 +49,11 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
+// dialTimeout bounds each dial.
+const dialTimeout = 5 * time.Second
+
 func (c *Client) dial() (*clientConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}

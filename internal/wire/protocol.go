@@ -410,7 +410,8 @@ func ParseRequest(payload []byte, req *Request, in *Interner) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if !op.Valid() {
+	if op < OpAuthorize || op > OpPing {
+		// Explain, audit and policy upload are core ops only HTTP decodes.
 		return fmt.Errorf("%w: unknown opcode %d", ErrMalformed, op)
 	}
 	req.Op = op

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"sync"
@@ -626,6 +627,24 @@ func TestVertexDepthBound(t *testing.T) {
 			if err := ParseRequest(payload, &got, in); (err != nil) != (depth > maxVertexDepth) {
 				t.Fatalf("depth %d (interner %v): %v", depth, in != nil, err)
 			}
+		}
+	}
+}
+
+// TestHTTPOnlyOpcodesAreMalformed: explain, audit and policy upload are core
+// ops the binary plane does not carry — their opcodes parse as malformed,
+// like any opcode past OpPing.
+func TestHTTPOnlyOpcodesAreMalformed(t *testing.T) {
+	for _, op := range []Opcode{service.OpExplain, service.OpAudit, service.OpInstallPolicy, service.OpInstallPolicy + 1} {
+		buf, err := AppendRequest(nil, &Request{Op: OpPing, Tenant: "t0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, _, _, _ := NextFrame(buf)
+		payload[0] = byte(op)
+		var got Request
+		if err := ParseRequest(payload, &got, nil); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("opcode %d: %v, want ErrMalformed", op, err)
 		}
 	}
 }
