@@ -3,10 +3,12 @@ package adminrefine
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"adminrefine/internal/command"
+	"adminrefine/internal/decision"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/replication"
@@ -123,14 +125,12 @@ func TestAuthorizeAllocs(t *testing.T) {
 		{"engine/strict-uncached", func(t *testing.T) func() {
 			// The churn fixture's one strictly-held privilege (the admin's
 			// ¤(member, c0000)): the Definition-5 allow path, no cache.
-			e := engine.New(workload.ChurnPolicy(roles, users), engine.Strict)
-			e.SetCacheSlots(-1)
+			e := engine.NewAt(workload.ChurnPolicy(roles, users), engine.Strict, 0, decision.New(0))
 			probe := command.Grant("churnadmin", model.Role("member"), model.Role("c0000"))
 			return snapshotPath(t, e, []command.Command{probe})
 		}, 0},
 		{"engine/refined-uncached", func(t *testing.T) func() {
-			e := engine.New(workload.ChurnPolicy(roles, users), engine.Refined)
-			e.SetCacheSlots(-1)
+			e := engine.NewAt(workload.ChurnPolicy(roles, users), engine.Refined, 0, decision.New(0))
 			return snapshotPath(t, e, slab)
 		}, 0},
 		{"engine/first-sight-allowed", func(t *testing.T) func() { return firstSight(t, 0) }, 0},
@@ -260,5 +260,33 @@ func TestAuthorizeAllocs(t *testing.T) {
 				t.Fatalf("steady-state %s allocates %v per op, want at most %v", tc.name, allocs, tc.budget)
 			}
 		})
+	}
+}
+
+// TestColdBatchBytes pins the bytes of BenchmarkColdBatch's op — evict, then
+// one 512-command batch with 8 recurring commands — at 300 KB: the
+// interner's entry chunks grow with what the open interns, so the op pays
+// for its graph, closure and doorkeeper (~198 KB), not for thousands of
+// empty entries.
+func TestColdBatchBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	reg := tenant.New(tenant.Options{Dir: t.TempDir(), Mode: engine.Refined})
+	t.Cleanup(func() { reg.Close() })
+	if err := reg.InstallPolicy("t", workload.ChurnPolicy(256, 64)); err != nil {
+		t.Fatal(err)
+	}
+	op := coldBatchOp(t.Fatalf, reg)
+	op()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 300_000 {
+		t.Fatalf("evict + cold batch allocates %d bytes per op, want at most 300 000", perOp)
 	}
 }

@@ -12,7 +12,7 @@
 //	S1  BenchmarkMonitorSubmit, BenchmarkWALAppend, BenchmarkWALReplay
 //	H1  BenchmarkHRUSafety
 //	P1  BenchmarkSnapshotAuthorizeUnderWriter
-//	--  BenchmarkFirstSightAuthorize, BenchmarkColdOpen (a cold tenant's two costs)
+//	--  BenchmarkFirstSightAuthorize, BenchmarkColdOpen, BenchmarkColdBatch (a cold tenant's costs)
 //	--  BenchmarkParse, BenchmarkPrint, BenchmarkPolicyClone (substrate costs)
 //
 // The service itself is measured by the reference benchmark under bench/
@@ -569,5 +569,54 @@ func BenchmarkColdOpen(b *testing.B) {
 		if res, err := reg.Authorize("t", c); err != nil || !res.OK {
 			b.Fatalf("authorize: ok=%v err=%v", res.OK, err)
 		}
+	}
+}
+
+// coldBatch is what a bulk-cold tenant is asked between open and eviction:
+// one 512-command first-sight batch over the 256 × 64 fixture, its last 8
+// commands repeating its first 8, so the open interns 8 commands (and the
+// witnesses of the allowed ones). Command i is allowed iff i is even.
+func coldBatch() []command.Command {
+	batch := firstSightSlab(0, 512, 64, 256)
+	copy(batch[504:], batch[:8])
+	return batch
+}
+
+// coldBatchOp returns one evict + cold-batch round over reg's tenant "t",
+// which must hold workload.ChurnPolicy(256, 64).
+func coldBatchOp(fatalf func(string, ...any), reg *tenant.Registry) func() {
+	batch := coldBatch()
+	out := make([]engine.AuthzResult, 0, len(batch))
+	return func() {
+		if !reg.Evict("t") {
+			fatalf("tenant not evicted")
+		}
+		results, _, err := reg.AuthorizeBatchInto("t", batch, out[:0])
+		if err != nil {
+			fatalf("batch: %v", err)
+		}
+		for i, res := range results {
+			if res.OK != (i%2 == 0) {
+				fatalf("command %d: allowed=%v", i, res.OK)
+			}
+		}
+	}
+}
+
+// BenchmarkColdBatch measures an open that is used: evict the bulk-cold
+// fixture's tenant, then decide one 512-command batch in which 8 commands
+// recur — the in-process twin of a wire_bulk_cold tenant's life, and the
+// row whose bytes per op show what an open allocates for its interner.
+func BenchmarkColdBatch(b *testing.B) {
+	reg := tenant.New(tenant.Options{Dir: b.TempDir(), Mode: engine.Refined})
+	defer reg.Close()
+	if err := reg.InstallPolicy("t", workload.ChurnPolicy(256, 64)); err != nil {
+		b.Fatal(err)
+	}
+	op := coldBatchOp(b.Fatalf, reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 }

@@ -1,6 +1,7 @@
 package command
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -24,10 +25,12 @@ import (
 // and publishes the entry with an atomic slot store, so that cost is paid
 // once per distinct command, not once per query.
 //
-// Entries live in fixed-size chunks that never move: growth allocates one
-// new chunk and doubles only the uint32 slot index, so interning churn never
-// copies or re-clears the (large) entry structs, *FPInfo pointers stay valid
-// forever, and a reader can follow a slot it observed without coordination.
+// Entries live in chunks that never move; chunk k of a side holds 64·2^k
+// entries and is allocated when its first entry lands, so storage grows with
+// what an engine interns. Growth allocates one chunk and doubles only the
+// uint32 slot index: interning never copies or re-clears an entry, *FPInfo
+// pointers stay valid forever, and a reader can follow a slot it observed
+// without coordination.
 
 // Fingerprint is the dense identity of an interned command. Fingerprints
 // start at 1; 0 is never a valid fingerprint.
@@ -64,18 +67,78 @@ type privEntry struct {
 }
 
 const (
-	// chunkBits sizes the entry chunks (4096 entries each).
-	chunkBits = 12
-	chunkLen  = 1 << chunkBits
-	chunkMask = chunkLen - 1
-	// maxChunks bounds each interner side to maxChunks*chunkLen entries
-	// (1<<20) so an adversarial stream of distinct commands cannot grow
-	// memory without bound; commands beyond the cap are served by the
-	// uninterned slow path.
-	maxChunks = 1 << (20 - chunkBits)
+	// chunk0Bits sizes the first entry chunk (64 entries); chunk k holds
+	// 64<<k.
+	chunk0Bits = 6
+	chunk0Len  = 1 << chunk0Bits
+	// maxEntries bounds each interner side so an adversarial stream of
+	// distinct commands cannot grow memory without bound; commands beyond
+	// the cap are served by the uninterned slow path.
+	maxEntries = 1 << 20
+	// numChunks covers maxEntries: chunks 0–13 hold all but the last 64
+	// entries, and chunk 14 is allocated at just that length.
+	numChunks = 15
 	// minTableSlots is the initial open-addressing index size.
 	minTableSlots = 512
 )
+
+// chunkOf maps the entry at index idx to its chunk and its offset there.
+// Chunk k starts at 64·(2^k−1), so idx+64 has its top bit at 6+k and the
+// offset in the bits below it.
+func chunkOf(idx uint32) (k int, off uint32) {
+	j := idx + chunk0Len
+	top := bits.Len32(j) - 1
+	return top - chunk0Bits, j &^ (1 << top)
+}
+
+// entries is one side of the interner: the chunked entry storage and the
+// open-addressing index over it. chunks[k] is written once, before any of
+// its entries is published, and read only through an id loaded atomically
+// (a slot, or n), so the id's store orders the write before the read. n
+// counts the published entries; it is written under Interner.mu only.
+type entries[T any] struct {
+	slots  atomic.Pointer[slotTable]
+	chunks [numChunks][]T
+	n      atomic.Uint32
+}
+
+// at returns the entry of a published id (1-based).
+func (s *entries[T]) at(id uint32) *T {
+	k, off := chunkOf(id - 1)
+	return &s.chunks[k][off]
+}
+
+// push appends a zeroed entry and returns it with its id, or nil at the cap:
+// it doubles the index first when the entry would fill it past 3/4
+// (re-indexing by hash), and allocates the entry's chunk when it is the
+// chunk's first. The caller fills the entry, then publishes it. Caller holds
+// Interner.mu.
+func (s *entries[T]) push(hash func(*T) uint64) (*T, uint32) {
+	n := s.n.Load()
+	if n >= maxEntries {
+		return nil, 0
+	}
+	if old := s.slots.Load(); int(n+1)*4 > len(old.slots)*3 {
+		t := &slotTable{slots: make([]uint32, len(old.slots)*2)}
+		for id := uint32(1); id <= n; id++ {
+			storeSlot(t, hash(s.at(id)), id)
+		}
+		s.slots.Store(t)
+	}
+	k, off := chunkOf(n)
+	if off == 0 {
+		s.chunks[k] = make([]T, min(chunk0Len<<k, maxEntries-n))
+	}
+	return &s.chunks[k][off], n + 1
+}
+
+// publish makes the filled entry id visible to lock-free readers: the
+// atomic stores of its slot and of n order them after every write that
+// filled it. Caller holds Interner.mu.
+func (s *entries[T]) publish(h uint64, id uint32) {
+	storeSlot(s.slots.Load(), h, id)
+	s.n.Store(id)
+}
 
 // Interner assigns fingerprints to commands and ids to privilege terms.
 // All methods are safe for concurrent use; lookups of already-interned
@@ -97,17 +160,10 @@ const (
 // resetting once an eighth of its bits are set, so a long-lived engine's
 // doorkeeper never saturates into admitting everything.
 type Interner struct {
-	mu sync.Mutex
-
-	cmdSlots  atomic.Pointer[slotTable]
-	cmdChunks [maxChunks]atomic.Pointer[[chunkLen]FPInfo]
-	nCmds     int
-
-	privSlots  atomic.Pointer[slotTable]
-	privChunks [maxChunks]atomic.Pointer[[chunkLen]privEntry]
-	nPrivs     int
-
-	door atomic.Pointer[doorkeeper]
+	mu    sync.Mutex
+	cmds  entries[FPInfo]
+	privs entries[privEntry]
+	door  atomic.Pointer[doorkeeper]
 }
 
 // doorBits sizes the doorkeeper filter (2^17 bits = 16 KiB): two bits per
@@ -168,21 +224,10 @@ type slotTable struct {
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
 	it := &Interner{}
-	it.cmdSlots.Store(&slotTable{slots: make([]uint32, minTableSlots)})
-	it.privSlots.Store(&slotTable{slots: make([]uint32, minTableSlots)})
+	it.cmds.slots.Store(&slotTable{slots: make([]uint32, minTableSlots)})
+	it.privs.slots.Store(&slotTable{slots: make([]uint32, minTableSlots)})
 	it.door.Store(&doorkeeper{})
 	return it
-}
-
-// cmdInfo returns the entry for a published command id (1-based).
-func (it *Interner) cmdInfo(id uint32) *FPInfo {
-	idx := id - 1
-	return &it.cmdChunks[idx>>chunkBits].Load()[idx&chunkMask]
-}
-
-func (it *Interner) privEntryAt(id uint32) *privEntry {
-	idx := id - 1
-	return &it.privChunks[idx>>chunkBits].Load()[idx&chunkMask]
 }
 
 // Command returns the info of an interned command, interning c when the
@@ -192,7 +237,7 @@ func (it *Interner) privEntryAt(id uint32) *privEntry {
 // interner is at capacity.
 func (it *Interner) Command(c Command) *FPInfo {
 	h := hashCommand(c)
-	if info := it.findCmd(it.cmdSlots.Load(), h, c); info != nil {
+	if info := it.findCmd(it.cmds.slots.Load(), h, c); info != nil {
 		return info
 	}
 	d := it.door.Load()
@@ -228,7 +273,7 @@ func (it *Interner) findCmd(t *slotTable, h uint64, c Command) *FPInfo {
 		if v == 0 {
 			return nil
 		}
-		info := it.cmdInfo(v)
+		info := it.cmds.at(v)
 		if info.hash == h && equalCommand(info.Cmd, c) {
 			return info
 		}
@@ -239,31 +284,18 @@ func (it *Interner) findCmd(t *slotTable, h uint64, c Command) *FPInfo {
 func (it *Interner) internCommand(h uint64, c Command) *FPInfo {
 	it.mu.Lock()
 	defer it.mu.Unlock()
-	t := it.cmdSlots.Load()
-	if info := it.findCmd(t, h, c); info != nil {
+	if info := it.findCmd(it.cmds.slots.Load(), h, c); info != nil {
 		return info
 	}
-	if it.nCmds >= maxChunks*chunkLen {
+	info, id := it.cmds.push(func(e *FPInfo) uint64 { return e.hash })
+	if info == nil {
 		return nil
 	}
-	if (it.nCmds+1)*4 > len(t.slots)*3 {
-		t = it.growCmdSlots(t)
-	}
-	idx := it.nCmds
-	if idx&chunkMask == 0 {
-		it.cmdChunks[idx>>chunkBits].Store(new([chunkLen]FPInfo))
-	}
-	info := &it.cmdChunks[idx>>chunkBits].Load()[idx&chunkMask]
-	info.FP = Fingerprint(idx + 1)
-	info.Cmd = c
-	info.hash = h
+	info.FP, info.Cmd, info.hash = Fingerprint(id), c, h
 	if priv, err := c.Privilege(); err == nil {
 		info.Priv = priv
 	}
-	it.nCmds++
-	// Publish: the entry is complete, so the atomic slot store makes it
-	// visible to lock-free readers.
-	storeSlot(t, h, uint32(idx+1))
+	it.cmds.publish(h, id)
 	return info
 }
 
@@ -278,18 +310,6 @@ func storeSlot(t *slotTable, h uint64, id uint32) {
 	}
 }
 
-// growCmdSlots doubles the command index, rehashing live entries, and
-// publishes the new generation. Entries themselves never move. Caller holds
-// it.mu.
-func (it *Interner) growCmdSlots(old *slotTable) *slotTable {
-	t := &slotTable{slots: make([]uint32, len(old.slots)*2)}
-	for idx := 0; idx < it.nCmds; idx++ {
-		storeSlot(t, it.cmdInfo(uint32(idx+1)).hash, uint32(idx+1))
-	}
-	it.cmdSlots.Store(t)
-	return t
-}
-
 // PrivilegeID interns p (or finds it) and returns its id; 0 for nil p or a
 // full table. The hit path is lock-free and allocation-free.
 func (it *Interner) PrivilegeID(p model.Privilege) PrivID {
@@ -297,7 +317,7 @@ func (it *Interner) PrivilegeID(p model.Privilege) PrivID {
 		return 0
 	}
 	h := hashVertex(fnvOffset, p)
-	if id := it.findPriv(it.privSlots.Load(), h, p); id != 0 {
+	if id := it.findPriv(it.privs.slots.Load(), h, p); id != 0 {
 		return id
 	}
 	it.mu.Lock()
@@ -312,7 +332,7 @@ func (it *Interner) findPriv(t *slotTable, h uint64, p model.Privilege) PrivID {
 		if v == 0 {
 			return 0
 		}
-		e := it.privEntryAt(v)
+		e := it.privs.at(v)
 		if e.hash == h && equalVertex(e.priv, p) {
 			return PrivID(v)
 		}
@@ -323,63 +343,30 @@ func (it *Interner) findPriv(t *slotTable, h uint64, p model.Privilege) PrivID {
 // internPrivLocked interns p under it.mu.
 func (it *Interner) internPrivLocked(p model.Privilege) PrivID {
 	h := hashVertex(fnvOffset, p)
-	t := it.privSlots.Load()
-	if id := it.findPriv(t, h, p); id != 0 {
+	if id := it.findPriv(it.privs.slots.Load(), h, p); id != 0 {
 		return id
 	}
-	if it.nPrivs >= maxChunks*chunkLen {
+	e, id := it.privs.push(func(e *privEntry) uint64 { return e.hash })
+	if e == nil {
 		return 0
 	}
-	if (it.nPrivs+1)*4 > len(t.slots)*3 {
-		t = it.growPrivSlots(t)
-	}
-	idx := it.nPrivs
-	if idx&chunkMask == 0 {
-		it.privChunks[idx>>chunkBits].Store(new([chunkLen]privEntry))
-	}
-	e := &it.privChunks[idx>>chunkBits].Load()[idx&chunkMask]
-	e.priv = p
-	e.hash = h
-	it.nPrivs++
-	storeSlot(t, h, uint32(idx+1))
-	return PrivID(idx + 1)
-}
-
-func (it *Interner) growPrivSlots(old *slotTable) *slotTable {
-	t := &slotTable{slots: make([]uint32, len(old.slots)*2)}
-	for idx := 0; idx < it.nPrivs; idx++ {
-		storeSlot(t, it.privEntryAt(uint32(idx+1)).hash, uint32(idx+1))
-	}
-	it.privSlots.Store(t)
-	return t
+	e.priv, e.hash = p, h
+	it.privs.publish(h, id)
+	return PrivID(id)
 }
 
 // Privilege returns the boxed privilege for an id minted by PrivilegeID (or
 // carried in an FPInfo); nil for 0 or unknown ids. Lock-free.
 func (it *Interner) Privilege(id PrivID) model.Privilege {
-	if id == 0 {
+	if id == 0 || uint32(id) > it.privs.n.Load() {
 		return nil
 	}
-	idx := uint32(id) - 1
-	if idx >= uint32(maxChunks*chunkLen) {
-		return nil
-	}
-	chunk := it.privChunks[idx>>chunkBits].Load()
-	if chunk == nil {
-		return nil
-	}
-	e := &chunk[idx&chunkMask]
-	if e.priv == nil {
-		return nil // id beyond the published entries of a partial chunk
-	}
-	return e.priv
+	return it.privs.at(uint32(id)).priv
 }
 
 // Len reports how many distinct commands and privileges are interned.
 func (it *Interner) Len() (cmds, privs int) {
-	it.mu.Lock()
-	defer it.mu.Unlock()
-	return it.nCmds, it.nPrivs
+	return int(it.cmds.n.Load()), int(it.privs.n.Load())
 }
 
 // --- structural hashing and equality (allocation-free) ---------------------

@@ -2,6 +2,7 @@ package command
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -101,6 +102,68 @@ func TestFingerprintGrowth(t *testing.T) {
 	}
 }
 
+// TestChunkOf: the entry-to-chunk mapping is contiguous over [0, 1<<20),
+// each chunk twice the size of the one before, and the last chunk holds
+// exactly the entries the cap leaves it.
+func TestChunkOf(t *testing.T) {
+	wantK, wantOff := 0, uint32(0)
+	for idx := uint32(0); idx < maxEntries; idx++ {
+		if wantOff == chunk0Len<<wantK {
+			wantK, wantOff = wantK+1, 0
+		}
+		if k, off := chunkOf(idx); k != wantK || off != wantOff {
+			t.Fatalf("chunkOf(%d) = (%d, %d), want (%d, %d)", idx, k, off, wantK, wantOff)
+		}
+		wantOff++
+	}
+	if wantK != numChunks-1 || wantOff != maxEntries-chunk0Len*(1<<(numChunks-1)-1) {
+		t.Fatalf("the cap ends at offset %d of chunk %d, want the last of %d chunks", wantOff, wantK, numChunks)
+	}
+}
+
+// TestChunkBoundaries interns across the first chunk boundaries (63/64,
+// 191/192 and 447/448 entries): ids follow interning order, entries never
+// move, and every fingerprint and PrivID resolves as it did when minted.
+func TestChunkBoundaries(t *testing.T) {
+	it := NewInterner()
+	infos := make([]*FPInfo, 449)
+	for i := range infos {
+		infos[i] = intern(t, it, Grant("jane", model.User(fmt.Sprintf("u%d", i)), model.Role("r")))
+		if infos[i].FP != Fingerprint(i+1) {
+			t.Fatalf("command %d got fingerprint %d", i, infos[i].FP)
+		}
+		if id := it.PrivilegeID(infos[i].Priv); id != PrivID(i+1) {
+			t.Fatalf("privilege %d got id %d", i, id)
+		}
+	}
+	for i, info := range infos {
+		if it.Command(info.Cmd) != info {
+			t.Fatalf("command %d moved or changed fingerprint", i)
+		}
+		if it.PrivilegeID(info.Priv) != PrivID(i+1) || !model.SamePrivilege(it.Privilege(PrivID(i+1)), info.Priv) {
+			t.Fatalf("privilege %d changed id", i)
+		}
+	}
+}
+
+// TestPrivilegeUnknownIDs: Privilege resolves only published ids — not 0,
+// not an id whose chunk is allocated but whose entry is not yet published,
+// not one past the cap.
+func TestPrivilegeUnknownIDs(t *testing.T) {
+	it := NewInterner()
+	for i := 0; i <= chunk0Len; i++ { // fills chunk 0 and starts chunk 1
+		it.PrivilegeID(model.Grant(model.User(fmt.Sprintf("u%d", i)), model.Role("r")))
+	}
+	if it.Privilege(chunk0Len+1) == nil {
+		t.Fatal("the first entry of chunk 1 does not resolve")
+	}
+	for _, id := range []PrivID{0, chunk0Len + 2, 3 * chunk0Len, 3*chunk0Len + 1, maxEntries, maxEntries + 1, math.MaxUint32} {
+		if p := it.Privilege(id); p != nil {
+			t.Fatalf("unknown id %d resolved to %v", id, p)
+		}
+	}
+}
+
 func TestPrivilegeInterning(t *testing.T) {
 	it := NewInterner()
 	nested := model.Grant(model.Role("a"), model.Grant(model.User("b"), model.Role("c")))
@@ -143,6 +206,14 @@ func TestFingerprintConcurrent(t *testing.T) {
 					info = it.Command(c)
 				}
 				got[g][i] = info.FP
+				// Privilege ids are minted and resolved concurrently too, and
+				// an id another goroutine has yet to publish resolves to nil.
+				if id := it.PrivilegeID(info.Priv); !model.SamePrivilege(it.Privilege(id), info.Priv) {
+					t.Errorf("privilege %d does not round-trip", id)
+				}
+				if p := it.Privilege(PrivID(i + 2)); p != nil && it.PrivilegeID(p) != PrivID(i+2) {
+					t.Errorf("privilege id %d resolved to another's entry", i+2)
+				}
 			}
 		}(g)
 	}
@@ -163,7 +234,8 @@ func TestFingerprintConcurrent(t *testing.T) {
 // of commands (including nested administrative privileges as edge targets),
 // fingerprints must agree exactly when the commands are structurally equal
 // — interning is identity assignment, not hashing, so distinct commands
-// must never collide.
+// must never collide. Each interner starts with 63 fillers, so the pair
+// lands on either side of the first chunk boundary.
 func FuzzCommandFingerprint(f *testing.F) {
 	f.Add("jane", true, "bob", "staff", "x", "y", uint8(0), uint8(1))
 	f.Add("jane", true, "bob", "staff", "bob", "staff", uint8(0), uint8(0))
@@ -172,7 +244,7 @@ func FuzzCommandFingerprint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, actor string, grant bool, n1, n2, n3, n4 string, shape1, shape2 uint8) {
 		c1 := fuzzCommand(actor, grant, n1, n2, shape1)
 		c2 := fuzzCommand(actor, grant, n3, n4, shape2)
-		it := NewInterner()
+		it := straddling(t)
 		i1, i2 := intern(t, it, c1), intern(t, it, c2)
 		same := c1.Key() == c2.Key()
 		if (i1.FP == i2.FP) != same {
@@ -183,7 +255,7 @@ func FuzzCommandFingerprint(f *testing.F) {
 		if it.Command(c1).FP != i1.FP || it.Command(c2).FP != i2.FP {
 			t.Fatal("fingerprints unstable across re-interning")
 		}
-		it2 := NewInterner()
+		it2 := straddling(t)
 		j2, j1 := intern(t, it2, c2), intern(t, it2, c1) // reversed order
 		if (j1.FP == j2.FP) != same {
 			t.Fatalf("fp equality depends on interning order for %v / %v", c1, c2)
@@ -221,4 +293,14 @@ func fuzzCommand(actor string, grant bool, n1, n2 string, shape uint8) Command {
 		to = model.Grant(model.Role(n2), model.Revoke(model.User(n1), model.Role(n2)))
 	}
 	return Command{Actor: actor, Op: op, From: from, To: to}
+}
+
+// straddling returns an interner holding 63 filler commands: the next two
+// commands it interns are the last entry of chunk 0 and the first of chunk 1.
+func straddling(t *testing.T) *Interner {
+	it := NewInterner()
+	for i := 0; i < chunk0Len-1; i++ {
+		intern(t, it, Grant("filler", model.User(fmt.Sprintf("f%d", i)), model.Role("filler")))
+	}
+	return it
 }

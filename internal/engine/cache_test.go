@@ -8,6 +8,7 @@ import (
 
 	"adminrefine/internal/command"
 	"adminrefine/internal/core"
+	"adminrefine/internal/decision"
 	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
 	"adminrefine/internal/workload"
@@ -256,11 +257,12 @@ func TestAuthorizeBatchInto(t *testing.T) {
 	}
 }
 
-// TestSetCacheSlots verifies disabling and resizing the decision cache.
-func TestSetCacheSlots(t *testing.T) {
+// TestCacheSlotsAtConstruction verifies that the cache NewAt is handed is
+// the one the engine decides through: a disabled one sees no traffic, a
+// sized one hits.
+func TestCacheSlotsAtConstruction(t *testing.T) {
 	pol, toggles, battery := equivPolicy()
-	e := New(pol, Strict)
-	e.SetCacheSlots(0)
+	e := NewAt(pol.Clone(), Strict, 0, decision.New(0))
 	e.Submit(toggles[0])
 	s := e.Snapshot()
 	for i := 0; i < 3; i++ {
@@ -270,10 +272,11 @@ func TestSetCacheSlots(t *testing.T) {
 	if st := e.CacheStats(); st.Slots != 0 || st.Hits != 0 || st.Stores != 0 {
 		t.Fatalf("disabled cache saw traffic: %+v", st)
 	}
-	e.SetCacheSlots(100)
+	e = NewAt(pol, Strict, 0, decision.New(100))
 	if st := e.CacheStats(); st.Slots < 100 {
-		t.Fatalf("cache slots = %d after resize", st.Slots)
+		t.Fatalf("cache slots = %d, asked for 100", st.Slots)
 	}
+	e.Submit(toggles[0])
 	s = e.Snapshot()
 	for i := 0; i < 3; i++ {
 		s.Authorize(battery[0])

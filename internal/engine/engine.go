@@ -214,8 +214,8 @@ type Engine struct {
 	// shared by every replica and survives publication cycles.
 	interner *command.Interner
 	// cache is the generation-tagged decision cache consulted before the
-	// decision kernel runs; swapped atomically by SetCacheSlots.
-	cache atomic.Pointer[decision.Cache]
+	// decision kernel runs, handed in once by NewAt.
+	cache *decision.Cache
 	// posFloor / negFloor are the cache validity watermarks (see package
 	// decision): writer-owned, captured into each published Snapshot.
 	posFloor, negFloor uint64
@@ -253,10 +253,10 @@ func NewAt(p *policy.Policy, mode Mode, gen uint64, cache *decision.Cache) *Engi
 		mode:     mode,
 		logBase:  int(gen),
 		interner: command.NewInterner(),
+		cache:    cache,
 		posFloor: gen,
 		negFloor: gen,
 	}
-	e.cache.Store(cache)
 	ch := make(chan struct{})
 	e.published.Store(&ch)
 	r := newReplica(p, mode, int(gen))
@@ -266,36 +266,24 @@ func NewAt(p *policy.Policy, mode Mode, gen uint64, cache *decision.Cache) *Engi
 }
 
 // snapshotOf builds a Snapshot over r at generation gen, capturing the
-// current cache pointer and validity floors. Callers publishing it must hold
-// the writer lock (or be constructing the engine).
+// validity floors. Callers publishing it must hold the writer lock (or be
+// constructing the engine).
 func (e *Engine) snapshotOf(r *replica, gen uint64) *Snapshot {
 	return &Snapshot{
 		e:        e,
 		r:        r,
 		gen:      gen,
-		cache:    e.cache.Load(),
 		posFloor: e.posFloor,
 		negFloor: e.negFloor,
 	}
 }
 
-// SetCacheSlots replaces the decision cache with a fresh one of the given
-// slot count (rounded up to a power of two; <= 0 disables caching).
-// Snapshots already published keep using the cache they captured.
-func (e *Engine) SetCacheSlots(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cache.Store(decision.New(n))
-	cur := e.cur.Load()
-	e.cur.Store(e.snapshotOf(cur.r, cur.gen))
-}
-
-// Cache returns the decision cache current snapshots decide through.
-func (e *Engine) Cache() *decision.Cache { return e.cache.Load() }
+// Cache returns the decision cache the engine decides through.
+func (e *Engine) Cache() *decision.Cache { return e.cache }
 
 // CacheStats reports the decision-cache counters.
 func (e *Engine) CacheStats() decision.Stats {
-	return e.cache.Load().Stats()
+	return e.cache.Stats()
 }
 
 // SetCommitHook installs the durability hook invoked for every applied
@@ -649,7 +637,6 @@ type Snapshot struct {
 	e        *Engine
 	r        *replica
 	gen      uint64
-	cache    *decision.Cache
 	posFloor uint64
 	negFloor uint64
 }
@@ -708,7 +695,7 @@ func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 		return AuthzResult{} // ill-formed: denied in every regime
 	}
 	fp := uint32(info.FP)
-	if just, allowed, ok := s.cache.Get(fp, s.gen, s.posFloor, s.negFloor); ok {
+	if just, allowed, ok := s.e.cache.Get(fp, s.gen, s.posFloor, s.negFloor); ok {
 		if !allowed {
 			return AuthzResult{}
 		}
@@ -719,7 +706,7 @@ func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 		defer s.r.release(d)
 	}
 	just, ok := d.AuthorizeFP(info, s.e.mode == Refined)
-	if s.cache.Enabled() {
+	if s.e.cache.Enabled() {
 		pid := command.PrivID(0)
 		if ok {
 			// Both branches are lock-free, allocation-free interner hits in
@@ -729,7 +716,7 @@ func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 		if !ok || pid != 0 {
 			// An allowed verdict whose witness could not be interned (full
 			// table) is unrepresentable in the cache and simply not stored.
-			s.cache.Put(fp, s.gen, ok, uint32(pid))
+			s.e.cache.Put(fp, s.gen, ok, uint32(pid))
 		}
 	}
 	return AuthzResult{Justification: just, OK: ok}

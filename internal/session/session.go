@@ -101,7 +101,8 @@ type Table struct {
 	sessions sync.Map // uint64 -> *Session
 
 	// vids caches privilege-id → graph-vertex-id per policy materialisation
-	// (vertex ids are per-instance: Policy.Clone re-interns in map order).
+	// (only Policy.Clone keeps vertex ids; an installed policy or a replica
+	// bootstrap numbers its own, and the table outlives both).
 	vids atomic.Pointer[vidTable]
 	vmu  sync.Mutex // serialises vidTable replacement/growth
 
