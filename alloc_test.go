@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"adminrefine/internal/command"
-	"adminrefine/internal/decision"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/replication"
@@ -125,12 +124,12 @@ func TestAuthorizeAllocs(t *testing.T) {
 		{"engine/strict-uncached", func(t *testing.T) func() {
 			// The churn fixture's one strictly-held privilege (the admin's
 			// ¤(member, c0000)): the Definition-5 allow path, no cache.
-			e := engine.NewAt(workload.ChurnPolicy(roles, users), engine.Strict, 0, decision.New(0))
+			e := engine.NewAt(workload.ChurnPolicy(roles, users), engine.Strict, 0, false)
 			probe := command.Grant("churnadmin", model.Role("member"), model.Role("c0000"))
 			return snapshotPath(t, e, []command.Command{probe})
 		}, 0},
 		{"engine/refined-uncached", func(t *testing.T) func() {
-			e := engine.NewAt(workload.ChurnPolicy(roles, users), engine.Refined, 0, decision.New(0))
+			e := engine.NewAt(workload.ChurnPolicy(roles, users), engine.Refined, 0, false)
 			return snapshotPath(t, e, slab)
 		}, 0},
 		{"engine/first-sight-allowed", func(t *testing.T) func() { return firstSight(t, 0) }, 0},
@@ -205,7 +204,8 @@ func TestAuthorizeAllocs(t *testing.T) {
 			// Not 0: a vertex, a closure and a fingerprint table are built per
 			// open. 3 398 when the snapshot was JSON and the policy kept maps
 			// beside its graph; about 450 now, the boxed vertices two thirds of
-			// them. The decision cache is not among them: it is recycled.
+			// them. No verdict table is among them: verdicts live in the
+			// interned commands.
 		}, 1000},
 		{"follower/batch=32", func(t *testing.T) func() {
 			// A follower replays the primary's WAL into a plain engine, so

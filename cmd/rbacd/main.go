@@ -110,7 +110,7 @@ func run(args []string, out io.Writer) error {
 		maxResident  = fs.Int("max-resident", 0, "max resident tenants per shard, LRU-evicted beyond it (0 = unlimited)")
 		compactEvery = fs.Int("compact-every", 1024, "WAL records between tenant compactions (negative disables)")
 		sync         = fs.Bool("sync", false, "fsync every WAL append (crash-durable against power loss, slower)")
-		cacheSlots   = fs.Int("cache-slots", 0, "decision-cache slots per tenant engine (0 = default, negative disables)")
+		cacheSlots   = fs.Int("cache-slots", 0, "tenant engine decision cache: negative disables it; any other value caches every interned command's verdict")
 		role         = fs.String("role", "primary", "replication role: primary (serves writes + WAL stream) or follower (replicated reads, writes redirect upstream)")
 		upstream     = fs.String("upstream", "", "primary base URL (required with -role follower), e.g. http://host:8270")
 		pollWait     = fs.Duration("poll-wait", 10*time.Second, "follower: long-poll bound per replication pull")

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // Class partitions requests by the resource they contend on. Limits are
@@ -135,7 +136,8 @@ func (s Stats) Shed() uint64 {
 type sem struct {
 	limits Limits
 	// slots carries one token per admitted request; nil when unlimited.
-	slots chan struct{}
+	slots   chan struct{}
+	release func() // built once in newSem: admitting allocates nothing
 
 	inflight     atomic.Int64
 	queued       atomic.Int64
@@ -146,20 +148,26 @@ type sem struct {
 
 func newSem(l Limits) *sem {
 	s := &sem{limits: l}
+	s.release = func() { s.inflight.Add(-1) }
 	if l.MaxInFlight > 0 {
 		s.slots = make(chan struct{}, l.MaxInFlight)
+		s.release = func() {
+			s.inflight.Add(-1)
+			<-s.slots
+		}
 	}
 	return s
 }
 
 // acquire admits the caller or refuses with a typed error. On success the
 // returned release must be called exactly once when the request finishes.
-func (s *sem) acquire(ctx context.Context) (release func(), err error) {
+// Only a queued caller turns deadline (zero: none) into a context.
+func (s *sem) acquire(ctx context.Context, deadline time.Time) (release func(), err error) {
 	if s.slots == nil {
 		// Unlimited: account, never refuse.
 		s.inflight.Add(1)
 		s.admitted.Add(1)
-		return func() { s.inflight.Add(-1) }, nil
+		return s.release, nil
 	}
 	select {
 	case s.slots <- struct{}{}:
@@ -169,6 +177,11 @@ func (s *sem) acquire(ctx context.Context) (release func(), err error) {
 			s.queued.Add(-1)
 			s.shedOverload.Add(1)
 			return nil, fmt.Errorf("%d in flight, queue full: %w", s.limits.MaxInFlight, ErrOverloaded)
+		}
+		if !deadline.IsZero() {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, deadline)
+			defer cancel()
 		}
 		select {
 		case s.slots <- struct{}{}:
@@ -181,10 +194,7 @@ func (s *sem) acquire(ctx context.Context) (release func(), err error) {
 	}
 	s.inflight.Add(1)
 	s.admitted.Add(1)
-	return func() {
-		s.inflight.Add(-1)
-		<-s.slots
-	}, nil
+	return s.release, nil
 }
 
 func (s *sem) stats() ClassStats {
@@ -220,10 +230,16 @@ func New(cfg Config) *Controller {
 // called exactly once. Refusals carry ErrOverloaded (queue full — shed on
 // arrival) or ErrDeadline (expired while queued).
 func (c *Controller) Acquire(ctx context.Context, cl Class) (release func(), err error) {
+	return c.AcquireBy(ctx, cl, time.Time{})
+}
+
+// AcquireBy is Acquire with the wait bounded by deadline too (zero: none),
+// which arms a timer only if the caller queues.
+func (c *Controller) AcquireBy(ctx context.Context, cl Class, deadline time.Time) (release func(), err error) {
 	if c == nil {
 		return func() {}, nil
 	}
-	rel, err := c.classes[cl].acquire(ctx)
+	rel, err := c.classes[cl].acquire(ctx, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cl, err)
 	}

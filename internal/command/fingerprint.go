@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adminrefine/internal/decision"
 	"adminrefine/internal/model"
 )
 
@@ -42,7 +43,7 @@ type PrivID uint32
 
 // FPInfo is everything the authorization kernel needs about one interned
 // command, resolved once at intern time. Fields are immutable after
-// publication.
+// publication, except Verdict.
 type FPInfo struct {
 	// FP is the command's fingerprint.
 	FP Fingerprint
@@ -58,6 +59,9 @@ type FPInfo struct {
 	Priv model.Privilege
 
 	hash uint64
+	// Verdict is the interning engine's cached decision (package decision),
+	// beside hash: a hit reads the cache line the lookup just loaded.
+	Verdict decision.Verdict
 }
 
 // privEntry is one interned privilege term.

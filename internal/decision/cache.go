@@ -1,9 +1,11 @@
-// Package decision implements a lock-free, generation-tagged verdict cache
-// for the authorization kernel: a fixed-size, power-of-two, set-associative
-// table mapping a command fingerprint to the (allowed, justification)
-// verdict computed at some engine generation.
+// Package decision implements the lock-free, generation-tagged verdict
+// stores of the authorization kernel: a Verdict, one atomic word that lives
+// in the interned command it decides (command.FPInfo), is the engine's; a
+// Cache, a fixed-size set-associative table of Verdicts keyed by fingerprint,
+// is the session tables', whose per-(session, privilege) fingerprints are
+// never reused and so have no entry to live in.
 //
-// Correctness never depends on eviction or freshness — every entry carries
+// Correctness never depends on eviction or freshness — every verdict carries
 // the generation it was computed at, and the reader decides validity against
 // its own snapshot using two watermarks maintained by the engine writer:
 //
@@ -19,27 +21,82 @@
 //
 // A positive entry therefore survives arbitrarily long grant-only churn —
 // the decision-cache analogue of the positive-memo invariant in
-// internal/core — while one removal invalidates the whole cache in O(1) by
+// internal/core — while one removal invalidates every verdict in O(1) by
 // moving the floors, with no scan and no locks.
+package decision
+
+import "sync/atomic"
+
+// Verdict is one cached verdict in a single atomic word, from high to low
+// bits: the generation it was computed at (41 bits), a valid bit, the allowed
+// bit and the justification privilege id (21 bits; the interner caps ids at
+// 2^20). A verdict whose generation or id does not fit is not stored. The
+// zero value is empty. Lock-free and allocation-free, with no seqlock: one
+// load reads the whole verdict.
+type Verdict struct{ w atomic.Uint64 }
+
+const (
+	justBits      = 21
+	allowedBit    = 1 << justBits
+	validBit      = allowedBit << 1
+	genShift      = justBits + 2
+	maxVerdictGen = 1<<(64-genShift) - 1 // the last generation a Verdict stores
+)
+
+// Get returns the verdict as seen by a snapshot at generation gen with the
+// given validity floors.
+func (v *Verdict) Get(gen, posFloor, negFloor uint64) (just uint32, allowed, ok bool) {
+	w := v.w.Load()
+	egen := w >> genShift
+	switch {
+	case w&validBit == 0 || egen > gen:
+		return 0, false, false // empty, or computed at a generation gen cannot see
+	case w&allowedBit == 0:
+		return 0, false, egen >= negFloor // a later grant may have flipped it
+	case egen < posFloor:
+		return 0, false, false // a later removal may have shrunk the policy
+	}
+	return uint32(w & (allowedBit - 1)), true, true
+}
+
+// Put stores the verdict computed at generation gen unless a newer one is
+// already there, and reports whether it stored: of concurrent Puts, the one
+// with the highest generation stays.
+func (v *Verdict) Put(gen uint64, allowed bool, just uint32) bool {
+	if gen > maxVerdictGen || just >= 1<<justBits {
+		return false
+	}
+	w := gen<<genShift | validBit | uint64(just)
+	if allowed {
+		w |= allowedBit
+	}
+	for {
+		old := v.w.Load()
+		if old&validBit != 0 && old>>genShift > gen {
+			return false
+		}
+		if v.w.CompareAndSwap(old, w) {
+			return true
+		}
+	}
+}
+
+// ways is the set associativity: a fingerprint may live in any of `ways`
+// consecutive slots of its bucket; stores evict the oldest-generation way.
+const ways = 4
+
+// DefaultSlots is the slot count session tables use unless configured
+// otherwise.
+const DefaultSlots = 8192
+
+// Cache is the set-associative verdict table. The zero value and New(0) are
+// valid, permanently-empty caches (every Get misses, every Put is a no-op).
 //
 // Slots use a per-slot sequence lock built entirely from atomics (so the
 // race detector models it): writers claim a slot by CAS-ing its sequence
 // from even to odd, readers discard any observation whose sequence changed
 // mid-read. Readers never block, never spin and never allocate; a writer
 // that loses a claim race simply drops its store (it is a cache).
-package decision
-
-import "sync/atomic"
-
-// ways is the set associativity: a fingerprint may live in any of `ways`
-// consecutive slots of its bucket; stores evict the oldest-generation way.
-const ways = 4
-
-// DefaultSlots is the slot count engines use unless configured otherwise.
-const DefaultSlots = 8192
-
-// Cache is the sharded verdict cache. The zero value and New(0) are valid,
-// permanently-empty caches (every Get misses, every Put is a no-op).
 type Cache struct {
 	slots []slot
 	mask  uint32 // bucket index mask; bucket b spans slots[b*ways : b*ways+ways]
@@ -50,13 +107,11 @@ type Cache struct {
 	evictions atomic.Uint64
 }
 
-// slot holds one verdict: key packs the fingerprint (low 32 bits, nonzero
-// when occupied) with the justification privilege id (high 32 bits); gen
-// packs the computing generation (high 63 bits) with the allowed bit.
+// slot holds the verdict of fingerprint fp (0 when empty).
 type slot struct {
 	seq atomic.Uint64
-	key atomic.Uint64
-	gen atomic.Uint64
+	fp  atomic.Uint32
+	v   Verdict
 }
 
 // New builds a cache with the given slot count, rounded up to a power of two
@@ -72,22 +127,6 @@ func New(n int) *Cache {
 	}
 	return &Cache{slots: make([]slot, buckets*ways), mask: uint32(buckets - 1)}
 }
-
-// Reset empties the cache and zeroes its counters so it can serve a new
-// owner: afterwards every Get misses until that owner Puts. Unlike Get and
-// Put it needs the caller to be the only user, which a tenant's shutdown
-// guarantees (unlinked, nothing in flight, every snapshot closed). Recycling
-// the table costs one clear of memory that is already mapped.
-func (c *Cache) Reset() {
-	clear(c.slots)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.stores.Store(0)
-	c.evictions.Store(0)
-}
-
-// Slots reports the cache capacity in slots (0 = disabled).
-func (c *Cache) Slots() int { return len(c.slots) }
 
 // Enabled reports whether the cache can hold entries at all; callers may
 // skip store-side work (witness interning) when it cannot.
@@ -110,33 +149,14 @@ func (c *Cache) Get(fp uint32, gen, posFloor, negFloor uint64) (just uint32, all
 	for i := uint32(0); i < ways; i++ {
 		s := &c.slots[b+i]
 		q := s.seq.Load()
-		if q&1 != 0 {
-			continue // mid-write
+		if q&1 != 0 || s.fp.Load() != fp {
+			continue // mid-write, or another fingerprint's
 		}
-		k := s.key.Load()
-		if uint32(k) != fp {
-			continue
-		}
-		g := s.gen.Load()
-		if s.seq.Load() != q {
-			continue // torn read
-		}
-		egen := g >> 1
-		if egen > gen {
-			continue // computed at a generation this snapshot cannot see
-		}
-		if g&1 == 1 {
-			if egen < posFloor {
-				continue // a removal since then may have shrunk the policy
-			}
+		just, allowed, ok := s.v.Get(gen, posFloor, negFloor)
+		if ok && s.seq.Load() == q { // not torn
 			c.hits.Add(1)
-			return uint32(k >> 32), true, true
+			return just, allowed, true
 		}
-		if egen < negFloor {
-			continue // a grant since then may have flipped the denial
-		}
-		c.hits.Add(1)
-		return 0, false, true
 	}
 	c.misses.Add(1)
 	return 0, false, false
@@ -158,12 +178,11 @@ func (c *Cache) Put(fp uint32, gen uint64, allowed bool, just uint32) {
 		if s.seq.Load()&1 != 0 {
 			continue
 		}
-		k := s.key.Load()
-		if k == 0 || uint32(k) == fp {
+		if k := s.fp.Load(); k == 0 || k == fp {
 			victim = int(b + i)
 			break
 		}
-		if g := s.gen.Load() >> 1; g < victimGen {
+		if g := s.v.w.Load() >> genShift; g < victimGen {
 			victim, victimGen = int(b+i), g
 		}
 	}
@@ -175,23 +194,17 @@ func (c *Cache) Put(fp uint32, gen uint64, allowed bool, just uint32) {
 	if q&1 != 0 || !s.seq.CompareAndSwap(q, q+1) {
 		return // lost the claim race; drop the store
 	}
-	oldKey := s.key.Load()
-	if oldKey != 0 && uint32(oldKey) == fp && s.gen.Load()>>1 > gen {
-		// A newer verdict for the same command is already here; keep it.
-		s.seq.Store(q + 2)
-		return
+	if old := s.fp.Load(); old != fp {
+		if old != 0 {
+			c.evictions.Add(1)
+		}
+		s.fp.Store(fp)
+		s.v.w.Store(0)
 	}
-	if oldKey != 0 && uint32(oldKey) != fp {
-		c.evictions.Add(1)
+	if s.v.Put(gen, allowed, just) { // a newer verdict for fp stays
+		c.stores.Add(1)
 	}
-	g := gen << 1
-	if allowed {
-		g |= 1
-	}
-	s.key.Store(uint64(fp) | uint64(just)<<32)
-	s.gen.Store(g)
 	s.seq.Store(q + 2)
-	c.stores.Add(1)
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

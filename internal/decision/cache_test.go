@@ -121,8 +121,8 @@ func TestSlotRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{1, ways}, {ways, ways}, {ways + 1, 2 * ways}, {100, 128}, {8192, 8192},
 	} {
-		if got := New(tc.in).Slots(); got != tc.want {
-			t.Fatalf("New(%d).Slots() = %d, want %d", tc.in, got, tc.want)
+		if got := New(tc.in).Stats().Slots; got != tc.want {
+			t.Fatalf("New(%d) has %d slots, want %d", tc.in, got, tc.want)
 		}
 	}
 }
@@ -174,58 +174,3 @@ type errInconsistentT struct{ fp, just uint32 }
 
 func errInconsistent(fp, just uint32) error { return errInconsistentT{fp, just} }
 func (e errInconsistentT) Error() string    { return "torn read: fp/just mismatch" }
-
-// TestResetHandsOverAnEmptyCache is the recycling contract: the previous
-// owner's readers and writers finish (their last snapshot closed — here the
-// WaitGroup, in the registry the tenant's in-use count), Reset runs alone,
-// and the next owner sees no entry and no count of the old one even at the
-// generations and floors the old entries were valid under. Run under -race
-// this also checks that the plain clear in Reset is ordered after every
-// atomic access of the previous owner.
-func TestResetHandsOverAnEmptyCache(t *testing.T) {
-	const fps = 600 // more than the 512 slots: evictions counted too
-	c := New(512)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 4*fps; i++ {
-				fp := uint32(i%fps + 1)
-				if g%2 == 0 {
-					c.Put(fp, uint64(i%7), fp%3 != 0, fp)
-				} else {
-					c.Get(fp, 7, 0, 0)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// The readers may all have run before either writer stored a thing: one
-	// store and one hit after them makes the previous owner's counts certain.
-	c.Put(1, 7, true, 1)
-	c.Get(1, 7, 0, 0)
-	if st := c.Stats(); st.Stores == 0 || st.Evictions == 0 || st.Hits == 0 {
-		t.Fatalf("the previous owner left nothing to reset: %+v", st)
-	}
-
-	c.Reset()
-	if st := c.Stats(); st != (Stats{Slots: 512}) {
-		t.Fatalf("counters after Reset: %+v", st)
-	}
-	for fp := uint32(1); fp <= fps; fp++ {
-		if just, allowed, ok := c.Get(fp, 7, 0, 0); ok {
-			t.Fatalf("fingerprint %d hit after Reset: just=%d allowed=%v", fp, just, allowed)
-		}
-	}
-	if st := c.Stats(); st.Misses != fps || st.Hits != 0 {
-		t.Fatalf("the new owner's first %d lookups counted as %+v", fps, st)
-	}
-	// The recycled cache works like a new one.
-	c.Put(9, 2, true, 5)
-	if just, allowed, ok := c.Get(9, 2, 0, 0); !ok || !allowed || just != 5 {
-		t.Fatalf("recycled cache lost a fresh entry: (%d,%v,%v)", just, allowed, ok)
-	}
-	// Resetting a disabled cache is a no-op.
-	New(0).Reset()
-}

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -257,33 +258,80 @@ func TestAuthorizeBatchInto(t *testing.T) {
 	}
 }
 
-// TestCacheSlotsAtConstruction verifies that the cache NewAt is handed is
-// the one the engine decides through: a disabled one sees no traffic, a
-// sized one hits.
-func TestCacheSlotsAtConstruction(t *testing.T) {
+// TestDisabledEngineRecordsNoCacheTraffic: an engine built with the verdict
+// store off decides every query through the kernel and counts nothing, and
+// the same policy with it on hits.
+func TestDisabledEngineRecordsNoCacheTraffic(t *testing.T) {
 	pol, toggles, battery := equivPolicy()
-	e := NewAt(pol.Clone(), Strict, 0, decision.New(0))
-	e.Submit(toggles[0])
+	for _, cached := range []bool{false, true} {
+		e := NewAt(pol.Clone(), Strict, 0, cached)
+		e.Submit(toggles[0])
+		s := e.Snapshot()
+		for i := 0; i < 3; i++ {
+			for _, c := range battery {
+				s.Authorize(c)
+			}
+		}
+		s.Close()
+		st := e.CacheStats()
+		if !cached && st != (decision.Stats{}) {
+			t.Fatalf("disabled engine recorded cache traffic: %+v", st)
+		}
+		if cached && (st.Hits == 0 || st.Stores == 0 || st.Slots != len(battery)) {
+			t.Fatalf("enabled engine: %+v, want hits, stores and %d slots", st, len(battery))
+		}
+	}
+}
+
+// TestEveryInternedCommandKeepsItsVerdict: an engine that has interned more
+// distinct commands than any fixed table held (8 192 slots) answers every
+// one of them from cache on a repeat pass at the same generation.
+func TestEveryInternedCommandKeepsItsVerdict(t *testing.T) {
+	const roles, users, n = 160, 128, 20000
+	e := New(workload.ChurnPolicy(roles, users), Refined)
+	cmds := workload.CommandSlab(n, users, roles)
 	s := e.Snapshot()
-	for i := 0; i < 3; i++ {
-		s.Authorize(battery[0])
+	defer s.Close()
+	// Sights per block of commands: the doorkeeper's mark, then intern and
+	// store. A third covers the marks of a block the doorkeeper aged within.
+	for off := 0; off < n; off += 1000 {
+		for pass := 0; pass < 3; pass++ {
+			for _, c := range cmds[off : off+1000] {
+				s.Authorize(c)
+			}
+		}
 	}
-	s.Close()
-	if st := e.CacheStats(); st.Slots != 0 || st.Hits != 0 || st.Stores != 0 {
-		t.Fatalf("disabled cache saw traffic: %+v", st)
+	if interned, _ := e.interner.Len(); interned != n {
+		t.Fatalf("%d commands interned, want %d", interned, n)
 	}
-	e = NewAt(pol, Strict, 0, decision.New(100))
-	if st := e.CacheStats(); st.Slots < 100 {
-		t.Fatalf("cache slots = %d, asked for 100", st.Slots)
+	before := e.CacheStats()
+	for _, c := range cmds {
+		s.Authorize(c)
 	}
-	e.Submit(toggles[0])
-	s = e.Snapshot()
-	for i := 0; i < 3; i++ {
-		s.Authorize(battery[0])
+	st := e.CacheStats()
+	if hits := st.Hits - before.Hits; hits != n || st.Misses != before.Misses {
+		t.Fatalf("repeat pass hit %d of %d (stats before %+v, after %+v)", hits, n, before, st)
 	}
-	s.Close()
-	if st := e.CacheStats(); st.Hits == 0 {
-		t.Fatalf("re-enabled cache never hit: %+v", st)
+}
+
+// TestNewBytes pins what engine.New(workload.ChurnPolicy(256, 64)) allocates,
+// the fixture's policy included, at 250 KB: about 410 KB while every engine
+// carried a fixed 8 192-slot verdict table (196 KB); the verdicts now live in
+// the interned commands, so an engine pays only for what it interns.
+func TestNewBytes(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc measurement")
+	}
+	const runs = 20
+	New(workload.ChurnPolicy(256, 64), Refined)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		New(workload.ChurnPolicy(256, 64), Refined)
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 250_000 {
+		t.Fatalf("engine.New on the 256×64 fixture allocates %d bytes, want at most 250 000", perOp)
 	}
 }
 

@@ -211,12 +211,12 @@ type Engine struct {
 	flush    func(sync bool) error
 
 	// interner assigns fingerprints to commands at the read boundary; it is
-	// shared by every replica and survives publication cycles.
+	// shared by every replica and survives publication cycles. Each interned
+	// command carries its cached verdict (FPInfo.Verdict), consulted before
+	// the decision kernel runs when cached is set.
 	interner *command.Interner
-	// cache is the generation-tagged decision cache consulted before the
-	// decision kernel runs, handed in once by NewAt.
-	cache *decision.Cache
-	// posFloor / negFloor are the cache validity watermarks (see package
+	cached   bool
+	// posFloor / negFloor are the verdict validity watermarks (see package
 	// decision): writer-owned, captured into each published Snapshot.
 	posFloor, negFloor uint64
 
@@ -229,31 +229,28 @@ type Engine struct {
 	// generation waiters return instead of sleeping out their timeout. The
 	// owner re-resolves the successor engine (see tenant.WaitGenerationCtx).
 	retired atomic.Bool
+
+	hits, misses, stores atomic.Uint64 // verdict store counters
 }
 
 // New builds an engine, taking ownership of the policy: the caller must not
 // mutate p afterwards.
 func New(p *policy.Policy, mode Mode) *Engine {
-	return NewAt(p, mode, 0, nil)
+	return NewAt(p, mode, 0, true)
 }
 
 // NewAt builds an engine whose state starts at a prior generation — the
 // recovery constructor. A durable store that replayed its WAL into p hands
 // the engine the policy together with the sequence number of the last
 // replayed record, so generations keep counting from where the crashed
-// process left off (see storage.OpenEngine). cache is the decision cache the
-// engine decides through — empty, and the engine's alone from here on (a
-// registry hands in a recycled one, see tenant.Registry); nil builds one of
-// decision.DefaultSlots.
-func NewAt(p *policy.Policy, mode Mode, gen uint64, cache *decision.Cache) *Engine {
-	if cache == nil {
-		cache = decision.New(decision.DefaultSlots)
-	}
+// process left off (see storage.OpenEngine). cached switches the verdict
+// store on: every interned command then keeps its last verdict.
+func NewAt(p *policy.Policy, mode Mode, gen uint64, cached bool) *Engine {
 	e := &Engine{
 		mode:     mode,
 		logBase:  int(gen),
 		interner: command.NewInterner(),
-		cache:    cache,
+		cached:   cached,
 		posFloor: gen,
 		negFloor: gen,
 	}
@@ -278,12 +275,15 @@ func (e *Engine) snapshotOf(r *replica, gen uint64) *Snapshot {
 	}
 }
 
-// Cache returns the decision cache the engine decides through.
-func (e *Engine) Cache() *decision.Cache { return e.cache }
-
-// CacheStats reports the decision-cache counters.
+// CacheStats reports the verdict store's counters. Slots is the number of
+// interned commands, each holding one verdict (0 with the store off), and
+// nothing is ever evicted.
 func (e *Engine) CacheStats() decision.Stats {
-	return e.cache.Stats()
+	st := decision.Stats{Hits: e.hits.Load(), Misses: e.misses.Load(), Stores: e.stores.Load()}
+	if e.cached {
+		st.Slots, _ = e.interner.Len()
+	}
+	return st
 }
 
 // SetCommitHook installs the durability hook invoked for every applied
@@ -629,8 +629,8 @@ func (e *Engine) trimLog() {
 }
 
 // Snapshot is an immutable view of the policy at one engine generation:
-// policy, reachability closure, decider caches and the decision cache with
-// the validity floors this generation decides under. All methods are safe
+// policy, reachability closure, decider caches and the verdict validity
+// floors this generation decides under. All methods are safe
 // for concurrent use by multiple goroutines until Close releases the reader
 // reference; using a snapshot after Close is a bug.
 type Snapshot struct {
@@ -674,7 +674,7 @@ func (s *Snapshot) release(d *core.Decider) { s.r.release(d) }
 // mode, returning the justifying privilege. It never mutates policy state.
 //
 // This is the service's per-query kernel: the command is fingerprinted at
-// the boundary (allocation-free once interned), the decision cache is
+// the boundary (allocation-free once interned), its cached verdict is
 // consulted under the snapshot's validity floors, and only a miss claims a
 // decider and runs the decision procedure. The steady-state path performs
 // no allocations.
@@ -684,51 +684,45 @@ func (s *Snapshot) Authorize(c command.Command) (model.Privilege, bool) {
 }
 
 // authorize decides one command. d is a pre-claimed decider (batch path) or
-// nil, in which case a decider is claimed only if the cache misses.
+// nil, in which case a decider is claimed only if the verdict misses.
 func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 	info := s.e.interner.Command(c)
-	if info == nil {
-		// Interner at capacity and this command unseen: decide uncached.
-		return s.authorizeSlow(c, d)
-	}
-	if info.Priv == nil {
+	if info != nil && info.Priv == nil {
 		return AuthzResult{} // ill-formed: denied in every regime
 	}
-	fp := uint32(info.FP)
-	if just, allowed, ok := s.e.cache.Get(fp, s.gen, s.posFloor, s.negFloor); ok {
-		if !allowed {
-			return AuthzResult{}
+	if info != nil && s.e.cached {
+		if just, allowed, ok := info.Verdict.Get(s.gen, s.posFloor, s.negFloor); ok {
+			s.e.hits.Add(1)
+			if !allowed {
+				return AuthzResult{}
+			}
+			return AuthzResult{Justification: s.e.interner.Privilege(command.PrivID(just)), OK: true}
 		}
-		return AuthzResult{Justification: s.e.interner.Privilege(command.PrivID(just)), OK: true}
+		s.e.misses.Add(1)
 	}
 	if d == nil {
 		d = s.r.claim()
 		defer s.r.release(d)
 	}
+	if info == nil {
+		// First sight, or the interner at capacity: decide uninterned.
+		return s.authorizeWith(d, c)
+	}
 	just, ok := d.AuthorizeFP(info, s.e.mode == Refined)
-	if s.e.cache.Enabled() {
+	if s.e.cached {
 		pid := command.PrivID(0)
 		if ok {
 			// Both branches are lock-free, allocation-free interner hits in
 			// steady state (witnesses and strict justifications recur).
 			pid = s.e.interner.PrivilegeID(just)
 		}
-		if !ok || pid != 0 {
-			// An allowed verdict whose witness could not be interned (full
-			// table) is unrepresentable in the cache and simply not stored.
-			s.e.cache.Put(fp, s.gen, ok, uint32(pid))
+		// An allowed verdict whose witness could not be interned (full
+		// table) is unrepresentable in the word and simply not stored.
+		if (!ok || pid != 0) && info.Verdict.Put(s.gen, ok, uint32(pid)) {
+			s.e.stores.Add(1)
 		}
 	}
 	return AuthzResult{Justification: just, OK: ok}
-}
-
-// authorizeSlow is the uninterned fallback (interner at capacity).
-func (s *Snapshot) authorizeSlow(c command.Command, d *core.Decider) AuthzResult {
-	if d == nil {
-		d = s.r.claim()
-		defer s.r.release(d)
-	}
-	return s.authorizeWith(d, c)
 }
 
 // AuthzResult is one batched authorization decision.

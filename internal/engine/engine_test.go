@@ -224,7 +224,7 @@ func TestEngineConcurrentAuthorize(t *testing.T) {
 }
 
 func TestNewAtStartsAtRecoveredGeneration(t *testing.T) {
-	e := NewAt(churnFixture(4), Refined, 17, nil)
+	e := NewAt(churnFixture(4), Refined, 17, true)
 	if got := e.Generation(); got != 17 {
 		t.Fatalf("generation = %d, want 17", got)
 	}

@@ -593,36 +593,31 @@ func (c *Closure) Reaches(f, t int) bool {
 func (g *Digraph) SCC() (comp []int, components [][]int) {
 	n := len(g.keys)
 	comp = make([]int, n)
+	// One exact-size scratch array: index, low, the stack and the members the
+	// components are carved from (they leave the stack together). A visited
+	// vertex is on the stack until it has a component: comp marks it.
+	scratch := make([]int, 4*n)
+	index, low := scratch[:n], scratch[n:2*n]
+	stack, members := scratch[2*n:2*n:3*n], scratch[3*n:3*n:4*n]
 	for i := range comp {
-		comp[i] = -1
+		comp[i], index[i] = -1, -1
 	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	var next int
+	next := 0
 
-	// Iterative Tarjan to avoid recursion depth limits on long chains. The
-	// components are carved from one array: a component's members leave the
-	// stack together.
+	// Iterative Tarjan to avoid recursion depth limits on long chains.
 	type frame struct {
 		v, childIdx int
 	}
-	var call []frame
-	members := make([]int, 0, n)
+	call := make([]frame, 0, n)
+	components = make([][]int, 0, n)
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
 		}
 		call = append(call[:0], frame{root, 0})
-		index[root] = next
-		low[root] = next
+		index[root], low[root] = next, next
 		next++
 		stack = append(stack, root)
-		onStack[root] = true
 		for len(call) > 0 {
 			fr := &call[len(call)-1]
 			v := fr.v
@@ -630,13 +625,11 @@ func (g *Digraph) SCC() (comp []int, components [][]int) {
 				w := g.succ[v][fr.childIdx]
 				fr.childIdx++
 				if index[w] == -1 {
-					index[w] = next
-					low[w] = next
+					index[w], low[w] = next, next
 					next++
 					stack = append(stack, w)
-					onStack[w] = true
 					call = append(call, frame{w, 0})
-				} else if onStack[w] && index[w] < low[v] {
+				} else if comp[w] == -1 && index[w] < low[v] {
 					low[v] = index[w]
 				}
 				continue
@@ -653,7 +646,6 @@ func (g *Digraph) SCC() (comp []int, components [][]int) {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
 					comp[w] = len(components)
 					members = append(members, w)
 					if w == v {

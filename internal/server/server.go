@@ -312,7 +312,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else if strings.HasPrefix(r.URL.Path, "/v1/replicate/") {
-		release, e := s.core.Admit(r.Context(), admission.Replication)
+		release, e := s.core.Admit(r.Context(), admission.Replication, time.Time{})
 		if e != nil {
 			writeError(w, admission.Replication, e)
 			return

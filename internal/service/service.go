@@ -14,7 +14,8 @@
 //	                of other than one command, a non-positive audit limit
 //	                or a policy-less upload is bad_request
 //	ownership       cluster mode: a non-owner answers misrouted + owner address
-//	budget          min(MaxRequestTime, the request's own deadline)
+//	budget          min(MaxRequestTime, the request's own deadline), fixed
+//	                here; only a step that waits arms a timer for it
 //	admission       one slot per group, by class; refusals are shed-accounted
 //	role            reads: follower ensure-replica; writes: the write gate
 //	                (follower ⇒ misrouted + upstream, open breaker ⇒
@@ -489,13 +490,12 @@ func (c *Core) gated(ctx context.Context, group []Request, resps []Response, sc 
 	if d := time.Duration(req.DeadlineMS) * time.Millisecond; d > 0 && (budget <= 0 || d < budget) {
 		budget = d
 	}
+	var deadline time.Time
 	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
+		deadline = time.Now().Add(budget)
 	}
 	cl := req.Op.Class()
-	release, e := c.Admit(ctx, cl)
+	release, e := c.Admit(ctx, cl, deadline)
 	if e != nil {
 		return e
 	}
@@ -503,19 +503,28 @@ func (c *Core) gated(ctx context.Context, group []Request, resps []Response, sc 
 	if cl == admission.Write {
 		e = c.GateWrite()
 	} else if e = c.EnsureReplica(req.Tenant); e == nil {
-		e = c.awaitGeneration(ctx, req.Tenant, req.MinGen)
+		e = c.awaitGeneration(ctx, deadline, req.Tenant, req.MinGen)
 	}
 	if e != nil {
 		return e
 	}
-	return c.dispatch(ctx, group, resps, sc)
+	return c.dispatch(ctx, deadline, group, resps, sc)
 }
 
-// Admit acquires one admission slot of class cl within ctx's deadline — the
-// node's only Acquire call site (the replication long-polls pass through it
-// too, unbudgeted: their hold time is the protocol).
-func (c *Core) Admit(ctx context.Context, cl admission.Class) (release func(), e *api.Error) {
-	release, err := c.admission.Acquire(ctx, cl)
+// within bounds ctx by a request's deadline (none when zero) for one step
+// that can wait; a step that cannot never calls it, and arms no timer.
+func within(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, deadline)
+}
+
+// Admit acquires one admission slot of class cl within ctx and deadline —
+// the node's only Acquire call site (the replication long-polls pass through
+// it too, unbudgeted: their hold time is the protocol).
+func (c *Core) Admit(ctx context.Context, cl admission.Class, deadline time.Time) (release func(), e *api.Error) {
+	release, err := c.admission.AcquireBy(ctx, cl, deadline)
 	if err != nil {
 		return nil, c.Fail(cl, err)
 	}
@@ -527,10 +536,12 @@ func (c *Core) Admit(ctx context.Context, cl admission.Class) (release func(), e
 // never serves a read older than the client's token. A budget that runs out
 // inside the wait is overload (or a stalled replica), not staleness, so the
 // client retries instead of treating it as a consistency miss.
-func (c *Core) awaitGeneration(ctx context.Context, name string, min uint64) *api.Error {
+func (c *Core) awaitGeneration(ctx context.Context, deadline time.Time, name string, min uint64) *api.Error {
 	if min == 0 {
 		return nil
 	}
+	ctx, cancel := within(ctx, deadline)
+	defer cancel()
 	gen, ok, err := c.reg.WaitGenerationCtx(ctx, name, min, c.minGenWait)
 	switch {
 	case err != nil:
@@ -603,7 +614,7 @@ func denial(err error) error {
 
 // dispatch executes an admitted group. A non-nil error answers the whole
 // group; on success every response carries its body and generation.
-func (c *Core) dispatch(ctx context.Context, group []Request, resps []Response, sc *Scratch) *api.Error {
+func (c *Core) dispatch(ctx context.Context, deadline time.Time, group []Request, resps []Response, sc *Scratch) *api.Error {
 	req, resp := &group[0], &resps[0]
 	cl := req.Op.Class()
 	switch req.Op {
@@ -624,6 +635,8 @@ func (c *Core) dispatch(ctx context.Context, group []Request, resps []Response, 
 		return nil
 
 	case OpSubmit:
+		ctx, cancel := within(ctx, deadline)
+		defer cancel()
 		results, gen, err := c.reg.SubmitBatchCtx(ctx, req.Tenant, sc.merge(group))
 		for i := range resps {
 			resps[i].Generation = gen

@@ -54,7 +54,6 @@ import (
 	"sync"
 
 	"adminrefine/internal/command"
-	"adminrefine/internal/decision"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/policy"
 )
@@ -440,13 +439,13 @@ func OpenEngine(dir string, mode engine.Mode, opts Options) (*Store, *engine.Eng
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	return s, s.NewEngine(pol, mode, nil), rec, nil
+	return s, s.NewEngine(pol, mode, true), rec, nil
 }
 
 // NewEngine is OpenEngine's second half, for callers that supply the policy
-// (an install) or the decision cache (see engine.NewAt) themselves.
-func (s *Store) NewEngine(pol *policy.Policy, mode engine.Mode, cache *decision.Cache) *engine.Engine {
-	eng := engine.NewAt(pol, mode, uint64(s.Seq()), cache)
+// (an install) or switch the verdict store (see engine.NewAt) themselves.
+func (s *Store) NewEngine(pol *policy.Policy, mode engine.Mode, cached bool) *engine.Engine {
+	eng := engine.NewAt(pol, mode, uint64(s.Seq()), cached)
 	eng.SetCommitHook(func(gen uint64, res command.StepResult) error {
 		return s.StageCommit(int(gen), res)
 	})

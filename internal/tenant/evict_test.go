@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"adminrefine/internal/command"
-	"adminrefine/internal/policy"
+	"adminrefine/internal/decision"
 	"adminrefine/internal/storage"
 	"adminrefine/internal/workload"
 )
@@ -95,51 +95,44 @@ func TestEvictShutsDownOutsideTheShardLock(t *testing.T) {
 	}
 }
 
-// TestEvictedCacheIsRecycledEmpty: the decision cache of an evicted tenant
-// is the one the next opened tenant decides through, and it arrives empty —
-// no verdict and no counter of its previous owner. The second tenant interns
-// the same command first, so it gets the fingerprint the first tenant cached
-// an allow under, at the same generation: a surviving entry would be served.
-func TestEvictedCacheIsRecycledEmpty(t *testing.T) {
-	reg := churnRegistry(t, t.TempDir(), Options{Bootstrap: func(name string) *policy.Policy {
-		if name == "first" {
-			return workload.ChurnPolicy(16, 16)
-		}
-		p := policy.New() // the same user and role, and nobody may administrate
-		p.Assign("cu0000", "member")
-		p.DeclareRole("c0000")
-		return p
-	}})
+// TestReopenedTenantCacheCountersStartAtZero: an evicted tenant's verdicts
+// and counters go with its engine. The reopened tenant interns afresh, so its
+// cache block starts at zero — no hit, store or slot of its previous life —
+// and the first repeat of the same command misses before it hits again.
+func TestReopenedTenantCacheCountersStartAtZero(t *testing.T) {
+	reg := churnRegistry(t, t.TempDir(), Options{})
 	defer reg.Close()
 	q := workload.ChurnGrant(0, 16, 16)
-	for i := 0; i < 4; i++ { // doorkeeper pass, intern + cache fill, two hits
-		if res, err := reg.Authorize("first", q); err != nil || !res.OK {
-			t.Fatalf("authorize %d: err=%v ok=%v", i, err, res.OK)
+	authorize := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if res, err := reg.Authorize("t", q); err != nil || !res.OK {
+				t.Fatalf("authorize %d: err=%v ok=%v", i, err, res.OK)
+			}
 		}
 	}
-	old := resident(t, reg, "first").engine().Cache()
-	if st := old.Stats(); st.Stores == 0 || st.Hits < 2 {
-		t.Fatalf("first tenant never used its cache: %+v", st)
-	}
-	if !reg.Evict("first") {
-		t.Fatal("Evict(first) = false")
-	}
-	st, err := reg.Stats("second")
+	authorize(4) // doorkeeper pass, intern + store, two hits
+	st, err := reg.Stats("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := resident(t, reg, "second").engine().Cache(); got != old {
-		t.Fatal("the evicted tenant's cache was not handed to the next open")
+	if st.Cache.Slots != 1 || st.Cache.Stores != 1 || st.Cache.Hits != 2 {
+		t.Fatalf("before eviction: %+v, want 1 slot, 1 store, 2 hits", st.Cache)
 	}
-	if st.Cache.Slots == 0 || st.Cache.Hits+st.Cache.Misses+st.Cache.Stores+st.Cache.Evictions != 0 {
-		t.Fatalf("recycled cache arrived with its previous owner's counters: %+v", st.Cache)
+	if !reg.Evict("t") {
+		t.Fatal("Evict(t) = false")
 	}
-	for i := 0; i < 4; i++ {
-		if res, err := reg.Authorize("second", q); err != nil || res.OK {
-			t.Fatalf("authorize %d under the new owner: err=%v ok=%v, want denied", i, err, res.OK)
-		}
+	if st, err = reg.Stats("t"); err != nil {
+		t.Fatal(err)
 	}
-	if st := old.Stats(); st.Stores == 0 || st.Hits < 2 {
-		t.Fatalf("second tenant never used the recycled cache: %+v", st)
+	if st.Cache != (decision.Stats{}) {
+		t.Fatalf("reopened tenant's cache counters: %+v, want all zero", st.Cache)
+	}
+	authorize(3)
+	if st, err = reg.Stats("t"); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Slots != 1 || st.Cache.Misses != 1 || st.Cache.Stores != 1 || st.Cache.Hits != 1 {
+		t.Fatalf("after reopening: %+v, want 1 slot, 1 miss, 1 store, 1 hit", st.Cache)
 	}
 }

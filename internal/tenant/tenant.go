@@ -62,8 +62,8 @@ type Options struct {
 	// instead of os.OpenFile — the deterministic fault-injection seam (see
 	// internal/fault and storage.Options.OpenFile).
 	OpenFile func(path string, flag int, perm os.FileMode) (storage.File, error)
-	// CacheSlots sizes each tenant engine's decision cache (rounded up to a
-	// power of two). 0 uses the engine default; negative disables caching.
+	// CacheSlots < 0 turns each tenant engine's verdict store off; any other
+	// value caches every interned command's verdict (see engine.NewAt).
 	CacheSlots int
 	// Constraints optionally guards every write: administrative commands
 	// whose resulting policy would introduce a new SSD violation are denied
@@ -114,29 +114,6 @@ type Registry struct {
 	// shared by every tenant engine.
 	guard  engine.Guard
 	closed atomic.Bool
-	// caches is the free list of decision caches: an evicted tenant's table
-	// (the largest allocation of an open) is reset and handed to the next
-	// tenant opened. See retire.
-	cacheMu sync.Mutex
-	caches  []*decision.Cache
-}
-
-// maxFreeCaches bounds the free list; a cache returned beyond it is dropped.
-const maxFreeCaches = 16
-
-// takeCache returns an empty decision cache of the configured size for a new
-// tenant engine, recycled when the free list has one.
-func (r *Registry) takeCache() *decision.Cache {
-	var c *decision.Cache
-	r.cacheMu.Lock()
-	if n := len(r.caches); n > 0 {
-		c, r.caches = r.caches[n-1], r.caches[:n-1]
-	}
-	r.cacheMu.Unlock()
-	if c != nil || r.opts.CacheSlots == 0 {
-		return c // recycled, or nil for the engine's default
-	}
-	return decision.New(r.opts.CacheSlots)
 }
 
 type shard struct {
@@ -212,8 +189,8 @@ type Stats struct {
 	Policy       policy.Stats `json:"policy"`
 	Authorizes   uint64       `json:"authorizes"`
 	Submits      uint64       `json:"submits"`
-	// Cache reports the tenant engine's decision-cache counters (hits,
-	// misses, stores, evictions) and capacity.
+	// Cache reports the tenant engine's verdict-store counters (hits,
+	// misses, stores; evictions stays 0) and its interned commands as slots.
 	Cache decision.Stats `json:"cache"`
 	// Recovered reports what the lazy open found on disk.
 	Recovered storage.Recovery `json:"recovered"`
@@ -352,20 +329,10 @@ func (sh *shard) unlinkLocked(t *tenant) {
 
 // retire is the one eviction path: compact-and-close each unlinked tenant
 // outside the shard lock (it is disk I/O and must not stall the shard's other
-// tenants), recycle its decision cache, then clear its closing mark. Nothing
-// can still read the cache: the tenant was unlinked with no operation in
-// flight, and every operation closes its snapshot before it unpins.
+// tenants), then clear its closing mark.
 func (r *Registry) retire(sh *shard, victims []*tenant) {
 	for _, v := range victims {
 		v.shutdown()
-		if c := v.engine().Cache(); c.Enabled() {
-			c.Reset()
-			r.cacheMu.Lock()
-			if len(r.caches) < maxFreeCaches {
-				r.caches = append(r.caches, c)
-			}
-			r.cacheMu.Unlock()
-		}
 		sh.mu.Lock()
 		close(sh.closing[v.name])
 		delete(sh.closing, v.name)
@@ -394,7 +361,7 @@ func (r *Registry) open(name string, create bool) (*tenant, error) {
 		return nil, fmt.Errorf("tenant %s: %w", name, err)
 	}
 	if seed != nil && !rec.SnapshotLoaded && rec.Records == 0 {
-		// Seed before the engine exists: one engine, one cache per open.
+		// Seed before the engine exists: one engine per open.
 		err := r.checkInstall(seed)
 		if err == nil {
 			err = st.CompactAt(seed, 0, r.epochNow(), false)
@@ -406,7 +373,7 @@ func (r *Registry) open(name string, create bool) (*tenant, error) {
 		pol = seed
 	}
 	t := &tenant{name: name, store: st, recovered: rec, submu: newWlock()}
-	t.eng.Store(st.NewEngine(pol, r.opts.Mode, r.takeCache()))
+	t.eng.Store(st.NewEngine(pol, r.opts.Mode, r.opts.CacheSlots >= 0))
 	return t, nil
 }
 
@@ -453,10 +420,10 @@ func (r *Registry) installAt(t *tenant, p *policy.Policy, seq, seqEpoch uint64, 
 	if err := t.store.CompactAt(p, int(seq), seqEpoch, rewind); err != nil {
 		return err
 	}
-	// The replaced engine keeps its cache (readers may still hold its
-	// snapshots); the successor gets its own.
+	// The replaced engine keeps its verdicts (readers may still hold its
+	// snapshots); the successor interns its own.
 	old := t.engine()
-	t.eng.Store(t.store.NewEngine(p, r.opts.Mode, r.takeCache()))
+	t.eng.Store(t.store.NewEngine(p, r.opts.Mode, r.opts.CacheSlots >= 0))
 	// Wake generation waiters blocked on the replaced engine so they
 	// re-resolve the successor instead of sleeping out their timeout.
 	old.Retire()

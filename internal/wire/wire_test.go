@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"adminrefine/internal/admission"
 	"adminrefine/internal/api"
 	"adminrefine/internal/command"
 	"adminrefine/internal/engine"
@@ -525,12 +526,27 @@ func TestCloseDrainsInFlight(t *testing.T) {
 // socket syscalls. After warmup (interner, vertex cache, scratch growth),
 // no op on it may allocate per request: responses alias the connection's
 // scratch, and a merged run hands each response a sub-slice of one buffer.
+// It holds for a core without limits and for one with rbacd's defaults,
+// whose budget and admission slots must not cost a request that never waits
+// a timer, a context or a release func.
 func TestDrainAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
 	}
 	reg := testRegistry(t)
-	core := service.New(service.Config{Registry: reg})
+	configs := map[string]service.Config{
+		"no limits": {Registry: reg},
+		"rbacd defaults": {Registry: reg, MaxRequestTime: 10 * time.Second, Admission: admission.New(admission.Config{
+			Read:  admission.Limits{MaxInFlight: 256},
+			Write: admission.Limits{MaxInFlight: 64, MaxQueue: 256},
+		})},
+	}
+	for cfgName, cfg := range configs {
+		drainAllocs(t, cfgName, reg, service.New(cfg))
+	}
+}
+
+func drainAllocs(t *testing.T, cfgName string, reg *tenant.Registry, core *service.Core) {
 	snap, release, err := reg.View("t0")
 	if err != nil {
 		t.Fatal(err)
@@ -560,6 +576,7 @@ func TestDrainAllocs(t *testing.T) {
 		},
 	}
 	for name, mk := range drains {
+		name = cfgName + "/" + name
 		c := newConnState(NewServer(Config{Core: core}), nil)
 		var frames []byte
 		for i := 0; i < reqsPerDrain; i++ {
