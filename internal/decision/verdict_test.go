@@ -63,8 +63,9 @@ func TestVerdictOversizedIsNotStored(t *testing.T) {
 	}
 }
 
-// TestVerdictFloors mirrors TestFloors and TestGenerationVisibility: the
-// word applies the validity rules the Cache does.
+// TestVerdictFloors: a verdict is invisible to an older snapshot, a positive
+// survives an additive delta and a negative does not, a removal drops both,
+// and a stale write never clobbers a newer verdict.
 func TestVerdictFloors(t *testing.T) {
 	var pos, neg Verdict
 	pos.Put(5, true, 9)

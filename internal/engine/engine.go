@@ -658,8 +658,8 @@ func (s *Snapshot) Policy() *policy.Policy { return s.r.pol }
 // generation whose positive verdicts are still valid at this snapshot, neg
 // the oldest whose negative verdicts are. Layers that maintain their own
 // generation-tagged caches over snapshots — the session tables in
-// internal/session key their compiled role bitsets and check verdicts on
-// these — share the engine's invalidation rules through them.
+// internal/session revalidate their compiled role bitsets on these — share
+// the engine's invalidation rules through them.
 func (s *Snapshot) ValidityFloors() (pos, neg uint64) { return s.posFloor, s.negFloor }
 
 // decider claims a pre-bound decider from the replica's ring. Deciders

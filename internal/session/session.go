@@ -8,29 +8,21 @@
 // see internal/storage and internal/replication): a client creates its
 // session on the replica it reads from, exactly like a database connection.
 //
-// The access-check fast path has two layers, both riding the engine's
-// decision-cache invalidation machinery (internal/decision):
+// A check is answered from one structure, the session's compiled view: its
+// activated roles, filtered by current activatability (u →φ r), compiled into
+// a bitset over graph vertex ids — the union of the roles' reachable sets. A
+// check is then one privilege-id → vertex-id table hit and one bit test. The
+// view is bound to one policy materialisation (vertex ids are per-instance;
+// a session keeps one view for each of the two replicas an engine alternates
+// between) and revalidated against the snapshot's posFloor/negFloor
+// watermarks, the engine's verdict invalidation rules (internal/decision):
+// set bits survive grant-only churn, clear bits survive only a mutation-free
+// window, and an activation change drops the views.
 //
-//   - A verdict cache: each (session, privilege) pair checked gets a
-//     table-unique check fingerprint, and the verdict computed at engine
-//     generation G is stored in a decision.Cache. Validity is decided
-//     reader-side against the snapshot's posFloor/negFloor watermarks — an
-//     allowed check survives arbitrary grant-only churn, one revocation
-//     invalidates everything in O(1) — and a session's activation change
-//     abandons its fingerprints wholesale (a fresh fingerprint map means
-//     stale verdicts are simply never looked up again).
-//   - A compiled role bitset: a session's activated roles, filtered by
-//     current activatability (u →φ r), are compiled into a bitset over graph
-//     vertex ids — the union of the roles' reachable sets. A check is then
-//     one privilege-id → vertex-id table hit and one bit test. The bitset is
-//     bound to one policy materialisation (vertex ids are per-instance) and
-//     revalidated against the same floors: set bits survive grants, clear
-//     bits survive only a mutation-free window.
-//
-// Both layers are allocation-free in steady state; compiles and fingerprint
-// assignment are amortised slow paths. Constraint sets guard activations
-// (DSD) here, while SSD guards ride the tenant write path — see
-// internal/constraints and tenant.Options.Constraints.
+// A warm check is allocation-free; a compile is the amortised slow path.
+// Constraint sets guard activations (DSD) here, while SSD guards ride the
+// tenant write path — see internal/constraints and
+// tenant.Options.Constraints.
 package session
 
 import (
@@ -75,9 +67,6 @@ type Options struct {
 	// Constraints optionally guards role activations (DSD). SSD constraints
 	// belong on the write path (tenant.Options.Constraints), not here.
 	Constraints *constraints.Set
-	// CacheSlots sizes the check verdict cache (rounded up to a power of
-	// two). 0 uses decision.DefaultSlots; negative disables caching.
-	CacheSlots int
 	// MaxSessions bounds live sessions per table (0 = DefaultMaxSessions;
 	// negative = unlimited).
 	MaxSessions int
@@ -86,25 +75,24 @@ type Options struct {
 // Table is one tenant's node-local session table. All methods are safe for
 // concurrent use; Check is lock-free and allocation-free in steady state.
 type Table struct {
-	cons  atomic.Pointer[constraints.Set]
-	cache *decision.Cache
+	cons atomic.Pointer[constraints.Set]
 	// interner assigns dense privilege ids at the check boundary (identity,
 	// not hash: collisions are impossible by construction).
-	interner *command.Interner
-	// nextFP allocates table-unique check fingerprints; 0 is the cache's
-	// empty-slot sentinel, so allocation starts at 1.
-	nextFP      atomic.Uint32
+	interner    *command.Interner
 	maxSessions int
 
 	nextID   atomic.Uint64
 	count    atomic.Int64
 	sessions sync.Map // uint64 -> *Session
 
-	// vids caches privilege-id → graph-vertex-id per policy materialisation
-	// (only Policy.Clone keeps vertex ids; an installed policy or a replica
-	// bootstrap numbers its own, and the table outlives both).
-	vids atomic.Pointer[vidTable]
-	vmu  sync.Mutex // serialises vidTable replacement/growth
+	// vids caches privilege-id → graph-vertex-id per policy materialisation,
+	// one table for each of the two replicas an engine alternates its
+	// readers between: a replica's numbering can drift from its twin's (a
+	// rolled-back command leaves its vertices behind), an installed policy
+	// or a replica bootstrap numbers its own, and the table outlives all.
+	vids  [2]atomic.Pointer[vidTable]
+	vmu   sync.Mutex // serialises vidTable replacement/growth
+	vnext int        // under vmu: the slot a third materialisation replaces
 
 	checks   atomic.Uint64
 	compiles atomic.Uint64
@@ -112,19 +100,11 @@ type Table struct {
 
 // NewTable builds an empty session table.
 func NewTable(opts Options) *Table {
-	slots := opts.CacheSlots
-	if slots == 0 {
-		slots = decision.DefaultSlots
-	}
 	max := opts.MaxSessions
 	if max == 0 {
 		max = DefaultMaxSessions
 	}
-	t := &Table{
-		cache:       decision.New(slots),
-		interner:    command.NewInterner(),
-		maxSessions: max,
-	}
+	t := &Table{interner: command.NewInterner(), maxSessions: max}
 	t.cons.Store(opts.Constraints)
 	return t
 }
@@ -142,19 +122,30 @@ type Session struct {
 	User string
 	t    *Table
 
-	mu    sync.Mutex // guards roles, epoch bumps, fp assignment
+	mu    sync.Mutex // guards roles and the views' replacement
 	roles map[string]struct{}
 
-	// view is the compiled role bitset; nil until the first check compiles
-	// it, reset on every activation change.
-	view atomic.Pointer[view]
-	// fps maps privilege ids to this session's check fingerprints; replaced
-	// wholesale on activation change, which orphans every cached verdict.
-	fps atomic.Pointer[fpMap]
+	// views are the compiled role bitsets, one per policy materialisation
+	// (slot 1 is empty while slot 0 is); nil until a check compiles one,
+	// dropped under mu on every activation change, so a check that starts
+	// after the change returns compiles against the new roles.
+	views [2]atomic.Pointer[view]
 }
 
-type fpMap struct {
-	m map[command.PrivID]uint32
+// viewOf returns the session's view compiled against pol, or nil.
+func (s *Session) viewOf(pol *policy.Policy) *view {
+	for i := range s.views {
+		if v := s.views[i].Load(); v != nil && v.pol == pol {
+			return v
+		}
+	}
+	return nil
+}
+
+// dropViewsLocked forgets the compiled views; caller holds s.mu.
+func (s *Session) dropViewsLocked() {
+	s.views[0].Store(nil)
+	s.views[1].Store(nil)
 }
 
 // view is one compiled materialisation of the session's access rights:
@@ -175,7 +166,9 @@ func (v *view) has(id int32) bool {
 }
 
 // vidTable resolves interned privilege ids to vertex ids of one policy
-// instance. Entries are vid+1 (0 = unresolved, retried on use).
+// instance. An entry c is 0 while unresolved, vid+1 for a vertex, and ^n
+// (negative) for a privilege that was no vertex while the graph had n
+// vertices.
 type vidTable struct {
 	pol *policy.Policy
 	ids []atomic.Int32
@@ -195,13 +188,6 @@ func (s *Session) rolesLocked() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// invalidateLocked abandons the compiled view and the fingerprint map after
-// an activation change; caller holds s.mu.
-func (s *Session) invalidateLocked() {
-	s.view.Store(nil)
-	s.fps.Store(&fpMap{m: map[command.PrivID]uint32{}})
 }
 
 // Create starts a session for user, activating the given roles after
@@ -229,7 +215,6 @@ func (t *Table) Create(snap *engine.Snapshot, user string, roles []string) (*Ses
 		return nil, fmt.Errorf("session: %w (%d live sessions)", ErrTableFull, t.maxSessions)
 	}
 	s := &Session{ID: t.nextID.Add(1), User: user, t: t, roles: active}
-	s.fps.Store(&fpMap{m: map[command.PrivID]uint32{}})
 	t.sessions.Store(s.ID, s)
 	return s, nil
 }
@@ -275,7 +260,7 @@ func (t *Table) Activate(snap *engine.Snapshot, id uint64, role string) error {
 		return err
 	}
 	s.roles[role] = struct{}{}
-	s.invalidateLocked()
+	s.dropViewsLocked()
 	return nil
 }
 
@@ -343,7 +328,7 @@ func (t *Table) Update(snap *engine.Snapshot, id uint64, activate, deactivate []
 		return s, nil
 	}
 	s.roles = proposed
-	s.invalidateLocked()
+	s.dropViewsLocked()
 	return s, nil
 }
 
@@ -360,7 +345,7 @@ func (t *Table) Deactivate(id uint64, role string) error {
 		return fmt.Errorf("session: role %s not active in session %d", role, id)
 	}
 	delete(s.roles, role)
-	s.invalidateLocked()
+	s.dropViewsLocked()
 	return nil
 }
 
@@ -393,65 +378,28 @@ func (t *Table) Drain() int {
 // Check reports whether the session may exercise priv under the snapshot:
 // some activated role r that is still activatable (u →φ r) must reach the
 // privilege vertex (r →φ p) — the monitor CheckAccess semantics of §2,
-// served lock-free. The steady-state path (verdict-cache or compiled-bitset
-// hit) performs no allocations.
+// served lock-free from the compiled view, which is recompiled against the
+// snapshot when it is missing, bound to another policy materialisation, or
+// invalidated by the floors. A warm check performs no allocations.
 func (t *Table) Check(snap *engine.Snapshot, id uint64, priv model.Privilege) (bool, error) {
 	s, err := t.session(id)
 	if err != nil {
 		return false, err
 	}
 	t.checks.Add(1)
-	gen := snap.Generation()
-	posFloor, negFloor := snap.ValidityFloors()
-
 	pid := t.interner.PrivilegeID(priv)
-	// The fingerprint map is captured once: the verdict computed below is
-	// only cached under a fingerprint of THIS activation epoch (fpFor
-	// refuses to allocate into a newer map), so a concurrent role change
-	// can never get a pre-change verdict stored under its fresh epoch.
-	var fm *fpMap
-	fp := uint32(0)
-	if pid != 0 && t.cache.Enabled() {
-		if fm = s.fps.Load(); fm != nil {
-			fp = fm.m[pid]
-		}
-		if fp != 0 {
-			if _, allowed, ok := t.cache.Get(fp, gen, posFloor, negFloor); ok {
-				return allowed, nil
-			}
-		}
-	}
-
-	allowed := t.checkView(snap, s, pid, priv, gen, posFloor, negFloor)
-	if fm != nil {
-		if fp == 0 {
-			fp = s.fpFor(fm, pid)
-		}
-		if fp != 0 {
-			t.cache.Put(fp, gen, allowed, 0)
-		}
-	}
-	return allowed, nil
-}
-
-// checkView answers the check from the compiled bitset, recompiling it
-// against the snapshot when it is missing, bound to another policy
-// materialisation, or invalidated by the floors.
-func (t *Table) checkView(snap *engine.Snapshot, s *Session, pid command.PrivID, priv model.Privilege, gen, posFloor, negFloor uint64) bool {
 	pol := snap.Policy()
-	v := s.view.Load()
-	if v != nil && v.pol == pol {
-		vid := t.vidOf(pol, pid, priv)
-		if v.has(vid) {
+	posFloor, negFloor := snap.ValidityFloors()
+	if v := s.viewOf(pol); v != nil {
+		if v.has(t.vidOf(pol, pid, priv)) {
 			if v.gen >= posFloor {
-				return true // set bits survive grants (reachability is monotone)
+				return true, nil // set bits survive grants (reachability is monotone)
 			}
 		} else if v.gen >= negFloor {
-			return false // clear bits only survive a mutation-free window
+			return false, nil // clear bits only survive a mutation-free window
 		}
 	}
-	v = s.compile(snap)
-	return v.has(t.vidOf(pol, pid, priv))
+	return s.compile(snap).has(t.vidOf(pol, pid, priv)), nil
 }
 
 // compile (re)builds the session's bitset against the snapshot: the union of
@@ -460,7 +408,7 @@ func (s *Session) compile(snap *engine.Snapshot) *view {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pol := snap.Policy()
-	if v := s.view.Load(); v != nil && v.pol == pol && v.gen >= snap.Generation() {
+	if v := s.viewOf(pol); v != nil && v.gen >= snap.Generation() {
 		return v // a concurrent check already compiled for this state
 	}
 	s.t.compiles.Add(1)
@@ -481,35 +429,14 @@ func (s *Session) compile(snap *engine.Snapshot) *view {
 			}
 		}
 	}
-	s.view.Store(v)
+	// Replace pol's own view, else fill slot 1, else replace the view
+	// compiled at the older generation.
+	i := 0
+	if a, b := s.views[0].Load(), s.views[1].Load(); a != nil && a.pol != pol && (b == nil || b.pol == pol || b.gen < a.gen) {
+		i = 1
+	}
+	s.views[i].Store(v)
 	return v
-}
-
-// fpFor returns (allocating on first use) the session's check fingerprint
-// for the privilege id, provided the activation epoch the caller computed
-// its verdict under — identified by the fpMap it loaded — is still current.
-// Fingerprints are scoped to one epoch: a role change swaps in a fresh map,
-// so verdicts cached under old fingerprints can never be observed again,
-// and a verdict computed against the old roles must not be allocated a slot
-// in the new map (fpFor returns 0 and the caller skips the cache).
-func (s *Session) fpFor(seen *fpMap, pid command.PrivID) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fm := s.fps.Load()
-	if fm != seen {
-		return 0 // roles changed since the verdict was computed
-	}
-	if f, ok := fm.m[pid]; ok {
-		return f
-	}
-	f := s.t.nextFP.Add(1)
-	next := make(map[command.PrivID]uint32, len(fm.m)+1)
-	for k, v := range fm.m {
-		next[k] = v
-	}
-	next[pid] = f
-	s.fps.Store(&fpMap{m: next})
-	return f
 }
 
 // vidOf resolves the privilege's graph vertex id under pol, caching by
@@ -523,46 +450,59 @@ func (t *Table) vidOf(pol *policy.Policy, pid command.PrivID, priv model.Privile
 		}
 		return -1
 	}
-	vt := t.vids.Load()
+	vt := t.vids[0].Load()
+	if vt == nil || vt.pol != pol {
+		vt = t.vids[1].Load()
+	}
 	if vt == nil || vt.pol != pol || int(pid) >= len(vt.ids) {
-		vt = t.growVids(vt, pol, int(pid))
+		vt = t.growVids(pol, int(pid))
 	}
-	if c := vt.ids[pid].Load(); c != 0 {
+	g := pol.Graph()
+	n := g.NumVertices()
+	switch c := vt.ids[pid].Load(); {
+	case c > 0:
 		return c - 1
+	case c < 0 && int(^c) == n:
+		return -1 // no vertex was added since the miss was tagged
 	}
-	id := pol.Graph().Lookup(priv.Key())
+	id := g.Lookup(priv.Key())
 	if id == graph.NoVertex {
-		return -1 // absent vertices are retried (they may be interned later)
+		// Tag the miss with the vertex count: a Digraph never removes a
+		// vertex (no mutation does, and a rollback undoes edges only), so a
+		// key absent at n vertices stays absent until the count changes.
+		vt.ids[pid].Store(^int32(n))
+		return -1
 	}
 	vt.ids[pid].Store(int32(id) + 1)
 	return int32(id)
 }
 
-// growVids replaces or extends the vertex-id table so it covers pid under
-// pol. Lost concurrent stores are harmless (it is a cache).
-func (t *Table) growVids(old *vidTable, pol *policy.Policy, pid int) *vidTable {
+// growVids extends pol's vertex-id table so it covers pid, or replaces the
+// other slots' tables in turn with a new one for pol. Lost concurrent
+// stores are harmless (it is a cache).
+func (t *Table) growVids(pol *policy.Policy, pid int) *vidTable {
 	t.vmu.Lock()
 	defer t.vmu.Unlock()
-	cur := t.vids.Load()
-	if cur != nil && cur.pol == pol && pid < len(cur.ids) {
+	i, n := t.vnext, 64
+	var cur *vidTable
+	for j := range t.vids {
+		if vt := t.vids[j].Load(); vt != nil && vt.pol == pol {
+			i, cur, n = j, vt, 2*len(vt.ids)
+		}
+	}
+	switch {
+	case cur == nil:
+		t.vnext = 1 - i
+	case pid < len(cur.ids):
 		return cur
 	}
-	n := pid + 1
-	if cur != nil && cur.pol == pol {
-		if m := 2 * len(cur.ids); m > n {
-			n = m
+	next := &vidTable{pol: pol, ids: make([]atomic.Int32, max(n, pid+1))}
+	if cur != nil {
+		for j := range cur.ids {
+			next.ids[j].Store(cur.ids[j].Load())
 		}
 	}
-	if n < 64 {
-		n = 64
-	}
-	next := &vidTable{pol: pol, ids: make([]atomic.Int32, n)}
-	if cur != nil && cur.pol == pol {
-		for i := range cur.ids {
-			next.ids[i].Store(cur.ids[i].Load())
-		}
-	}
-	t.vids.Store(next)
+	t.vids[i].Store(next)
 	return next
 }
 
@@ -599,12 +539,18 @@ type Stats struct {
 	Cache    decision.Stats `json:"cache"`
 }
 
-// Stats reads the table's counters.
+// Stats reads the table's counters. Cache keeps the /stats shape of the
+// verdict stores: a hit is a check answered without a compile, a miss a
+// compile; nothing is stored or evicted.
 func (t *Table) Stats() Stats {
+	// Compiles first: each compile follows its check's count, so the
+	// difference never underflows.
+	compiles := t.compiles.Load()
+	checks := t.checks.Load()
 	return Stats{
 		Sessions: t.Len(),
-		Checks:   t.checks.Load(),
-		Compiles: t.compiles.Load(),
-		Cache:    t.cache.Stats(),
+		Checks:   checks,
+		Compiles: compiles,
+		Cache:    decision.Stats{Hits: checks - compiles, Misses: compiles},
 	}
 }

@@ -2,11 +2,14 @@ package session
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"adminrefine/internal/command"
 	"adminrefine/internal/constraints"
+	"adminrefine/internal/decision"
 	"adminrefine/internal/engine"
 	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
@@ -104,6 +107,18 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, err := tbl.Check(snap, s.ID+99, policy.PermReadT1); err == nil {
 		t.Fatal("check on unknown session")
 	}
+	// The first check compiles the view, the second is answered from it:
+	// /stats' cache block counts checks answered without a compile as hits
+	// and compiles as misses, and stores nothing.
+	for i := 0; i < 2; i++ {
+		if ok, err := tbl.Check(snap, s.ID, policy.PermReadT1); err != nil || !ok {
+			t.Fatalf("nurse cannot read t1: %v", err)
+		}
+	}
+	want := Stats{Sessions: 1, Checks: 2, Compiles: 1, Cache: decision.Stats{Hits: 1, Misses: 1}}
+	if st := tbl.Stats(); st != want {
+		t.Fatalf("Stats = %+v, want %+v", st, want)
+	}
 	if tbl.Len() != 1 {
 		t.Fatalf("Len = %d", tbl.Len())
 	}
@@ -119,51 +134,125 @@ func TestSessionLifecycle(t *testing.T) {
 // asserts Check stays verdict-identical to the recomputed oracle after every
 // mutation — the floors/bitset invalidation contract.
 func TestCheckTracksPolicyChurn(t *testing.T) {
-	for _, cache := range []int{0, -1} {
-		t.Run(fmt.Sprintf("cacheSlots=%d", cache), func(t *testing.T) {
-			e := engine.New(hospitalFixture(t), engine.Strict)
-			tbl := NewTable(Options{CacheSlots: cache})
-			snap := e.Snapshot()
-			s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
-			snap.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
+	pol := hospitalFixture(t)
+	// fresh is no vertex until root grants it to nurse.
+	fresh := model.Perm("audit", "t9")
+	if _, err := pol.GrantPrivilege("admins", model.Grant(model.Role(policy.RoleNurse), fresh)); err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(pol, engine.Strict)
+	tbl := NewTable(Options{})
+	snap := e.Snapshot()
+	s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
+	snap.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			checkAgainstOracle(t, e, tbl, s, probePerms)
-			// Repeat on the warm path (cache + bitset hits).
-			checkAgainstOracle(t, e, tbl, s, probePerms)
+	checkAgainstOracle(t, e, tbl, s, probePerms)
+	// Repeat on the warm path (bitset hits).
+	checkAgainstOracle(t, e, tbl, s, probePerms)
 
-			// Activate staff: the session gains write t3.
-			snap = e.Snapshot()
-			if err := tbl.Activate(snap, s.ID, policy.RoleStaff); err != nil {
-				t.Fatal(err)
-			}
-			snap.Close()
-			checkAgainstOracle(t, e, tbl, s, probePerms)
+	// Activate staff: the session gains write t3.
+	snap = e.Snapshot()
+	if err := tbl.Activate(snap, s.ID, policy.RoleStaff); err != nil {
+		t.Fatal(err)
+	}
+	snap.Close()
+	checkAgainstOracle(t, e, tbl, s, probePerms)
 
-			// Revoke diana's staff assignment through the transition
-			// function: the activated role silently stops contributing.
-			res := e.Submit(command.Revoke("root", model.User(policy.UserDiana), model.Role(policy.RoleStaff)))
-			if res.Outcome != command.Applied {
-				t.Fatalf("revoke: %v", res.Outcome)
-			}
-			checkAgainstOracle(t, e, tbl, s, probePerms)
+	// Revoke diana's staff assignment through the transition function: the
+	// activated role silently stops contributing.
+	res := e.Submit(command.Revoke("root", model.User(policy.UserDiana), model.Role(policy.RoleStaff)))
+	if res.Outcome != command.Applied {
+		t.Fatalf("revoke: %v", res.Outcome)
+	}
+	checkAgainstOracle(t, e, tbl, s, probePerms)
 
-			// Re-grant it: positive verdicts must reappear (negFloor moved).
-			res = e.Submit(command.Grant("root", model.User(policy.UserDiana), model.Role(policy.RoleStaff)))
-			if res.Outcome != command.Applied {
-				t.Fatalf("grant: %v", res.Outcome)
-			}
-			checkAgainstOracle(t, e, tbl, s, probePerms)
+	// Re-grant it: positive verdicts must reappear (negFloor moved).
+	res = e.Submit(command.Grant("root", model.User(policy.UserDiana), model.Role(policy.RoleStaff)))
+	if res.Outcome != command.Applied {
+		t.Fatalf("grant: %v", res.Outcome)
+	}
+	checkAgainstOracle(t, e, tbl, s, probePerms)
 
-			// Deactivate staff again: verdicts keyed under the old epoch
-			// must not leak.
-			if err := tbl.Deactivate(s.ID, policy.RoleStaff); err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstOracle(t, e, tbl, s, probePerms)
-		})
+	// Deactivate staff again: the view compiled under the old roles must not
+	// leak.
+	if err := tbl.Deactivate(s.ID, policy.RoleStaff); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstOracle(t, e, tbl, s, probePerms)
+
+	// A privilege with no vertex is denied, and the miss is remembered for
+	// this policy instance; once a grant creates the vertex under the active
+	// nurse role, the same instance must allow it.
+	snap = e.Snapshot()
+	first := snap.Policy()
+	if ok, err := tbl.Check(snap, s.ID, fresh); err != nil || ok {
+		t.Fatalf("check of a privilege with no vertex: %v %v", ok, err)
+	}
+	snap.Close()
+	res = e.Submit(command.Grant("root", model.Role(policy.RoleNurse), fresh))
+	if res.Outcome != command.Applied {
+		t.Fatalf("grant %s: %v", fresh, res.Outcome)
+	}
+	// Submit unrelated changes (eve's assignment) until the engine publishes
+	// the first instance again, with no check in between.
+	for i := 0; ; i++ {
+		snap = e.Snapshot()
+		if snap.Policy() == first {
+			break
+		}
+		snap.Close()
+		if i == 4 {
+			t.Fatal("the engine never republished the first policy instance")
+		}
+		op := command.Revoke
+		if i%2 == 1 {
+			op = command.Grant
+		}
+		if res := e.Submit(op("root", model.User("eve"), model.Role(policy.RoleNurse))); res.Outcome != command.Applied {
+			t.Fatalf("churn %d: %v", i, res.Outcome)
+		}
+	}
+	ok, err := tbl.Check(snap, s.ID, fresh)
+	snap.Close()
+	if err != nil || !ok {
+		t.Fatalf("check after the grant created the vertex: %v %v", ok, err)
+	}
+	checkAgainstOracle(t, e, tbl, s, append(probePerms, fresh))
+}
+
+// TestViewsSurviveReplicaAlternation: an engine publishes its two replicas
+// in turn, and grants keep every allowed bit valid, so a session checking an
+// allowed privilege after each of a run of grants compiles once per replica,
+// not once per publish.
+func TestViewsSurviveReplicaAlternation(t *testing.T) {
+	pol := hospitalFixture(t)
+	const grants = 8
+	for i := 0; i < grants; i++ {
+		if _, err := pol.GrantPrivilege("admins", model.Grant(model.User(fmt.Sprintf("u%d", i)), model.Role(policy.RoleNurse))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := engine.New(pol, engine.Strict)
+	tbl := NewTable(Options{})
+	snap := e.Snapshot()
+	s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
+	snap.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstOracle(t, e, tbl, s, []model.UserPrivilege{policy.PermReadT1})
+	for i := 0; i < grants; i++ {
+		res := e.Submit(command.Grant("root", model.User(fmt.Sprintf("u%d", i)), model.Role(policy.RoleNurse)))
+		if res.Outcome != command.Applied {
+			t.Fatalf("grant %d: %v", i, res.Outcome)
+		}
+		checkAgainstOracle(t, e, tbl, s, []model.UserPrivilege{policy.PermReadT1})
+	}
+	if st := tbl.Stats(); st.Compiles > 2 {
+		t.Fatalf("%d compiles over %d grant-only publishes, want at most one per replica", st.Compiles, grants)
 	}
 }
 
@@ -325,39 +414,142 @@ func TestRegistryPerTenantTables(t *testing.T) {
 }
 
 // TestCheckAllocs pins the fast-path contract: a warm check allocates
-// nothing, with and without the verdict cache (the compiled-bitset path must
-// be allocation-free on its own).
+// nothing, for a privilege of the policy and for one that is no vertex.
 func TestCheckAllocs(t *testing.T) {
-	for _, cache := range []int{0, -1} {
-		t.Run(fmt.Sprintf("cacheSlots=%d", cache), func(t *testing.T) {
-			e := engine.New(hospitalFixture(t), engine.Strict)
-			tbl := NewTable(Options{CacheSlots: cache})
-			snap := e.Snapshot()
-			defer snap.Close()
-			s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
-			if err != nil {
-				t.Fatal(err)
+	e := engine.New(hospitalFixture(t), engine.Strict)
+	tbl := NewTable(Options{})
+	snap := e.Snapshot()
+	defer snap.Close()
+	s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Box the privileges once, outside the measured loop: the interface
+	// conversion is the caller's allocation, exactly like the command slabs
+	// of the authorize benchmarks.
+	for _, tc := range []struct {
+		perm model.Privilege
+		want bool
+	}{
+		{policy.PermReadT1, true},
+		{model.Perm("write", "nowhere"), false},
+	} {
+		for i := 0; i < 3; i++ { // warm: intern, resolve, compile
+			if ok, err := tbl.Check(snap, s.ID, tc.perm); err != nil || ok != tc.want {
+				t.Fatalf("warm check %s: %v %v", tc.perm, ok, err)
 			}
-			// Box the privilege once, outside the measured loop: the
-			// interface conversion is the caller's allocation, exactly like
-			// the command slabs of the authorize benchmarks.
-			var perm model.Privilege = policy.PermReadT1
-			for i := 0; i < 3; i++ { // warm: intern, fingerprint, compile
-				if ok, err := tbl.Check(snap, s.ID, perm); err != nil || !ok {
-					t.Fatalf("warm check: %v %v", ok, err)
-				}
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				ok, err := tbl.Check(snap, s.ID, perm)
-				if err != nil || !ok {
-					t.Fatal("check failed")
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state Check allocates %v per op, want 0", allocs)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if ok, err := tbl.Check(snap, s.ID, tc.perm); err != nil || ok != tc.want {
+				t.Fatalf("check %s failed", tc.perm)
 			}
 		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Check(%s) allocates %v per op, want 0", tc.perm, allocs)
+		}
 	}
+}
+
+// TestDistinctPrivilegesAllocateLinearly: one session checking 4 096
+// distinct privileges once each pays for interning and resolving each of
+// them, not for anything that grows with the privileges it checked before.
+func TestDistinctPrivilegesAllocateLinearly(t *testing.T) {
+	const n, budget = 4096, 2 << 20
+	e := engine.New(hospitalFixture(t), engine.Strict)
+	tbl := NewTable(Options{})
+	snap := e.Snapshot()
+	defer snap.Close()
+	s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perms := make([]model.Privilege, n)
+	for i := range perms {
+		perms[i] = model.Perm("read", fmt.Sprintf("obj%d", i))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, perm := range perms {
+		if ok, err := tbl.Check(snap, s.ID, perm); err != nil || ok {
+			t.Fatalf("check %s: %v %v", perm, ok, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("%d distinct checks allocated %d bytes, budget %d", n, got, budget)
+	}
+}
+
+// TestCheckNeverAllowsThroughADroppedRole races checks against a writer that
+// activates staff (the only role reaching write t3) and drops it again with
+// Deactivate or Update, letting the checkers run a few checks after each
+// drop. A check that starts after the drop returned and ends before the next
+// activation began must deny. Run under -race.
+func TestCheckNeverAllowsThroughADroppedRole(t *testing.T) {
+	e := engine.New(hospitalFixture(t), engine.Strict)
+	tbl := NewTable(Options{})
+	snap := e.Snapshot()
+	defer snap.Close()
+	s, err := tbl.Create(snap, policy.UserDiana, []string{policy.RoleNurse})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// phase is odd from the moment a drop returns until the next activation
+	// is about to start.
+	var phase, checks atomic.Uint64
+	phase.Store(1)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p0 := phase.Load()
+				ok, err := tbl.Check(snap, s.ID, policy.PermWriteT3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if ok && p0%2 == 1 && phase.Load() == p0 {
+					t.Errorf("check allowed write t3 through staff, dropped before the check began (phase %d)", p0)
+					return
+				}
+				checks.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		phase.Add(1)
+		if err := tbl.Activate(snap, s.ID, policy.RoleStaff); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := tbl.Check(snap, s.ID, policy.PermWriteT3); err != nil || !ok {
+			t.Fatalf("write t3 denied with staff active: %v", err)
+		}
+		if i%2 == 0 {
+			err = tbl.Deactivate(s.ID, policy.RoleStaff)
+		} else {
+			_, err = tbl.Update(snap, s.ID, nil, []string{policy.RoleStaff})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		phase.Add(1)
+		for want := checks.Load() + 4; checks.Load() < want && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	checkAgainstOracle(t, e, tbl, s, probePerms)
 }
 
 // TestCheckConcurrentChurn hammers Check from many goroutines while a
