@@ -136,3 +136,77 @@ func TestVerdictNewerWinsConcurrently(t *testing.T) {
 		t.Fatal("an older verdict overwrote the newest")
 	}
 }
+
+// The tests below carry the scenarios of the deleted decision.Cache over to
+// the Verdict word, which applies the same validity rules.
+
+// TestGetMissOnEmpty: an empty word misses under any generation and floors.
+func TestGetMissOnEmpty(t *testing.T) {
+	var v Verdict
+	for _, f := range [][3]uint64{{0, 0, 0}, {1, 0, 0}, {1, 1, 1}, {maxVerdictGen, 0, maxVerdictGen}} {
+		if _, _, ok := v.Get(f[0], f[1], f[2]); ok {
+			t.Fatalf("empty verdict hit at Get(%d, %d, %d)", f[0], f[1], f[2])
+		}
+	}
+}
+
+func TestPutGetRoundTrip(t *testing.T) {
+	var pos, neg Verdict
+	pos.Put(3, true, 42)
+	just, allowed, ok := pos.Get(3, 0, 0)
+	if !ok || !allowed || just != 42 {
+		t.Fatalf("got (%d,%v,%v)", just, allowed, ok)
+	}
+	neg.Put(3, false, 0)
+	if _, allowed, ok := neg.Get(5, 0, 3); !ok || allowed {
+		t.Fatal("negative verdict lost")
+	}
+}
+
+func TestGenerationVisibility(t *testing.T) {
+	var v Verdict
+	v.Put(10, true, 1)
+	// A snapshot older than the verdict cannot see it.
+	if _, _, ok := v.Get(9, 0, 0); ok {
+		t.Fatal("verdict from the future served to an older snapshot")
+	}
+	// A snapshot at or after the verdict's generation can.
+	if _, _, ok := v.Get(10, 0, 0); !ok {
+		t.Fatal("verdict invisible at its own generation")
+	}
+	if _, _, ok := v.Get(99, 0, 0); !ok {
+		t.Fatal("verdict invisible at a later generation")
+	}
+}
+
+func TestFloors(t *testing.T) {
+	var pos, neg Verdict
+	pos.Put(5, true, 9)
+	neg.Put(5, false, 0)
+	// Positive survives a later additive delta (posFloor stays, negFloor moves).
+	if _, allowed, ok := pos.Get(6, 0, 6); !ok || !allowed {
+		t.Fatal("positive did not survive an additive delta")
+	}
+	// Negative does not survive an additive delta.
+	if _, _, ok := neg.Get(6, 0, 6); ok {
+		t.Fatal("negative survived an additive delta")
+	}
+	// Nothing survives a removal (both floors move).
+	if _, _, ok := pos.Get(7, 7, 7); ok {
+		t.Fatal("positive survived a removal")
+	}
+	if _, _, ok := neg.Get(7, 7, 7); ok {
+		t.Fatal("negative survived a removal")
+	}
+}
+
+func TestNewerEntryKept(t *testing.T) {
+	var v Verdict
+	v.Put(10, true, 1)
+	if v.Put(4, false, 0) { // stale write loses
+		t.Fatal("an older write reported stored")
+	}
+	if _, allowed, ok := v.Get(10, 0, 0); !ok || !allowed {
+		t.Fatal("newer verdict was clobbered by an older write")
+	}
+}

@@ -130,10 +130,23 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// formerCacheSettings name the subtests of TestCheckTracksPolicyChurn and
+// TestCheckAllocs after the two verdict-cache settings the table had before
+// the cache was deleted: the default (0) and off (-1). Both now build the
+// one table there is, NewTable(Options{}); the names stay so each subtest
+// keeps its history.
+var formerCacheSettings = []string{"cacheSlots=0", "cacheSlots=-1"}
+
 // TestCheckTracksPolicyChurn drives activations, grants and revocations and
 // asserts Check stays verdict-identical to the recomputed oracle after every
 // mutation — the floors/bitset invalidation contract.
 func TestCheckTracksPolicyChurn(t *testing.T) {
+	for _, name := range formerCacheSettings {
+		t.Run(name, checkTracksPolicyChurn)
+	}
+}
+
+func checkTracksPolicyChurn(t *testing.T) {
 	pol := hospitalFixture(t)
 	// fresh is no vertex until root grants it to nurse.
 	fresh := model.Perm("audit", "t9")
@@ -416,6 +429,12 @@ func TestRegistryPerTenantTables(t *testing.T) {
 // TestCheckAllocs pins the fast-path contract: a warm check allocates
 // nothing, for a privilege of the policy and for one that is no vertex.
 func TestCheckAllocs(t *testing.T) {
+	for _, name := range formerCacheSettings {
+		t.Run(name, checkAllocs)
+	}
+}
+
+func checkAllocs(t *testing.T) {
 	e := engine.New(hospitalFixture(t), engine.Strict)
 	tbl := NewTable(Options{})
 	snap := e.Snapshot()
