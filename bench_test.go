@@ -78,15 +78,18 @@ func BenchmarkOrderingPolicySize(b *testing.B) {
 }
 
 func BenchmarkClosureBuild(b *testing.B) {
-	for _, n := range []int{16, 256, 1024} {
-		b.Run(fmt.Sprintf("roles=%d", n), func(b *testing.B) {
-			p := workload.Chain(n)
-			b.ResetTimer()
+	build := func(name string, p *policy.Policy) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.NewDecider(p)
 			}
 		})
 	}
+	for _, n := range []int{16, 256, 1024} {
+		build(fmt.Sprintf("roles=%d", n), workload.Chain(n))
+	}
+	// A write-heavy tenant's shape: most vertices are users, which are sources.
+	build("users=2048", workload.ChurnPolicy(64, 2048))
 }
 
 // --- E6: weaker-set enumeration ------------------------------------------

@@ -8,6 +8,10 @@
 //
 // Vertices are interned: callers add string keys and receive dense integer
 // IDs, which keeps reachability queries allocation-free on the hot path.
+//
+// The closure keeps a column only for a vertex with a predecessor: no edge
+// of UA ∪ RH ∪ PA enters a user, so users, most of a large policy's
+// vertices, are sources and take none (see Closure).
 package graph
 
 import (
@@ -394,15 +398,22 @@ func (g *Digraph) Path(from, to string) []string {
 // Closure is a materialised reflexive-transitive closure snapshot of a
 // Digraph, valid for the generation at which it was built or last updated.
 //
+// Every vertex has a bit-row, but only a vertex with a predecessor has a
+// column: a source is reached by nothing but itself, which Reaches answers
+// from f == t, so a bit for it would always be zero. In a policy graph no
+// edge of UA ∪ RH ∪ PA enters a user, so every user is a source and the
+// rows are as wide as the roles and privileges, not the vertex count.
+//
 // A Closure is incrementally maintainable: Update replays the digraph's
-// mutation log since the closure's generation. Edge insertions are applied
-// by OR-ing the target's bit-row into the source's row and propagating the
-// change to every (transitive) predecessor whose row grows, via a worklist
-// over the predecessor lists — a monotone fixpoint that is correct even when
-// the new edge merges strongly connected components. New vertices append a
-// reflexive row while they fit the allocated row stride. Edge removals are
-// not monotone, so they (and log-window overruns or stride overflow) fall
-// back to a full rebuild.
+// mutation log since the closure's generation. A new vertex appends an empty
+// row and takes no column. An edge into a vertex that has no column first
+// promotes it: it takes the next column and its own bit. The edge is then
+// applied by OR-ing the target's bit-row into the source's row and
+// propagating the change to every (transitive) predecessor whose row grows,
+// via a worklist over the predecessor lists — a monotone fixpoint that is
+// correct even when the new edge merges strongly connected components. Edge
+// removals are not monotone, so they (and log-window overruns, or a
+// promotion that finds the stride full) fall back to a full rebuild.
 //
 // A Closure is not safe for concurrent use with Update; concurrent Reaches
 // calls on a quiescent closure are safe.
@@ -410,8 +421,10 @@ type Closure struct {
 	g          *Digraph
 	generation uint64
 	n          int
+	col        []int32  // vertex id → column, or -1 for a vertex with none
+	m          int      // columns given
 	bits       []uint64 // n rows of `words` words each
-	words      int      // row stride; allocated with headroom for vertex growth
+	words      int      // row stride; allocated with headroom for promotions
 
 	// scratch state reused across incremental updates.
 	inWork []bool
@@ -429,13 +442,23 @@ func NewClosure(g *Digraph) *Closure {
 
 // rebuild recomputes the closure from scratch at the digraph's current
 // generation, in reverse topological order of the SCC condensation so each
-// row is computed once.
+// row is computed once. Columns go in id order to the vertices that have a
+// predecessor.
 func (c *Closure) rebuild() {
 	g := c.g
 	n := g.NumVertices()
-	// Allocate the row stride with headroom so vertex additions can be
-	// applied incrementally without re-laying-out every row.
-	words := (n + n/2 + 64 + 63) / 64
+	c.col = make([]int32, n)
+	c.m = 0
+	for v, p := range g.pred {
+		c.col[v] = -1
+		if len(p) > 0 {
+			c.col[v] = int32(c.m)
+			c.m++
+		}
+	}
+	// Allocate the row stride with headroom so promotions can be applied
+	// incrementally without re-laying-out every row.
+	words := (c.m + c.m/2 + 64 + 63) / 64
 	c.generation = g.generation
 	c.n = n
 	c.words = words
@@ -448,7 +471,9 @@ func (c *Closure) rebuild() {
 		}
 		// Union of all out-of-SCC successors' rows, then the members.
 		for _, v := range scc {
-			row[v/64] |= 1 << (v % 64)
+			if k := c.col[v]; k >= 0 {
+				row[k/64] |= 1 << (k % 64)
+			}
 		}
 		cid := comp[scc[0]]
 		for _, v := range scc {
@@ -471,8 +496,8 @@ func (c *Closure) rebuild() {
 // Update brings the closure up to date with its digraph. It reports whether
 // the delta was purely additive — i.e. it was applied incrementally and
 // reachability only grew. A false return means a full rebuild happened
-// (edge removal, log window exceeded, or row-stride overflow); the closure
-// is current either way.
+// (edge removal, log window exceeded, or no column left for a promotion);
+// the closure is current either way.
 func (c *Closure) Update() (additive bool) {
 	if c.generation == c.g.generation {
 		return true
@@ -483,47 +508,40 @@ func (c *Closure) Update() (additive bool) {
 		return false
 	}
 	for _, m := range entries {
-		if m.kind == mutRemoveEdge {
+		if m.kind == mutAddVertex {
+			// Vertex additions are logged in id order, so rows stay contiguous.
+			c.bits = append(c.bits, make([]uint64, c.words)...)
+			c.col = append(c.col, -1)
+			c.n++
+		} else if m.kind == mutRemoveEdge || !c.addEdge(int(m.f), int(m.t)) {
+			// A removal is not monotone: whatever the window applied so far
+			// is discarded with the rest.
 			c.rebuild()
 			return false
-		}
-		if m.kind == mutAddVertex && int(m.f) >= c.words*64 {
-			c.rebuild()
-			return false
-		}
-	}
-	for _, m := range entries {
-		switch m.kind {
-		case mutAddVertex:
-			c.growTo(int(m.f) + 1)
-		case mutAddEdge:
-			c.addEdge(int(m.f), int(m.t))
 		}
 	}
 	c.generation = c.g.generation
 	return true
 }
 
-// growTo appends reflexive rows for vertices [c.n, n). Vertex additions are
-// logged in id order, so rows stay contiguous.
-func (c *Closure) growTo(n int) {
-	for v := c.n; v < n; v++ {
-		row := make([]uint64, c.words)
-		row[v/64] |= 1 << (v % 64)
-		c.bits = append(c.bits, row...)
-	}
-	if n > c.n {
-		c.n = n
-	}
-}
-
-// addEdge ORs t's row into f's row and propagates to every predecessor whose
-// row changes. Rows grow monotonically, so the worklist converges; cycles
-// (SCC merges) simply saturate the merged component's rows.
-func (c *Closure) addEdge(f, t int) {
+// addEdge promotes t if it has no column, then ORs t's row into f's row and
+// propagates to every predecessor whose row changes. Rows grow monotonically,
+// so the worklist converges; cycles (SCC merges) simply saturate the merged
+// component's rows. It reports false, having changed nothing, when t needs a
+// column and the stride has none left.
+func (c *Closure) addEdge(f, t int) bool {
 	words := c.words
+	if c.col[t] < 0 {
+		// Nothing reached t before this edge, so no other row needs its bit.
+		if c.m == words*64 {
+			return false
+		}
+		c.col[t] = int32(c.m)
+		c.bits[t*words+c.m/64] |= 1 << (c.m % 64)
+		c.m++
+	}
 	if !c.orRow(f, c.bits[t*words:(t+1)*words]) {
-		return
+		return true
 	}
 	if cap(c.inWork) < c.n {
 		c.inWork = make([]bool, c.n+c.n/2+8)
@@ -553,6 +571,7 @@ func (c *Closure) addEdge(f, t int) {
 		}
 	}
 	c.work = work
+	return true
 }
 
 // orRow ORs src into vertex v's row, reporting whether any bit changed.
@@ -572,7 +591,7 @@ func (c *Closure) orRow(v int, src []uint64) bool {
 func (c *Closure) Generation() uint64 { return c.generation }
 
 // Reaches reports reflexive-transitive reachability using the materialised
-// closure.
+// closure: a vertex with no column is reached only by itself.
 func (c *Closure) Reaches(f, t int) bool {
 	if c.generation != c.g.generation {
 		panic("graph: stale closure used after mutation")
@@ -583,7 +602,8 @@ func (c *Closure) Reaches(f, t int) bool {
 	if f < 0 || t < 0 || f >= c.n || t >= c.n {
 		return false
 	}
-	return c.bits[f*c.words+t/64]&(1<<(t%64)) != 0
+	k := int(c.col[t])
+	return k >= 0 && c.bits[f*c.words+k/64]&(1<<(k%64)) != 0
 }
 
 // SCC computes strongly connected components with Tarjan's algorithm.
@@ -681,33 +701,6 @@ func (g *Digraph) LongestChain() int {
 		best = max(best, longest[i])
 	}
 	return best
-}
-
-// IsAcyclic reports whether g has no directed cycles (self-loops count as
-// cycles).
-func (g *Digraph) IsAcyclic() bool {
-	for f, s := range g.succ {
-		if slices.Contains(s, f) {
-			return false
-		}
-	}
-	_, components := g.SCC()
-	return len(components) == g.NumVertices()
-}
-
-// TopoSort returns vertex IDs in a topological order, or an error if g is
-// cyclic.
-func (g *Digraph) TopoSort() ([]int, error) {
-	if !g.IsAcyclic() {
-		return nil, fmt.Errorf("graph: cycle detected, no topological order")
-	}
-	_, components := g.SCC()
-	out := make([]int, 0, g.NumVertices())
-	// components are in reverse topological order; flatten reversed.
-	for i := len(components) - 1; i >= 0; i-- {
-		out = append(out, components[i][0])
-	}
-	return out, nil
 }
 
 // DOT renders the graph in Graphviz DOT syntax. labels may be nil, in which

@@ -209,42 +209,6 @@ func TestSCC(t *testing.T) {
 	}
 }
 
-func TestIsAcyclicAndTopoSort(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	if !g.IsAcyclic() {
-		t.Fatal("acyclic graph reported cyclic")
-	}
-	order, err := g.TopoSort()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range g.Edges() {
-		if pos[e[0]] >= pos[e[1]] {
-			t.Errorf("topological order violated for edge %v", e)
-		}
-	}
-
-	g.AddEdge("c", "a")
-	if g.IsAcyclic() {
-		t.Fatal("cyclic graph reported acyclic")
-	}
-	if _, err := g.TopoSort(); err == nil {
-		t.Fatal("TopoSort on cyclic graph should error")
-	}
-
-	h := New()
-	h.AddEdge("x", "x")
-	if h.IsAcyclic() {
-		t.Fatal("self-loop should count as a cycle")
-	}
-}
-
 func TestLongestChain(t *testing.T) {
 	g := New()
 	// Chain of 4 edges plus a short branch.

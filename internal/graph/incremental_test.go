@@ -138,10 +138,42 @@ func TestClosureUpdateLogWindowFallback(t *testing.T) {
 	}
 }
 
+// agreesWithDFS checks every pair of c, which must be current, against a
+// freshly built closure and against the digraph's own DFS.
+func agreesWithDFS(t *testing.T, c *Closure, g *Digraph, ctx string) {
+	t.Helper()
+	if c.Generation() != g.Generation() {
+		t.Fatalf("%s: closure not caught up", ctx)
+	}
+	n := g.NumVertices()
+	equalClosures(t, c, NewClosure(g), n, ctx)
+	for f := 0; f < n; f++ {
+		for to := 0; to < n; to++ {
+			if got, want := c.Reaches(f, to), g.ReachesID(f, to); got != want {
+				t.Fatalf("%s: Reaches(%d,%d) = %v, DFS says %v", ctx, f, to, got, want)
+			}
+		}
+	}
+}
+
+// sourceOf returns a vertex with no predecessor, or -1 if there is none.
+func sourceOf(g *Digraph, rng *rand.Rand) int {
+	n := g.NumVertices()
+	for i, s := 0, rng.Intn(n); i < n; i++ {
+		if v := (s + i) % n; len(g.Predecessors(v)) == 0 {
+			return v
+		}
+	}
+	return -1
+}
+
 // TestClosureUpdateRandomized replays random mutation traces and checks the
-// incrementally maintained closure against a freshly built one. Windows of
-// several mutations are replayed at once (the engine's spare replicas catch
-// up on multi-command windows), interleaved with single-step updates.
+// incrementally maintained closure against a freshly built one and against
+// DFS. Windows of several mutations are replayed at once (the engine's spare
+// replicas catch up on multi-command windows), interleaved with single-step
+// updates. Sources — vertices with no column — gain their first predecessor
+// inside those windows, sometimes through a self-loop; a last case fills the
+// row stride so that a promotion has to rebuild.
 func TestClosureUpdateRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -155,8 +187,17 @@ func TestClosureUpdateRandomized(t *testing.T) {
 			// Batch 1–5 mutations into one replay window.
 			for k := 1 + rng.Intn(5); k > 0; k-- {
 				switch r := rng.Float64(); {
-				case r < 0.70:
+				case r < 0.55:
 					g.AddEdgeID(rng.Intn(n), rng.Intn(n))
+				case r < 0.70:
+					// A source gains its first predecessor, sometimes itself.
+					if s := sourceOf(g, rng); s >= 0 {
+						from := rng.Intn(n)
+						if rng.Intn(4) == 0 {
+							from = s
+						}
+						g.AddEdgeID(from, s)
+					}
 				case r < 0.85 && g.NumEdges() > 0:
 					es := g.Edges()
 					e := es[rng.Intn(len(es))]
@@ -164,18 +205,70 @@ func TestClosureUpdateRandomized(t *testing.T) {
 				default:
 					id := g.AddVertex(fmt.Sprintf("v%d", n))
 					n++
-					// A late vertex sometimes points back into the old graph,
-					// so earlier window entries see it as a head predecessor.
-					if rng.Intn(2) == 0 {
+					switch rng.Intn(4) {
+					case 0:
+						// A late vertex points back into the old graph, so
+						// earlier window entries see it as a head predecessor.
 						g.AddEdgeID(id, rng.Intn(n))
+					case 1:
+						g.AddEdgeID(rng.Intn(n), id)
+					case 2:
+						g.AddEdgeID(id, id)
 					}
 				}
 			}
 			c.Update()
-			if c.Generation() != g.Generation() {
-				t.Fatalf("trial %d step %d: closure not caught up", trial, step)
-			}
-			equalClosures(t, c, NewClosure(g), n, fmt.Sprintf("trial %d step %d", trial, step))
+			agreesWithDFS(t, c, g, fmt.Sprintf("trial %d step %d", trial, step))
+		}
+	}
+
+	// 100 sources give a one-word stride; one window then chains them, so
+	// each gains a predecessor and the 65th promotion finds no column left.
+	g := New()
+	for i := 0; i < 100; i++ {
+		g.AddVertex(fmt.Sprintf("v%d", i))
+	}
+	c := NewClosure(g)
+	if c.words != 1 {
+		t.Fatalf("100 sources got a %d-word stride, want 1", c.words)
+	}
+	for i := 1; i < 100; i++ {
+		g.AddEdgeID(i-1, i)
+	}
+	if c.Update() {
+		t.Fatal("promotions past the stride were applied without a rebuild")
+	}
+	agreesWithDFS(t, c, g, "stride full")
+}
+
+// TestClosureRowsSkipSources pins the layout on a write-heavy tenant's
+// shape: 2 048 users assigned into a 64-role chain. Only the roles have a
+// predecessor, so a row is three words (a column per vertex kept 862 KB of
+// rows), and users joining later never force a rebuild.
+func TestClosureRowsSkipSources(t *testing.T) {
+	g := New()
+	for i := 1; i < 64; i++ {
+		g.AddEdge(fmt.Sprintf("r%d", i-1), fmt.Sprintf("r%d", i))
+	}
+	for i := 0; i < 2048; i++ {
+		g.AddEdge(fmt.Sprintf("u%d", i), "r0")
+	}
+	c := NewClosure(g)
+	if kb := len(c.bits) * 8 / 1024; kb > 64 {
+		t.Fatalf("closure keeps %d KB of rows, want ≤ 64", kb)
+	}
+	for i := 2048; i < 2048+4096; i++ {
+		g.AddEdge(fmt.Sprintf("u%d", i), fmt.Sprintf("r%d", i%64))
+		if !c.Update() {
+			t.Fatalf("source u%d forced a rebuild", i)
+		}
+	}
+	for _, q := range []struct {
+		f, t string
+		want bool
+	}{{"u5", "r63", true}, {"r0", "u5", false}, {"u3000", "r63", true}, {"u3000", "r0", false}, {"u5", "u3000", false}} {
+		if got := c.Reaches(g.Lookup(q.f), g.Lookup(q.t)); got != q.want {
+			t.Errorf("Reaches(%s, %s) = %v, want %v", q.f, q.t, got, q.want)
 		}
 	}
 }
