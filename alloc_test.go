@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,10 +17,10 @@ import (
 )
 
 // TestAuthorizeAllocs pins the zero-allocation contract of every in-process
-// authorize path the service is built on: once the interner, fingerprint
-// tables and pooled deciders are warm, a decision allocates nothing — on a
-// decision-cache hit, through the full uncached Definition-5 and §4.1
-// procedures, on a command's first sight (uninterned: the doorkeeper says
+// authorize path the service is built on: once the interner, the commands'
+// vertex resolutions and pooled deciders are warm, a decision allocates
+// nothing — on a decision-cache hit, through the full uncached Definition-5
+// and §4.1 procedures, on a command's first sight (uninterned: the doorkeeper says
 // "not yet"), through the tenant registry (single and batched), and on a
 // caught-up follower's replayed engine. The one row with a large budget,
 // registry/cold-open, pins what opening a non-resident tenant allocates. Sibling pins: internal/session
@@ -201,8 +202,7 @@ func TestAuthorizeAllocs(t *testing.T) {
 					t.Fatalf("authorize: ok=%v err=%v", res.OK, err)
 				}
 			}
-			// Not 0: a vertex, a closure and a fingerprint table are built per
-			// open. 3 398 when the snapshot was JSON and the policy kept maps
+			// Not 0: a vertex and a closure are built per open. 3 398 when the snapshot was JSON and the policy kept maps
 			// beside its graph; about 450 now, the boxed vertices two thirds of
 			// them. No verdict table is among them: verdicts live in the
 			// interned commands.
@@ -288,5 +288,61 @@ func TestColdBatchBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 300_000 {
 		t.Fatalf("evict + cold batch allocates %d bytes per op, want at most 300 000", perOp)
+	}
+}
+
+// TestInternedCommandBytes pins what interned commands keep alive in a
+// refined engine: 4 096 commands on the bulk-cold fixture (256 roles × 64
+// users), interned while two readers decide them concurrently, retain at
+// most 1 MB, engine, policy and closures included. A command's vertex
+// resolutions are kept once per engine, in its FPInfo; while every decider
+// kept its own table of them and every command a boxed privilege, the same
+// engine retained 1.3–1.7 MB, by how far the readers' batches overlapped.
+func TestInternedCommandBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	const roles, users, n, k = 256, 64, 4096, 256
+	slab := firstSightSlab(0, n, users, roles)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := engine.New(workload.ChurnPolicy(roles, users), engine.Refined)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]engine.AuthzResult, 0, k)
+			<-start
+			// Two passes: the doorkeeper interns a command on its second sight.
+			for pass := 0; pass < 2; pass++ {
+				for off := 0; off < n; off += k {
+					s := e.Snapshot()
+					out = s.AuthorizeBatchInto(slab[off:off+k], out[:0])
+					s.Close()
+					for j, res := range out {
+						if res.OK != (j%2 == 0) {
+							t.Errorf("command %d: allowed=%v", off+j, res.OK)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := e.CacheStats().Slots; got != n {
+		t.Fatalf("%d commands interned, want %d", got, n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("retained %d bytes, %d per command", kept, kept/n)
+	if kept > 1<<20 {
+		t.Fatalf("an engine with %d interned commands retains %d bytes, want at most %d", n, kept, 1<<20)
 	}
 }

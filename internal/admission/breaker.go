@@ -12,9 +12,6 @@ import (
 // place of a doomed upstream call.
 var ErrBreakerOpen = errors.New("admission: circuit breaker open")
 
-// IsBreakerOpen reports whether err is a breaker fast-failure.
-func IsBreakerOpen(err error) bool { return errors.Is(err, ErrBreakerOpen) }
-
 // BreakerOptions configures a Breaker. The zero value gets sane defaults.
 type BreakerOptions struct {
 	// Threshold is the consecutive-failure count that trips the breaker

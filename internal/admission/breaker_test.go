@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -38,7 +39,7 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if !b.Open() {
 		t.Fatal("not open after threshold consecutive failures")
 	}
-	if err := b.Allow(); !IsBreakerOpen(err) {
+	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow while open = %v, want ErrBreakerOpen", err)
 	}
 	if b.RetryAfter() <= 0 {
@@ -67,7 +68,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	}
 	// Probe in flight: everyone else still refused, and the peek stays
 	// open so write-forwarding keeps shedding.
-	if err := b.Allow(); !IsBreakerOpen(err) {
+	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("second caller during probe = %v, want ErrBreakerOpen", err)
 	}
 	if !b.Open() {

@@ -261,25 +261,3 @@ func RunOn(p *policy.Policy, q Queue, auth Authorizer) (*policy.Policy, []StepRe
 	trace := Run(c, q, auth)
 	return c, trace
 }
-
-// Changed reports how many steps in a trace actually mutated the policy.
-func Changed(trace []StepResult) int {
-	n := 0
-	for _, s := range trace {
-		if s.Outcome == Applied {
-			n++
-		}
-	}
-	return n
-}
-
-// DeniedCount reports how many steps were denied.
-func DeniedCount(trace []StepResult) int {
-	n := 0
-	for _, s := range trace {
-		if s.Outcome == Denied {
-			n++
-		}
-	}
-	return n
-}

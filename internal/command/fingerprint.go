@@ -21,10 +21,10 @@ import (
 // chunked entry storage: lookups of already-interned values cost one
 // structural hash plus a short probe with zero allocations and no lock,
 // which is what keeps the engine's authorize hot path allocation-free.
-// First-time interning takes a mutex, boxes the authorizing privilege — the
-// one thing the decision kernel needs that a Command does not already hold —
-// and publishes the entry with an atomic slot store, so that cost is paid
-// once per distinct command, not once per query.
+// First-time interning takes a mutex, fills the entry and publishes it with
+// an atomic slot store, so that cost is paid once per distinct command, not
+// once per query. A slot holds an entry id and a tag of the hash's top bits,
+// so a probe loads only the entries whose tag matches.
 //
 // Entries live in chunks that never move; chunk k of a side holds 64·2^k
 // entries and is allocated when its first entry lands, so storage grows with
@@ -42,27 +42,43 @@ type Fingerprint uint32
 type PrivID uint32
 
 // FPInfo is everything the authorization kernel needs about one interned
-// command, resolved once at intern time. Fields are immutable after
-// publication, except Verdict.
+// command. FP and Cmd are immutable after publication; the rest is resolved
+// on first need and shared by every reader of the interning engine.
 type FPInfo struct {
 	// FP is the command's fingerprint.
 	FP Fingerprint
+	// meta holds the well-formed bit and, once the strict path has needed
+	// it, the interned id of the authorizing privilege (see PrivilegeOf):
+	// one word for both keeps an entry at 96 bytes.
+	meta atomic.Uint32
 	// Cmd is the interned command.
 	Cmd Command
-	// Priv is the boxed authorizing privilege a(v, v') of Definition 5, nil
-	// when the command is ill-formed (no grammatical privilege speaks about
-	// its edge). Returning this interface value re-uses the one boxing done
-	// at intern time. Its canonical key and interned id are deliberately NOT
-	// precomputed: only strict-mode consumers need them, and they derive
-	// them lazily (Priv.Key(), Interner.PrivilegeID) so refined-mode
-	// interning stays cheap on single-use commands.
-	Priv model.Privilege
 
 	hash uint64
 	// Verdict is the interning engine's cached decision (package decision),
 	// beside hash: a hit reads the cache line the lookup just loaded.
 	Verdict decision.Verdict
+
+	// Actor, Src and Dst are the graph vertex ids of the command's actor,
+	// edge source and edge destination, and PrivV that of its authorizing
+	// privilege; -1 until resolved, and PrivV -2-n once the privilege was
+	// found absent from a graph of n vertices (see core.Decider.AuthorizeFP).
+	// They are kept once per engine, not once per decider: every replica of
+	// an engine gives a vertex the same id, so an id resolved on one replica
+	// holds on all of them, or names a vertex a lagging one does not have
+	// yet.
+	Actor, Src, Dst, PrivV atomic.Int32
 }
+
+// wellFormed marks, in FPInfo.meta, a command whose authorizing privilege is
+// grammatical; the bits below it hold the privilege's PrivID, 0 until
+// interned.
+const wellFormed = 1 << 31
+
+// WellFormed reports whether some grammatical privilege a(v, v') speaks about
+// the command's edge (Definition 5); an ill-formed command is denied in
+// every regime.
+func (i *FPInfo) WellFormed() bool { return i.meta.Load()&wellFormed != 0 }
 
 // privEntry is one interned privilege term.
 type privEntry struct {
@@ -71,13 +87,16 @@ type privEntry struct {
 }
 
 const (
+	// idBits holds an entry id in a slot; the bits above it hold the tag.
+	idBits = 21
+	idMask = 1<<idBits - 1
 	// chunk0Bits sizes the first entry chunk (64 entries); chunk k holds
 	// 64<<k.
 	chunk0Bits = 6
 	chunk0Len  = 1 << chunk0Bits
 	// maxEntries bounds each interner side so an adversarial stream of
 	// distinct commands cannot grow memory without bound; commands beyond
-	// the cap are served by the uninterned slow path.
+	// the cap are served by the uninterned slow path. Ids fit idBits.
 	maxEntries = 1 << 20
 	// numChunks covers maxEntries: chunks 0–13 hold all but the last 64
 	// entries, and chunk 14 is allocated at just that length.
@@ -149,8 +168,8 @@ func (s *entries[T]) publish(h uint64, id uint32) {
 // values are lock-free and allocation-free.
 //
 // Admission is gated by a doorkeeper (the TinyLFU idea): a command is only
-// interned on its *second* sight. Interned state is immortal — entry
-// structs, boxed privileges, per-decider fingerprint tables — so admitting
+// interned on its *second* sight. Interned state is immortal — an entry, its
+// slot and its vertex resolutions — so admitting
 // single-use commands would grow the live heap (and the GC's marking bill)
 // linearly with traffic while the cache never hits. First sight marks two
 // bits of the command's structural hash in a compact filter and reports
@@ -218,12 +237,17 @@ func setBit(w *atomic.Uint64, m uint64) (newly bool) {
 }
 
 // slotTable is one generation of an open-addressing index: values are entry
-// ids (index+1 into the chunked storage, 0 = empty), written with atomic
-// stores after the corresponding entry is fully populated, so a reader that
-// observes a slot observes a complete entry.
+// ids (index+1 into the chunked storage, 0 = empty) in the low idBits, under
+// the tag of the entry's hash, written with atomic stores after the
+// corresponding entry is fully populated, so a reader that observes a slot
+// observes a complete entry.
 type slotTable struct {
 	slots []uint32
 }
+
+// slotTag is the tag h's entry carries in its slot: the hash's top bits,
+// which the index (taken from the low bits) does not already share.
+func slotTag(h uint64) uint32 { return uint32(h>>(64-(32-idBits))) << idBits }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
@@ -271,13 +295,16 @@ func (it *Interner) ageDoorkeeper(old *doorkeeper) {
 }
 
 func (it *Interner) findCmd(t *slotTable, h uint64, c Command) *FPInfo {
-	mask := uint32(len(t.slots) - 1)
+	mask, tag := uint32(len(t.slots)-1), slotTag(h)
 	for i, n := uint32(h)&mask, 0; n < len(t.slots); i, n = (i+1)&mask, n+1 {
 		v := atomic.LoadUint32(&t.slots[i])
 		if v == 0 {
 			return nil
 		}
-		info := it.cmds.at(v)
+		if v&^idMask != tag {
+			continue
+		}
+		info := it.cmds.at(v & idMask)
 		if info.hash == h && equalCommand(info.Cmd, c) {
 			return info
 		}
@@ -296,22 +323,47 @@ func (it *Interner) internCommand(h uint64, c Command) *FPInfo {
 		return nil
 	}
 	info.FP, info.Cmd, info.hash = Fingerprint(id), c, h
-	if priv, err := c.Privilege(); err == nil {
-		info.Priv = priv
+	if _, err := c.Privilege(); err == nil {
+		info.meta.Store(wellFormed)
 	}
+	info.Actor.Store(-1)
+	info.Src.Store(-1)
+	info.Dst.Store(-1)
+	info.PrivV.Store(-1)
 	it.cmds.publish(h, id)
 	return info
 }
 
-// storeSlot publishes id at h's probe position. Caller holds it.mu.
+// storeSlot publishes id, under h's tag, at h's probe position. Caller holds
+// it.mu.
 func storeSlot(t *slotTable, h uint64, id uint32) {
 	mask := uint32(len(t.slots) - 1)
 	for i := uint32(h) & mask; ; i = (i + 1) & mask {
 		if t.slots[i] == 0 {
-			atomic.StoreUint32(&t.slots[i], id)
+			atomic.StoreUint32(&t.slots[i], id|slotTag(h))
 			return
 		}
 	}
+}
+
+// PrivilegeOf returns the authorizing privilege of a well-formed interned
+// command, nil for an ill-formed one. The privilege is interned on first
+// need and its id kept in info, so the strict path's justification is boxed
+// once per engine, not once per decision.
+func (it *Interner) PrivilegeOf(info *FPInfo) model.Privilege {
+	if id := PrivID(info.meta.Load() &^ wellFormed); id != 0 {
+		return it.Privilege(id)
+	}
+	p, err := info.Cmd.Privilege()
+	if err != nil {
+		return nil
+	}
+	id := it.PrivilegeID(p)
+	if id == 0 {
+		return p // the privilege side is full
+	}
+	info.meta.Store(wellFormed | uint32(id))
+	return it.Privilege(id)
 }
 
 // PrivilegeID interns p (or finds it) and returns its id; 0 for nil p or a
@@ -330,15 +382,17 @@ func (it *Interner) PrivilegeID(p model.Privilege) PrivID {
 }
 
 func (it *Interner) findPriv(t *slotTable, h uint64, p model.Privilege) PrivID {
-	mask := uint32(len(t.slots) - 1)
+	mask, tag := uint32(len(t.slots)-1), slotTag(h)
 	for i, n := uint32(h)&mask, 0; n < len(t.slots); i, n = (i+1)&mask, n+1 {
 		v := atomic.LoadUint32(&t.slots[i])
 		if v == 0 {
 			return 0
 		}
-		e := it.privs.at(v)
-		if e.hash == h && equalVertex(e.priv, p) {
-			return PrivID(v)
+		if v&^idMask != tag {
+			continue
+		}
+		if e := it.privs.at(v & idMask); e.hash == h && equalVertex(e.priv, p) {
+			return PrivID(v & idMask)
 		}
 	}
 	return 0

@@ -3,6 +3,7 @@ package command
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -54,16 +55,31 @@ func TestFingerprintIdentity(t *testing.T) {
 	if ia != ib {
 		t.Fatal("re-interning returned a different info")
 	}
-	if ia.Priv == nil {
-		t.Fatalf("well-formed command lost its privilege: %+v", ia)
-	}
-	pid := it.PrivilegeID(ia.Priv)
+	priv := privilegeOf(t, it, ia)
+	pid := it.PrivilegeID(priv)
 	if pid == 0 {
 		t.Fatal("privilege not internable")
 	}
-	if got := it.Privilege(pid); !model.SamePrivilege(got, ia.Priv) {
-		t.Fatalf("privilege round trip: %v != %v", got, ia.Priv)
+	if got := it.Privilege(pid); !model.SamePrivilege(got, priv) {
+		t.Fatalf("privilege round trip: %v != %v", got, priv)
 	}
+	if got := it.PrivilegeOf(ia); got != it.Privilege(pid) {
+		t.Fatalf("PrivilegeOf = %v, want the interned %v", got, priv)
+	}
+}
+
+// privilegeOf returns an interned command's authorizing privilege, failing
+// unless the info says it is well-formed and PrivilegeOf agrees.
+func privilegeOf(t *testing.T, it *Interner, info *FPInfo) model.Privilege {
+	t.Helper()
+	priv, err := info.Cmd.Privilege()
+	if err != nil || !info.WellFormed() {
+		t.Fatalf("%v: Privilege() error %v, WellFormed %v", info.Cmd, err, info.WellFormed())
+	}
+	if got := it.PrivilegeOf(info); !model.SamePrivilege(got, priv) {
+		t.Fatalf("%v: PrivilegeOf = %v, want %v", info.Cmd, got, priv)
+	}
+	return priv
 }
 
 func TestFingerprintIllFormed(t *testing.T) {
@@ -71,7 +87,7 @@ func TestFingerprintIllFormed(t *testing.T) {
 	// Role source for a UA-shaped edge target: no grammatical privilege.
 	bad := Command{Actor: "jane", Op: model.OpGrant, From: model.Perm("read", "t"), To: model.Role("r")}
 	info := intern(t, it, bad)
-	if info.Priv != nil {
+	if info.WellFormed() || it.PrivilegeOf(info) != nil {
 		t.Fatalf("ill-formed command minted a privilege: %+v", info)
 	}
 	if again := it.Command(bad); again.FP != info.FP {
@@ -99,6 +115,70 @@ func TestFingerprintGrowth(t *testing.T) {
 	}
 	if cmds, _ := it.Len(); cmds != n {
 		t.Fatalf("interned %d commands, want %d", cmds, n)
+	}
+}
+
+// TestCollidingHashes interns 1 600 commands and 1 600 privileges whose
+// hashes share their low 9 bits — one probe chain in the first 512-slot
+// table, a few long ones after each of three growths. Every entry is found
+// again under its own id at every table size, a colliding value that was
+// never interned is not found, and the slot tags of a chain tell its entries
+// apart: a tag taken from the index bits would be one value for all of them,
+// and every probe would load every entry of the chain.
+func TestCollidingHashes(t *testing.T) {
+	const n, absent, low = 1600, 8, 1<<9 - 1
+	var cmds []Command
+	var privs []model.Privilege
+	for i := 0; len(cmds) < n+absent || len(privs) < n+absent; i++ {
+		name := strconv.Itoa(i)
+		if c := Grant("jane", model.User(name), model.Role("r")); len(cmds) < n+absent && hashCommand(c)&low == 0 {
+			cmds = append(cmds, c)
+		}
+		var p model.Privilege = model.Grant(model.User(name), model.Role("s"))
+		if len(privs) < n+absent && hashVertex(fnvOffset, p)&low == 0 {
+			privs = append(privs, p)
+		}
+	}
+	it := NewInterner()
+	infos := make([]*FPInfo, n)
+	check := func(upto int) {
+		t.Helper()
+		for j := 0; j < upto; j++ {
+			if got := it.Command(cmds[j]); got != infos[j] {
+				t.Fatalf("after %d interned: command %d not found", upto, j)
+			}
+			if got := it.PrivilegeID(privs[j]); got != PrivID(j+1) {
+				t.Fatalf("after %d interned: privilege %d has id %d", upto, j, got)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		infos[i] = intern(t, it, cmds[i])
+		if id := it.PrivilegeID(privs[i]); id != PrivID(i+1) {
+			t.Fatalf("privilege %d got id %d", i, id)
+		}
+		if i+1 == 384 || i+1 == 768 || i+1 == 1536 || i+1 == n { // each table size
+			check(i + 1)
+		}
+	}
+	for j := n; j < n+absent; j++ {
+		if it.findCmd(it.cmds.slots.Load(), hashCommand(cmds[j]), cmds[j]) != nil {
+			t.Fatalf("colliding command %v found but never interned", cmds[j])
+		}
+		if it.findPriv(it.privs.slots.Load(), hashVertex(fnvOffset, privs[j]), privs[j]) != 0 {
+			t.Fatalf("colliding privilege %v found but never interned", privs[j])
+		}
+	}
+	for side, tab := range []*slotTable{it.cmds.slots.Load(), it.privs.slots.Load()} {
+		tags := map[uint32]bool{}
+		for _, v := range tab.slots {
+			if v != 0 {
+				tags[v>>idBits] = true
+			}
+		}
+		if len(tags) < n/2 {
+			t.Fatalf("side %d: %d entries carry only %d distinct tags", side, n, len(tags))
+		}
 	}
 }
 
@@ -132,7 +212,7 @@ func TestChunkBoundaries(t *testing.T) {
 		if infos[i].FP != Fingerprint(i+1) {
 			t.Fatalf("command %d got fingerprint %d", i, infos[i].FP)
 		}
-		if id := it.PrivilegeID(infos[i].Priv); id != PrivID(i+1) {
+		if id := it.PrivilegeID(privilegeOf(t, it, infos[i])); id != PrivID(i+1) {
 			t.Fatalf("privilege %d got id %d", i, id)
 		}
 	}
@@ -140,7 +220,7 @@ func TestChunkBoundaries(t *testing.T) {
 		if it.Command(info.Cmd) != info {
 			t.Fatalf("command %d moved or changed fingerprint", i)
 		}
-		if it.PrivilegeID(info.Priv) != PrivID(i+1) || !model.SamePrivilege(it.Privilege(PrivID(i+1)), info.Priv) {
+		if priv := privilegeOf(t, it, info); it.PrivilegeID(priv) != PrivID(i+1) || !model.SamePrivilege(it.Privilege(PrivID(i+1)), priv) {
 			t.Fatalf("privilege %d changed id", i)
 		}
 	}
@@ -208,7 +288,11 @@ func TestFingerprintConcurrent(t *testing.T) {
 				got[g][i] = info.FP
 				// Privilege ids are minted and resolved concurrently too, and
 				// an id another goroutine has yet to publish resolves to nil.
-				if id := it.PrivilegeID(info.Priv); !model.SamePrivilege(it.Privilege(id), info.Priv) {
+				priv, _ := c.Privilege()
+				if got := it.PrivilegeOf(info); !info.WellFormed() || !model.SamePrivilege(got, priv) {
+					t.Errorf("%v: PrivilegeOf = %v, want %v", c, got, priv)
+				}
+				if id := it.PrivilegeID(priv); !model.SamePrivilege(it.Privilege(id), priv) {
 					t.Errorf("privilege %d does not round-trip", id)
 				}
 				if p := it.Privilege(PrivID(i + 2)); p != nil && it.PrivilegeID(p) != PrivID(i+2) {
@@ -262,11 +346,11 @@ func FuzzCommandFingerprint(f *testing.F) {
 		}
 		// The resolved privilege must match what the command derives.
 		if priv, err := c1.Privilege(); err == nil {
-			if i1.Priv == nil || i1.Priv.Key() != priv.Key() {
-				t.Fatalf("info privilege %v != derived %v", i1.Priv, priv)
+			if got := it.PrivilegeOf(i1); !i1.WellFormed() || got == nil || got.Key() != priv.Key() {
+				t.Fatalf("info privilege %v (well-formed %v) != derived %v", got, i1.WellFormed(), priv)
 			}
-		} else if i1.Priv != nil {
-			t.Fatalf("ill-formed command %v minted privilege %v", c1, i1.Priv)
+		} else if i1.WellFormed() || it.PrivilegeOf(i1) != nil {
+			t.Fatalf("ill-formed command %v minted a privilege", c1)
 		}
 	})
 }

@@ -163,10 +163,14 @@ func TestFlatDecisionEqualsHashConsedOrdering(t *testing.T) {
 			// sights pass the doorkeeper.
 			c := command.Command{Actor: actor, Op: q.Op, From: q.Src, To: q.Dst}
 			it.Command(c)
-			if info := it.Command(c); info != nil && info.Priv != nil {
-				fj, fok := d.AuthorizeFP(info, true)
+			if info := it.Command(c); info != nil && info.WellFormed() {
+				fj, fok := d.AuthorizeFP(it, info, true)
 				if fok != ok || (ok && !model.SamePrivilege(fj, just)) {
 					t.Fatalf("trial %d: %v: AuthorizeFP = %v, %v, HeldStronger = %v, %v", trial, c, fj, fok, just, ok)
+				}
+				held := d.Holds(actor, q)
+				if sj, sok := d.AuthorizeFP(it, info, false); sok != held || (sok && !model.SamePrivilege(sj, q)) {
+					t.Fatalf("trial %d: %v: strict AuthorizeFP = %v, %v, Holds = %v", trial, c, sj, sok, held)
 				}
 			}
 		}
@@ -180,8 +184,8 @@ func TestFlatDecisionEqualsHashConsedOrdering(t *testing.T) {
 		}
 		d, it := NewDecider(p), command.NewInterner()
 		check(trial, p, d, it, rng)
-		// Vertices and edges added after the decider (and its fingerprint
-		// table) resolved "late" as absent.
+		// Vertices and edges added after the interned commands resolved
+		// "late" as absent.
 		p.Assign("late", roleNames[rng.Intn(len(roleNames))])
 		p.AddInherit(roleNames[rng.Intn(len(roleNames))], "late")
 		check(trial, p, d, it, rng)

@@ -90,10 +90,6 @@ type Decider struct {
 	srcVIDs []int32
 	dstEnts []model.Entity
 	dstVIDs []int32
-
-	// fpTab caches per-command-fingerprint resolutions for the authorize
-	// fast path (see fastpath.go), indexed by command.Fingerprint.
-	fpTab []fpState
 }
 
 // termID identifies a hash-consed privilege term inside one Decider.

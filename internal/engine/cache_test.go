@@ -241,7 +241,7 @@ func TestAuthorizeBatchInto(t *testing.T) {
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("AuthorizeBatchInto did not reuse the provided buffer")
 	}
-	again := s.AuthorizeBatch(battery)
+	again := s.AuthorizeBatchInto(battery, nil)
 	for i, c := range battery {
 		just, ok := s.Authorize(c)
 		if got[i].OK != ok || !model.SamePrivilege(got[i].Justification, just) {

@@ -16,7 +16,7 @@
 //
 // Both sides of the engine batch: SubmitBatch applies a whole command queue
 // under one writer-lock acquisition and publishes at most one snapshot, and
-// Snapshot.AuthorizeBatch decides many queries with one borrowed decider.
+// Snapshot.AuthorizeBatchInto decides many queries with one borrowed decider.
 // Durability hooks in through SetCommitHook — a WAL record staged before a
 // state change becomes visible — plus SetCommitFlush, the group-commit seam
 // that lands every staged record of a submission with one write and one
@@ -70,8 +70,8 @@ const maxEngineLog = 4096
 
 // deciderRing bounds the pre-bound deciders a replica keeps. Unlike a
 // sync.Pool, ring deciders are never reclaimed by the GC, so the warmth they
-// accumulate (interned terms, fingerprint tables, memo entries) survives for
-// the replica's whole lifetime.
+// accumulate (interned terms, memo entries) survives for the replica's whole
+// lifetime.
 const deciderRing = 16
 
 // replica is one materialisation of the policy state. Invariant: a replica
@@ -442,25 +442,31 @@ func (e *Engine) submitBatch(cmds []command.Command, guard Guard, sync bool) ([]
 
 // rollbackLocked undoes applied-but-unpublished commands after a failed
 // commit flush: the inverse edge changes (applied in reverse order) restore
-// the pre-submission policy on the unpublished replica, the engine log and
-// position rewind, and the cache validity floors return to their captured
-// values — nothing was published, so no snapshot ever observed the advance.
-// When the submission outgrew the bounded log (trimLog dropped some of its
-// own entries) the log is cleared instead: replicas behind the new logBase
-// resynchronise by cloning the published state, which this rollback leaves
-// untouched at exactly the rewound position.
+// the pre-submission edges on the unpublished replica, the engine log and
+// position rewind to the published state (trimLog keeps every entry past
+// it), and the cache validity floors return to their captured values —
+// nothing was published, so no snapshot ever observed the advance.
 func (e *Engine) rollbackLocked(next *replica, applied []command.Command, posFloor0, negFloor0 uint64) {
 	for i := len(applied) - 1; i >= 0; i-- {
 		command.Apply(next.pol, inverse(applied[i]))
 	}
 	next.pos -= len(applied)
-	if len(e.log) >= len(applied) {
-		e.log = e.log[:len(e.log)-len(applied)]
-	} else {
-		e.log = e.log[:0]
-		e.logBase = next.pos
+	e.log = e.log[:len(e.log)-len(applied)]
+	if next.pol.Graph().NumVertices() != e.cur.Load().r.pol.Graph().NumVertices() {
+		e.resyncLocked(next)
 	}
 	e.posFloor, e.negFloor = posFloor0, negFloor0
+}
+
+// resyncLocked rebinds r to a clone of the published policy and replays the
+// log after it. An undone grant leaves behind the vertices it introduced
+// (RemoveEdge never removes one), and every replica of an engine must give a
+// vertex the same id: interned commands share their vertex resolutions
+// across replicas (command.FPInfo).
+func (e *Engine) resyncLocked(r *replica) {
+	pub := e.cur.Load().r
+	r.rebind(pub.pol.Clone(), e.mode, pub.pos)
+	e.catchUp(r)
 }
 
 // publishLocked makes next the published replica and wakes generation
@@ -549,6 +555,7 @@ func (e *Engine) stepLocked(next *replica, c command.Command, guard Guard) (comm
 			return command.StepResult{Cmd: c, Outcome: command.Denied}, err
 		}
 	}
+	nv := next.pol.Graph().NumVertices()
 	res := command.Step(next.pol, c, next.authorizer(e.mode))
 	if res.Outcome != command.Applied {
 		return res, nil
@@ -560,6 +567,9 @@ func (e *Engine) stepLocked(next *replica, c command.Command, guard Guard) (comm
 			// one (undo = add). The replica is unpublished, so the transient
 			// state was never visible to readers.
 			command.Apply(next.pol, inverse(c))
+			if next.pol.Graph().NumVertices() != nv {
+				e.resyncLocked(next)
+			}
 			return command.StepResult{Cmd: c, Outcome: command.Denied}, &CommitError{Err: err}
 		}
 	}
@@ -619,11 +629,18 @@ func (e *Engine) catchUp(r *replica) {
 	r.pos = head
 }
 
+// trimLog drops the older half of a full log, but never an entry past the
+// published position: a rollback rewinds to it and resyncLocked replays
+// from it, so a submission longer than the log keeps its entries until it
+// publishes.
 func (e *Engine) trimLog() {
 	if len(e.log) < maxEngineLog {
 		return
 	}
-	drop := len(e.log) / 2
+	drop := min(len(e.log)/2, int(e.cur.Load().gen)-e.logBase)
+	if drop <= 0 {
+		return
+	}
 	e.log = append(e.log[:0], e.log[drop:]...)
 	e.logBase += drop
 }
@@ -662,14 +679,6 @@ func (s *Snapshot) Policy() *policy.Policy { return s.r.pol }
 // the engine's invalidation rules through them.
 func (s *Snapshot) ValidityFloors() (pos, neg uint64) { return s.posFloor, s.negFloor }
 
-// decider claims a pre-bound decider from the replica's ring. Deciders
-// carry warm closures, memo tables and fingerprint tables across queries
-// and publication cycles, refreshing incrementally when the replica was
-// advanced in between.
-func (s *Snapshot) decider() *core.Decider { return s.r.claim() }
-
-func (s *Snapshot) release(d *core.Decider) { s.r.release(d) }
-
 // Authorize reports whether the command is authorized under the engine's
 // mode, returning the justifying privilege. It never mutates policy state.
 //
@@ -687,7 +696,7 @@ func (s *Snapshot) Authorize(c command.Command) (model.Privilege, bool) {
 // nil, in which case a decider is claimed only if the verdict misses.
 func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 	info := s.e.interner.Command(c)
-	if info != nil && info.Priv == nil {
+	if info != nil && !info.WellFormed() {
 		return AuthzResult{} // ill-formed: denied in every regime
 	}
 	if info != nil && s.e.cached {
@@ -708,7 +717,7 @@ func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 		// First sight, or the interner at capacity: decide uninterned.
 		return s.authorizeWith(d, c)
 	}
-	just, ok := d.AuthorizeFP(info, s.e.mode == Refined)
+	just, ok := d.AuthorizeFP(s.e.interner, info, s.e.mode == Refined)
 	if s.e.cached {
 		pid := command.PrivID(0)
 		if ok {
@@ -734,26 +743,20 @@ type AuthzResult struct {
 	OK bool
 }
 
-// AuthorizeBatch decides every command against this one snapshot with a
+// AuthorizeBatchInto decides every command against this one snapshot with a
 // single claimed decider, amortising snapshot acquisition and decider
 // traffic across the batch — the read-side analogue of SubmitBatch. The
 // i-th result decides cmds[i]; all decisions are taken at the same
-// generation.
-func (s *Snapshot) AuthorizeBatch(cmds []command.Command) []AuthzResult {
-	return s.AuthorizeBatchInto(cmds, nil)
-}
-
-// AuthorizeBatchInto is AuthorizeBatch writing into out's backing array when
-// its capacity suffices, so callers serving request loops can reuse one
-// result buffer across batches instead of allocating per call (see
-// internal/server). It returns out resliced to len(cmds).
+// generation. Results go into out's backing array when its capacity
+// suffices, so request loops reuse one buffer across batches; it returns out
+// resliced to len(cmds).
 func (s *Snapshot) AuthorizeBatchInto(cmds []command.Command, out []AuthzResult) []AuthzResult {
 	if cap(out) < len(cmds) {
 		out = make([]AuthzResult, len(cmds))
 	}
 	out = out[:len(cmds)]
-	d := s.decider()
-	defer s.release(d)
+	d := s.r.claim()
+	defer s.r.release(d)
 	for i, c := range cmds {
 		out[i] = s.authorize(c, d)
 	}
@@ -799,22 +802,22 @@ func (s *Snapshot) ExplainCommand(c command.Command) string {
 
 // Weaker reports p Ãφ q under the snapshot's policy.
 func (s *Snapshot) Weaker(p, q model.Privilege) bool {
-	d := s.decider()
-	defer s.release(d)
+	d := s.r.claim()
+	defer s.r.release(d)
 	return d.Weaker(p, q)
 }
 
 // HeldStronger reports whether the user holds a privilege at least as strong
 // as q, returning the first witness.
 func (s *Snapshot) HeldStronger(user string, q model.Privilege) (model.Privilege, bool) {
-	d := s.decider()
-	defer s.release(d)
+	d := s.r.claim()
+	defer s.r.release(d)
 	return d.HeldStronger(user, q)
 }
 
 // Explain decides strong Ãφ weak and produces a derivation witness.
 func (s *Snapshot) Explain(strong, weak model.Privilege) (*core.Derivation, bool) {
-	d := s.decider()
-	defer s.release(d)
+	d := s.r.claim()
+	defer s.r.release(d)
 	return d.Explain(strong, weak)
 }

@@ -377,7 +377,7 @@ func TestAuthorizeBatchMatchesSingle(t *testing.T) {
 	}
 	s := e.Snapshot()
 	defer s.Close()
-	batch := s.AuthorizeBatch(cmds)
+	batch := s.AuthorizeBatchInto(cmds, nil)
 	if len(batch) != len(cmds) {
 		t.Fatalf("batch returned %d results", len(batch))
 	}

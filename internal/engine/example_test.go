@@ -43,9 +43,9 @@ func Example_snapshotReadUnderWrite() {
 	// gen 1 sees alice in team: true
 }
 
-// One round-trip, many decisions: AuthorizeBatch decides a whole batch
+// One round-trip, many decisions: AuthorizeBatchInto decides a whole batch
 // against a single snapshot with one borrowed decider.
-func ExampleSnapshot_AuthorizeBatch() {
+func ExampleSnapshot_AuthorizeBatchInto() {
 	p := policy.New()
 	p.Assign("root", "admins")
 	p.Assign("alice", "member")
@@ -58,11 +58,11 @@ func ExampleSnapshot_AuthorizeBatch() {
 
 	s := e.Snapshot()
 	defer s.Close()
-	results := s.AuthorizeBatch([]command.Command{
+	results := s.AuthorizeBatchInto([]command.Command{
 		command.Grant("root", model.User("alice"), model.Role("team")),
 		command.Grant("root", model.User("bob"), model.Role("team")),
 		command.Grant("bob", model.User("alice"), model.Role("team")), // bob holds nothing
-	})
+	}, nil)
 	for _, r := range results {
 		fmt.Println(r.OK)
 	}

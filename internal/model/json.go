@@ -170,22 +170,3 @@ func unmarshalVertex(data []byte, strict bool) (Vertex, error) {
 		return nil, fmt.Errorf("unmarshal vertex: empty")
 	}
 }
-
-// MarshalPrivilege encodes a privilege term as JSON.
-func MarshalPrivilege(p Privilege) ([]byte, error) {
-	w, err := WireOf(p)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalPrivilege decodes a privilege term from JSON and validates it
-// against the grammar.
-func UnmarshalPrivilege(data []byte) (Privilege, error) {
-	var w PrivWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, err
-	}
-	return w.Privilege()
-}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ func TestUnmarshalPrivilegeRejectsMalformed(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := UnmarshalPrivilege([]byte(c.json))
+			_, err := unmarshalPrivilege([]byte(c.json))
 			if err == nil {
 				t.Fatalf("accepted %s", c.json)
 			}
@@ -65,11 +66,11 @@ func TestUnmarshalVertexRejectsMalformed(t *testing.T) {
 }
 
 func TestMarshalPrivilegeRejectsInvalid(t *testing.T) {
-	if _, err := MarshalPrivilege(nil); err == nil {
+	if _, err := marshalPrivilege(nil); err == nil {
 		t.Fatal("nil privilege marshalled")
 	}
 	bad := AdminPrivilege{Op: OpGrant, Src: User("u")} // nil destination
-	if _, err := MarshalPrivilege(bad); err == nil {
+	if _, err := marshalPrivilege(bad); err == nil {
 		t.Fatal("destination-less privilege marshalled")
 	}
 	if _, err := MarshalVertex(nil); err == nil {
@@ -92,4 +93,23 @@ func TestDstAccessors(t *testing.T) {
 	if p, ok := nested.DstPrivilege(); !ok || p.Key() != flat.Key() {
 		t.Fatalf("DstPrivilege = %v, %v", p, ok)
 	}
+}
+
+// marshalPrivilege encodes a privilege term as JSON.
+func marshalPrivilege(p Privilege) ([]byte, error) {
+	w, err := WireOf(p)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(w)
+}
+
+// unmarshalPrivilege decodes a privilege term from JSON and validates it
+// against the grammar.
+func unmarshalPrivilege(data []byte) (Privilege, error) {
+	var w PrivWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, err
+	}
+	return w.Privilege()
 }

@@ -68,11 +68,11 @@ func TestQuickJSONRoundTrip(t *testing.T) {
 		if ValidatePrivilege(a.P) != nil {
 			return true // generator can build ungrammatical terms; skip them
 		}
-		data, err := MarshalPrivilege(a.P)
+		data, err := marshalPrivilege(a.P)
 		if err != nil {
 			return false
 		}
-		back, err := UnmarshalPrivilege(data)
+		back, err := unmarshalPrivilege(data)
 		if err != nil {
 			return false
 		}

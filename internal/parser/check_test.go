@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -67,7 +68,7 @@ func TestChecksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := PrintDoc(doc)
+	text := printDoc(doc)
 	doc2, err := Parse(text)
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, text)
@@ -80,13 +81,13 @@ func TestChecksRoundTrip(t *testing.T) {
 			t.Errorf("check %d changed: %v -> %v", i, doc.Checks[i], doc2.Checks[i])
 		}
 	}
-	// PrintDoc without checks equals Print.
+	// printDoc without checks equals Print.
 	plain, err := Parse(figure2RPL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if PrintDoc(plain) != Print(plain.Policy, plain.Queue) {
-		t.Error("PrintDoc diverges from Print for check-less documents")
+	if printDoc(plain) != Print(plain.Policy, plain.Queue) {
+		t.Error("printDoc diverges from Print for check-less documents")
 	}
 }
 
@@ -107,5 +108,36 @@ func TestCheckParseErrors(t *testing.T) {
 				t.Fatalf("error %q missing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// printDoc renders a full document — policy, command queue and expect
+// checks — in canonical RPL. Parse(printDoc(doc)) reproduces the document.
+func printDoc(doc *Document) string {
+	out := Print(doc.Policy, doc.Queue)
+	if len(doc.Checks) == 0 {
+		return out
+	}
+	var b strings.Builder
+	b.WriteString(out)
+	for _, c := range doc.Checks {
+		b.WriteString(formatCheck(c))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func formatCheck(c Check) string {
+	neg := ""
+	if c.Negated {
+		neg = "not "
+	}
+	switch c.Kind {
+	case CheckReaches:
+		return fmt.Sprintf("expect %sreaches %s %s", neg, quoteName(c.From.String()), formatVertex(c.To))
+	case CheckWeaker:
+		return fmt.Sprintf("expect %sweaker %s %s", neg, FormatPrivilege(c.Strong), FormatPrivilege(c.Weak))
+	default:
+		return "# unknown check"
 	}
 }

@@ -40,7 +40,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("accepted input produced invalid policy: %v\ninput: %q", err, src)
 		}
 		// Canonical round trip.
-		text := PrintDoc(doc)
+		text := printDoc(doc)
 		doc2, err := Parse(text)
 		if err != nil {
 			t.Fatalf("canonical form does not reparse: %v\ncanonical: %q", err, text)

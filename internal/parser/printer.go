@@ -10,37 +10,6 @@ import (
 	"adminrefine/internal/policy"
 )
 
-// PrintDoc renders a full document — policy, command queue and expect
-// checks — in canonical RPL. Parse(PrintDoc(doc)) reproduces the document.
-func PrintDoc(doc *Document) string {
-	out := Print(doc.Policy, doc.Queue)
-	if len(doc.Checks) == 0 {
-		return out
-	}
-	var b strings.Builder
-	b.WriteString(out)
-	for _, c := range doc.Checks {
-		b.WriteString(formatCheck(c))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func formatCheck(c Check) string {
-	neg := ""
-	if c.Negated {
-		neg = "not "
-	}
-	switch c.Kind {
-	case CheckReaches:
-		return fmt.Sprintf("expect %sreaches %s %s", neg, quoteName(c.From.String()), formatVertex(c.To))
-	case CheckWeaker:
-		return fmt.Sprintf("expect %sweaker %s %s", neg, FormatPrivilege(c.Strong), FormatPrivilege(c.Weak))
-	default:
-		return "# unknown check"
-	}
-}
-
 // Print renders a policy (and optional command queue) in canonical RPL:
 // declarations first, then UA, RH and PA edges in deterministic order, then
 // `do` statements. Parse(Print(p)) reproduces the policy exactly.

@@ -12,7 +12,7 @@
 // evictions and explicit Evict calls alike, see retire — happens outside it. Once a tenant is resolved, authorization runs lock-free
 // against engine snapshots and submissions serialise only against that
 // tenant's writer. The batched entry points
-// (AuthorizeBatch, SubmitBatch) amortise the resolve + snapshot acquisition
+// (AuthorizeBatchInto, SubmitBatch) amortise the resolve + snapshot acquisition
 // across a whole request, which is what makes one network round-trip cheap
 // (see internal/server).
 package tenant
@@ -498,19 +498,13 @@ func (r *Registry) Authorize(name string, c command.Command) (engine.AuthzResult
 	return engine.AuthzResult{Justification: just, OK: ok}, nil
 }
 
-// AuthorizeBatch decides every command against one snapshot of the tenant's
-// policy: one registry resolve, one snapshot acquisition, one decider for
-// the whole batch.
-func (r *Registry) AuthorizeBatch(name string, cmds []command.Command) ([]engine.AuthzResult, error) {
-	res, _, err := r.AuthorizeBatchInto(name, cmds, nil)
-	return res, err
-}
-
-// AuthorizeBatchInto is AuthorizeBatch writing results into out's backing
-// array when its capacity suffices, so request loops can reuse one buffer
-// across calls (see internal/server). The returned generation is the engine
-// generation every decision in the batch was taken at — the token a client
-// passes back as min_generation to chain read-your-writes across replicas.
+// AuthorizeBatchInto decides every command against one snapshot of the
+// tenant's policy — one registry resolve, one snapshot acquisition, one
+// decider for the whole batch — writing results into out's backing array
+// when its capacity suffices, so request loops can reuse one buffer across
+// calls. The returned generation is the engine generation every decision in
+// the batch was taken at — the token a client passes back as min_generation
+// to chain read-your-writes across replicas.
 func (r *Registry) AuthorizeBatchInto(name string, cmds []command.Command, out []engine.AuthzResult) ([]engine.AuthzResult, uint64, error) {
 	t, err := r.acquire(name, false)
 	if err != nil {

@@ -189,7 +189,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 	// An ill-formed command inside the batch must not derail the rest.
 	cmds[7] = command.Command{Actor: "nobody", Op: model.OpGrant, From: model.Perm("a", "b"), To: model.Role("r")}
 
-	batch, err := reg.AuthorizeBatch("t", cmds)
+	batch, _, err := reg.AuthorizeBatchInto("t", cmds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestAuthorizeBatchIntoReuse(t *testing.T) {
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("AuthorizeBatchInto did not reuse the buffer")
 	}
-	ref, err := reg.AuthorizeBatch("t", cmds)
+	ref, _, err := reg.AuthorizeBatchInto("t", cmds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestMultiTenantGenDrivesRegistry(t *testing.T) {
 	}
 
 	name, cmds := g.QueryBatch(32)
-	batch, err := reg.AuthorizeBatch(name, cmds)
+	batch, _, err := reg.AuthorizeBatchInto(name, cmds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
