@@ -1,6 +1,7 @@
 package adminrefine
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -238,7 +239,7 @@ func TestAuthorizeAllocs(t *testing.T) {
 			if err := fol.Ensure("t"); err != nil {
 				t.Fatal(err)
 			}
-			if gen, ok, err := folReg.WaitGeneration("t", writes, 30*time.Second); err != nil || !ok {
+			if gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "t", writes, 30*time.Second); err != nil || !ok {
 				t.Fatalf("follower stuck at generation %d (err %v)", gen, err)
 			}
 			// Every follower read goes through Ensure first

@@ -105,12 +105,12 @@ func TestWireDaemonEndToEnd(t *testing.T) {
 	}
 	defer c.Close()
 
-	if epoch, err := c.Ping(); err != nil || epoch != 0 {
-		t.Fatalf("ping: epoch %d, err %v, want epoch 0", epoch, err)
-	}
-
 	var req wire.Request
 	var resp wire.Response
+	req.Op = wire.OpPing
+	if err := c.Do(&req, &resp); err != nil || resp.Epoch != 0 {
+		t.Fatalf("ping: epoch %d, err %v, want epoch 0", resp.Epoch, err)
+	}
 	req.Op = wire.OpSubmit
 	req.Tenant = "acme"
 	req.Cmds = append(req.Cmds[:0], workload.ChurnGrant(0, 8, 8))

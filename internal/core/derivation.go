@@ -104,7 +104,7 @@ func (d *Decider) explain(p, q model.Privilege) (*Derivation, bool) {
 		}
 		// Entity destination hopping through a privilege vertex.
 		be := pa.Dst.(model.Entity)
-		for _, pv := range d.privVerts {
+		for _, pv := range d.reach.privVerts {
 			if d.reaches(be.Key(), pv.Key()) && d.weaker(pv, yt) {
 				prem, ok := d.explain(pv, yt)
 				if !ok {

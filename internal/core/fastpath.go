@@ -29,7 +29,7 @@ import (
 func (d *Decider) AuthorizeFP(it *command.Interner, info *command.FPInfo, refined bool) (model.Privilege, bool) {
 	d.check()
 	c := &info.Cmd
-	act := d.sharedEntity(&info.Actor, model.User(c.Actor))
+	act := d.reach.sharedEntity(&info.Actor, model.User(c.Actor))
 	if act < 0 {
 		// An actor absent from the graph reaches only itself; no privilege
 		// vertex is an actor, so the command is denied in both regimes.
@@ -41,7 +41,7 @@ func (d *Decider) AuthorizeFP(it *command.Interner, info *command.FPInfo, refine
 		if dst, ok := c.To.(model.Entity); ok {
 			// The operands' ids are looked up only once the scan needs them
 			// (resolveFlat), and kept for every decider after it.
-			sv, dv := d.local(info.Src.Load()), d.local(info.Dst.Load())
+			sv, dv := d.reach.local(info.Src.Load()), d.reach.local(info.Dst.Load())
 			q := query{flat: flatTerm{ok: true, op: c.Op, src: src, dst: dst, sv: sv, dv: dv}, qid: noChild}
 			i = d.nextHeld(act, &q, 0)
 			if sv < 0 && q.flat.sv >= 0 {
@@ -58,54 +58,54 @@ func (d *Decider) AuthorizeFP(it *command.Interner, info *command.FPInfo, refine
 		if i < 0 {
 			return nil, false
 		}
-		return d.privVerts[i], true
+		return d.reach.privVerts[i], true
 	}
-	if pv := d.privVertex(&info.PrivV, c, src); pv >= 0 && d.closure.Reaches(act, pv) {
+	if pv := d.reach.privVertex(&info.PrivV, c, src); pv >= 0 && d.reach.closure.Reaches(act, pv) {
 		return it.PrivilegeOf(info), true
 	}
 	return nil, false
 }
 
-// local reads a shared vertex id on this decider's replica: an id past its
-// vertex count names a vertex the replica does not have yet.
-func (d *Decider) local(id int32) int32 {
-	if int(id) >= d.numVerts {
+// local reads a shared vertex id on this policy: an id past its vertex count
+// names a vertex the policy (a replica that is behind) does not have yet.
+func (r *Reach) local(id int32) int32 {
+	if int(id) >= r.numVerts {
 		return graph.NoVertex
 	}
 	return id
 }
 
-// sharedEntity returns e's vertex id on this replica, looking it up and
+// sharedEntity returns e's vertex id on this policy, looking it up and
 // keeping it in v when no decider has resolved it yet.
-func (d *Decider) sharedEntity(v *atomic.Int32, e model.Entity) int {
+func (r *Reach) sharedEntity(v *atomic.Int32, e model.Entity) int {
 	id := v.Load()
 	if id < 0 {
-		if id = int32(d.pol.EntityVertex(e)); id >= 0 {
+		if id = int32(r.pol.EntityVertex(e)); id >= 0 {
 			v.Store(id)
 		}
 		return int(id)
 	}
-	return int(d.local(id))
+	return int(r.local(id))
 }
 
 // privVertex returns the vertex id of the command's privilege on this
-// replica, or graph.NoVertex. Only the strict check addresses the privilege
+// policy, or graph.NoVertex. Only the strict check addresses the privilege
 // vertex; its key is built for the lookup only, and an absent vertex is
 // recorded with the vertex count it was looked up at (as -2-n), so a deny is
 // looked up again only once the graph has grown past it.
-func (d *Decider) privVertex(v *atomic.Int32, c *command.Command, src model.Entity) int {
+func (r *Reach) privVertex(v *atomic.Int32, c *command.Command, src model.Entity) int {
 	id := v.Load()
 	switch {
 	case id >= 0:
-		return int(d.local(id))
-	case id <= -2 && int(-2-id) >= d.numVerts:
+		return int(r.local(id))
+	case id <= -2 && int(-2-id) >= r.numVerts:
 		return graph.NoVertex
 	}
 	key := model.AdminPrivilege{Op: c.Op, Src: src, Dst: c.To}.Key()
-	found := d.pol.Graph().Lookup(key)
+	found := r.pol.Graph().Lookup(key)
 	next := int32(found)
 	if found < 0 {
-		next = int32(-2 - d.numVerts)
+		next = int32(-2 - r.numVerts)
 	}
 	v.CompareAndSwap(id, next)
 	return found

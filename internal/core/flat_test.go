@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adminrefine/internal/command"
+	"adminrefine/internal/graph"
 	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
 )
@@ -52,6 +53,23 @@ func TestFirstSightQueriesLeaveNoState(t *testing.T) {
 		t.Fatalf("one-shot queries left state: terms %d→%d, children %d→%d, memo %d→%d",
 			terms, len(d.terms), children, len(d.children), memo, len(d.memoPos)+len(d.memoNeg))
 	}
+}
+
+// strongerHeldBy lists every privilege vertex the user reaches that is at
+// least as strong as q, in the policy's privilege-vertex order: the flat
+// scan of HeldStronger, not stopped at the first witness.
+func strongerHeldBy(d *Decider, user string, q model.Privilege) []model.Privilege {
+	d.check()
+	uv := d.reach.pol.EntityVertex(model.User(user))
+	if uv == graph.NoVertex {
+		return nil
+	}
+	var out []model.Privilege
+	qq := newQuery(q)
+	for i := d.nextHeld(uv, &qq, 0); i >= 0; i = d.nextHeld(uv, &qq, i+1) {
+		out = append(out, d.reach.privVerts[i])
+	}
+	return out
 }
 
 // refStrongerHeldBy is the ordering the flat path must refine, with none of
@@ -146,13 +164,13 @@ func TestFlatDecisionEqualsHashConsedOrdering(t *testing.T) {
 			}
 			want := refStrongerHeldBy(p, actor, q)
 
-			got := d.StrongerHeldBy(actor, q)
+			got := strongerHeldBy(d, actor, q)
 			if len(got) != len(want) {
-				t.Fatalf("trial %d: %s / %v: StrongerHeldBy = %v, want %v", trial, actor, q, got, want)
+				t.Fatalf("trial %d: %s / %v: strongerHeldBy = %v, want %v", trial, actor, q, got, want)
 			}
 			for i := range got {
 				if !model.SamePrivilege(got[i], want[i]) {
-					t.Fatalf("trial %d: %s / %v: StrongerHeldBy = %v, want %v", trial, actor, q, got, want)
+					t.Fatalf("trial %d: %s / %v: strongerHeldBy = %v, want %v", trial, actor, q, got, want)
 				}
 			}
 			just, ok := d.HeldStronger(actor, q)

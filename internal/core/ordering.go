@@ -24,51 +24,131 @@
 //
 // # Incremental maintenance
 //
-// A Decider survives policy mutation without rebuilding from scratch. Its
-// caches fall into three invalidation classes:
+// A Reach holds the state that depends on the policy alone, once per policy;
+// a Decider is a view over a Reach with only per-query state. Mutation is
+// absorbed without rebuilding from scratch:
 //
-//   - The hash-consing tables (terms/children and the per-term vertex-id
-//     caches) are policy-independent: a term's identity never changes, and
-//     graph vertex ids are append-only, so the interner survives every
-//     mutation unconditionally. Only privilege vertices and nested queries
-//     are ever interned: an entity-destination query ¤(x, y) is decided on
-//     vertex ids alone (see flatTerm) and leaves no state behind.
-//   - The reachability closure is maintained incrementally: edge insertions
-//     OR bit-rows forward through the predecessor worklist (graph.Closure);
-//     edge removals trigger a scoped rebuild of the closure only.
-//   - The memo is split by polarity. Ãφ is monotone in →φ, so a purely
-//     additive policy delta can only flip negative answers: positive memo
-//     entries survive, negative ones are dropped. Any removal clears both.
-//
-// The privilege-vertex list is re-derived only when the graph's vertex count
-// changes (vertices are never removed; see DESIGN.md D6).
+//   - The reachability closure is maintained incrementally by Reach.Sync:
+//     edge insertions OR bit-rows forward through the predecessor worklist
+//     (graph.Closure); edge removals trigger a rebuild of the closure only.
+//     The privilege-vertex tables are re-derived only when the graph's vertex
+//     count changes (vertices are never removed; see DESIGN.md D6).
+//   - The hash-consing tables of a view (terms/children and the per-term
+//     vertex-id caches) are policy-independent: a term's identity never
+//     changes, and graph vertex ids are append-only, so the interner survives
+//     every mutation unconditionally. Only privilege vertices and nested
+//     queries are ever interned: an entity-destination query ¤(x, y) is
+//     decided on vertex ids alone (see flatTerm) and leaves no state behind.
+//   - A view's memo is split by polarity and kept on the Reach's generation.
+//     Ãφ is monotone in →φ, so a purely additive policy delta can only flip
+//     negative answers: positive memo entries survive, negative ones are
+//     dropped. Any removal since the view's generation clears both.
 package core
 
 import (
+	"sync"
+
 	"adminrefine/internal/graph"
 	"adminrefine/internal/model"
 	"adminrefine/internal/policy"
 )
 
-// Decider answers p Ãφ q queries against one policy, caching the policy's
-// reachability closure and memoising subterm decisions. A Decider detects
-// policy mutation via the policy generation counter and refreshes its caches
-// incrementally (see the package comment for what survives), so it is safe
-// and cheap to keep one Decider per long-lived policy. Not safe for
-// concurrent use.
-type Decider struct {
-	pol *policy.Policy
+// Reach is the policy-dependent state every decision reads: the closure of
+// →φ and the policy's privilege vertices with their graph ids and operands.
+// Sync is the only method that writes it; a Reach that is current is read
+// concurrently by any number of views. The engine keeps one per replica and
+// syncs it, as the writer, before the replica is published.
+type Reach struct {
+	pol   *policy.Policy
+	built sync.Once
 
-	gen          uint64
+	gen          uint64 // policy generation the state reflects
+	cut          uint64 // generation of the last update that was not purely additive
 	closure      *graph.Closure
 	numVerts     int
 	privVerts    []model.Privilege
-	privVertIDs  []termID
 	privVertGIDs []int32    // graph vertex ids of the privilege vertices
 	privVertFlat []flatTerm // their operands, for the entity-destination ones
+}
+
+// NewReach returns the reachability state of p, built on its first Sync.
+func NewReach(p *policy.Policy) *Reach { return &Reach{pol: p} }
+
+// Sync brings the state to the policy's generation, building it on first
+// use; it is a no-op while the state is current. A Reach behind its policy is
+// mutated, so it must then have no other user.
+func (r *Reach) Sync() {
+	r.built.Do(func() {
+		r.closure = graph.NewClosure(r.pol.Graph())
+		r.gen = r.pol.Generation()
+		r.derive()
+	})
+	gen := r.pol.Generation()
+	if r.gen == gen {
+		return
+	}
+	if !r.closure.Update() {
+		r.cut = gen
+	}
+	r.gen = gen
+	if r.pol.Graph().NumVertices() != r.numVerts {
+		r.derive()
+	}
+}
+
+// derive rebuilds the privilege-vertex tables. An operand absent here stays
+// absent until the vertex count moves again.
+func (r *Reach) derive() {
+	g := r.pol.Graph()
+	r.numVerts = g.NumVertices()
+	r.privVerts = r.pol.PrivilegeVertices()
+	r.privVertGIDs = make([]int32, len(r.privVerts))
+	r.privVertFlat = make([]flatTerm, len(r.privVerts))
+	for i, pv := range r.privVerts {
+		r.privVertGIDs[i] = int32(g.Lookup(pv.Key()))
+		r.privVertFlat[i] = flatShape(pv)
+		r.resolveFlat(&r.privVertFlat[i])
+	}
+}
+
+// views recycles deciders across every Reach. A pool of its own per Reach
+// would keep the Reach, and the policy it reads, reachable from the runtime
+// until the second GC after the last use. A new view is one allocation: its
+// maps are made by the first nested query that writes them.
+var views = sync.Pool{New: func() any { return new(Decider) }}
+
+// Borrow returns a view of r for exclusive use until Release. Views share
+// r's closure and tables and keep their own per-query state; a recycled view
+// that last served another Reach starts empty.
+func (r *Reach) Borrow() *Decider {
+	d := views.Get().(*Decider)
+	if d.reach != r {
+		d.reach, d.gen, d.pvNum, d.privVertIDs = r, 0, 0, d.privVertIDs[:0]
+		clear(d.memoPos)
+		clear(d.memoNeg)
+		clear(d.terms)
+		d.children, d.srcEnts, d.srcVIDs = d.children[:0], d.srcEnts[:0], d.srcVIDs[:0]
+		d.dstEnts, d.dstVIDs = d.dstEnts[:0], d.dstVIDs[:0]
+	}
+	return d
+}
+
+// Release returns a view that Borrow returned.
+func (d *Decider) Release() { views.Put(d) }
+
+// Decider answers p Ãφ q queries as a view over a Reach, memoising subterm
+// decisions; each query syncs the Reach first (see the package comment for
+// what survives a mutation). Not safe for concurrent use; views of one
+// current Reach may run concurrently.
+type Decider struct {
+	reach *Reach
+	gen   uint64 // reach generation the memo reflects
+
+	pvNum       int      // reach vertex count privVertIDs reflects
+	privVertIDs []termID // interned ids of reach.privVerts, for nested queries
 
 	// memo is split by polarity so additive policy deltas can drop the
-	// (possibly flipped) negatives in O(1) while keeping the positives.
+	// (possibly flipped) negatives while keeping the positives.
 	memoPos map[[2]termID]struct{}
 	memoNeg map[[2]termID]struct{}
 
@@ -132,53 +212,49 @@ func flatShape(p model.Privilege) flatTerm {
 }
 
 // resolveFlat looks up the operands that have no vertex id (yet).
-func (d *Decider) resolveFlat(t *flatTerm) {
+func (r *Reach) resolveFlat(t *flatTerm) {
 	if t.sv < 0 {
-		t.sv = int32(d.pol.EntityVertex(t.src))
+		t.sv = int32(r.pol.EntityVertex(t.src))
 	}
 	if t.dv < 0 {
-		t.dv = int32(d.pol.EntityVertex(t.dst))
+		t.dv = int32(r.pol.EntityVertex(t.dst))
 	}
 }
 
-// NewDecider builds a Decider for the policy.
+// NewDecider builds a Decider over a private Reach of the policy, its
+// closure built now: the standalone form for analyses, the CLI and tests.
 func NewDecider(p *policy.Policy) *Decider {
-	d := &Decider{pol: p, terms: make(map[levelKey]termID)}
-	d.refresh()
+	d := NewReach(p).Borrow()
+	d.check()
 	return d
 }
 
-func (d *Decider) refresh() {
-	g := d.pol.Graph()
-	additive := false
-	if d.closure != nil {
-		additive = d.closure.Update()
-	} else {
-		d.closure = graph.NewClosure(g)
+// check syncs the Reach and brings the memo to its generation: the
+// negatives are dropped on any move, the positives too when an update since
+// the memo's generation was not purely additive.
+func (d *Decider) check() {
+	r := d.reach
+	r.Sync()
+	if d.gen != r.gen {
+		if r.cut > d.gen {
+			clear(d.memoPos)
+		}
+		clear(d.memoNeg)
+		d.gen = r.gen
 	}
-	if additive && d.memoPos != nil {
-		// Ãφ is monotone in →φ: growth can only flip negatives.
-		d.memoNeg = make(map[[2]termID]struct{})
-	} else {
-		d.memoPos = make(map[[2]termID]struct{})
-		d.memoNeg = make(map[[2]termID]struct{})
-	}
-	if d.privVerts == nil || g.NumVertices() != d.numVerts {
-		d.numVerts = g.NumVertices()
-		d.privVerts = d.pol.PrivilegeVertices()
-		d.privVertIDs = make([]termID, len(d.privVerts))
-		d.privVertGIDs = make([]int32, len(d.privVerts))
-		d.privVertFlat = make([]flatTerm, len(d.privVerts))
-		for i, pv := range d.privVerts {
-			d.privVertIDs[i] = d.id(pv)
-			d.privVertGIDs[i] = int32(g.Lookup(pv.Key()))
-			// Re-resolved whenever the vertex count moves, so an operand
-			// absent here is absent until the next refresh of this table.
-			d.privVertFlat[i] = flatShape(pv)
-			d.resolveFlat(&d.privVertFlat[i])
+}
+
+// privIDs returns the interned ids of the Reach's privilege vertices,
+// interning them again once its vertex count has moved.
+func (d *Decider) privIDs() []termID {
+	if d.pvNum != d.reach.numVerts {
+		d.pvNum = d.reach.numVerts
+		d.privVertIDs = d.privVertIDs[:0]
+		for _, pv := range d.reach.privVerts {
+			d.privVertIDs = append(d.privVertIDs, d.id(pv))
 		}
 	}
-	d.gen = d.pol.Generation()
+	return d.privVertIDs
 }
 
 // id interns a privilege term, returning its dense identifier. Two terms
@@ -206,6 +282,9 @@ func (d *Decider) intern(key levelKey, src, dst model.Entity) termID {
 		return id
 	}
 	id := d.addTerm(key.child, src, dst)
+	if d.terms == nil {
+		d.terms = make(map[levelKey]termID)
+	}
 	d.terms[key] = id
 	return id
 }
@@ -216,9 +295,9 @@ func (d *Decider) addTerm(child termID, src, dst model.Entity) termID {
 	id := termID(len(d.children))
 	d.children = append(d.children, child)
 	d.srcEnts = append(d.srcEnts, src)
-	d.srcVIDs = append(d.srcVIDs, int32(d.pol.EntityVertex(src)))
+	d.srcVIDs = append(d.srcVIDs, int32(d.reach.pol.EntityVertex(src)))
 	d.dstEnts = append(d.dstEnts, dst)
-	d.dstVIDs = append(d.dstVIDs, int32(d.pol.EntityVertex(dst)))
+	d.dstVIDs = append(d.dstVIDs, int32(d.reach.pol.EntityVertex(dst)))
 	return id
 }
 
@@ -228,7 +307,7 @@ func (d *Decider) addTerm(child termID, src, dst model.Entity) termID {
 // removed.
 func (d *Decider) resolveVID(vids []int32, ents []model.Entity, id termID) int32 {
 	if vids[id] < 0 {
-		vids[id] = int32(d.pol.EntityVertex(ents[id]))
+		vids[id] = int32(d.reach.pol.EntityVertex(ents[id]))
 	}
 	return vids[id]
 }
@@ -237,7 +316,7 @@ func (d *Decider) resolveVID(vids []int32, ents []model.Entity, id termID) int32
 // ids. Operands missing from the graph reach only themselves.
 func (d *Decider) entReaches(f, t int32, from, to model.Entity) bool {
 	if f >= 0 && t >= 0 {
-		return d.closure.Reaches(int(f), int(t))
+		return d.reach.closure.Reaches(int(f), int(t))
 	}
 	return from == to
 }
@@ -267,19 +346,13 @@ func (d *Decider) flatWeaker(h, q *flatTerm) bool {
 	return d.entReaches(q.sv, h.sv, q.src, h.src) && d.entReaches(h.dv, q.dv, h.dst, q.dst)
 }
 
-func (d *Decider) check() {
-	if d.gen != d.pol.Generation() {
-		d.refresh()
-	}
-}
-
 // ResetMemo clears the memoisation table while keeping the reachability
 // closure and the interning tables. Benchmarks use it to measure cold
 // decision cost without paying the closure build on every iteration.
 func (d *Decider) ResetMemo() {
 	d.check()
-	d.memoPos = make(map[[2]termID]struct{})
-	d.memoNeg = make(map[[2]termID]struct{})
+	clear(d.memoPos)
+	clear(d.memoNeg)
 }
 
 // reaches reports v →φ v' over canonical keys using the cached closure.
@@ -289,12 +362,12 @@ func (d *Decider) reaches(fromKey, toKey string) bool {
 	if fromKey == toKey {
 		return true
 	}
-	g := d.pol.Graph()
+	g := d.reach.pol.Graph()
 	f, t := g.Lookup(fromKey), g.Lookup(toKey)
 	if f == graph.NoVertex || t == graph.NoVertex {
 		return false
 	}
-	return d.closure.Reaches(f, t)
+	return d.reach.closure.Reaches(f, t)
 }
 
 // Weaker reports p Ãφ q: q is (possibly equal to or) weaker than p, so a
@@ -326,6 +399,9 @@ func (d *Decider) weakerID(p, q model.Privilege, pid, qid termID) bool {
 		return false
 	}
 	res := d.weakerUncached(p, q, pid, qid)
+	if d.memoPos == nil {
+		d.memoPos, d.memoNeg = make(map[[2]termID]struct{}), make(map[[2]termID]struct{})
+	}
 	if res {
 		d.memoPos[key] = struct{}{}
 	} else {
@@ -378,10 +454,10 @@ func (d *Decider) below(b, y model.Vertex, pid, qid termID) bool {
 		if bv < 0 {
 			return false // b is not a vertex of the policy graph
 		}
-		yid := d.children[qid]
-		for i, pv := range d.privVerts {
-			if d.closure.Reaches(int(bv), int(d.privVertGIDs[i])) &&
-				d.weakerID(pv, yt, d.privVertIDs[i], yid) {
+		yid, r, ids := d.children[qid], d.reach, d.privIDs()
+		for i, pv := range r.privVerts {
+			if r.closure.Reaches(int(bv), int(r.privVertGIDs[i])) &&
+				d.weakerID(pv, yt, ids[i], yid) {
 				return true
 			}
 		}
@@ -429,7 +505,7 @@ func (d *Decider) oneStep(p, q model.Privilege) bool {
 			return d.reaches(be.Key(), yt.Key())
 		case model.Privilege:
 			ytKey := yt.Key()
-			return d.pol.Graph().Lookup(ytKey) != graph.NoVertex &&
+			return d.reach.pol.Graph().Lookup(ytKey) != graph.NoVertex &&
 				d.reaches(be.Key(), ytKey)
 		}
 		return false
@@ -459,12 +535,12 @@ func Weaker(p *policy.Policy, strong, weak model.Privilege) bool {
 // policy.Reaches performs.
 func (d *Decider) Holds(user string, q model.Privilege) bool {
 	d.check()
-	uv := d.pol.EntityVertex(model.User(user))
-	pv := d.pol.Graph().Lookup(q.Key())
+	uv := d.reach.pol.EntityVertex(model.User(user))
+	pv := d.reach.pol.Graph().Lookup(q.Key())
 	if uv == graph.NoVertex || pv == graph.NoVertex {
 		return false
 	}
-	return d.closure.Reaches(uv, pv)
+	return d.reach.closure.Reaches(uv, pv)
 }
 
 // query is the privilege a held-stronger scan decides against. An
@@ -486,23 +562,24 @@ func newQuery(q model.Privilege) query {
 // nextHeld returns the index of the first privilege vertex at or after from
 // that the vertex uv reaches and that is at least as strong as q, or -1.
 func (d *Decider) nextHeld(uv int, q *query, from int) int {
-	for i := from; i < len(d.privVerts); i++ {
-		if !d.closure.Reaches(uv, int(d.privVertGIDs[i])) {
+	r := d.reach
+	for i := from; i < len(r.privVerts); i++ {
+		if !r.closure.Reaches(uv, int(r.privVertGIDs[i])) {
 			continue
 		}
 		if !q.ready {
 			q.ready = true
 			if q.flat.ok {
-				d.resolveFlat(&q.flat)
+				r.resolveFlat(&q.flat)
 			} else if q.qid == noChild {
 				q.qid = d.id(q.priv)
 			}
 		}
 		if q.flat.ok {
-			if h := &d.privVertFlat[i]; h.ok && d.flatWeaker(h, &q.flat) {
+			if h := &r.privVertFlat[i]; h.ok && d.flatWeaker(h, &q.flat) {
 				return i
 			}
-		} else if d.weakerID(d.privVerts[i], q.priv, d.privVertIDs[i], q.qid) {
+		} else if d.weakerID(r.privVerts[i], q.priv, d.privIDs()[i], q.qid) {
 			return i
 		}
 	}
@@ -515,30 +592,13 @@ func (d *Decider) nextHeld(uv int, q *query, from int) int {
 // implicitly authorized for weaker administrative privileges" (§4.1).
 func (d *Decider) HeldStronger(user string, q model.Privilege) (model.Privilege, bool) {
 	d.check()
-	uv := d.pol.EntityVertex(model.User(user))
+	uv := d.reach.pol.EntityVertex(model.User(user))
 	if uv == graph.NoVertex {
 		return nil, false
 	}
 	qq := newQuery(q)
 	if i := d.nextHeld(uv, &qq, 0); i >= 0 {
-		return d.privVerts[i], true
+		return d.reach.privVerts[i], true
 	}
 	return nil, false
-}
-
-// StrongerHeldBy returns all privilege vertices of the policy reachable by
-// the user that are at least as strong as q, sorted by key order of the
-// policy's privilege vertices. Used by analyses and explanations.
-func (d *Decider) StrongerHeldBy(user string, q model.Privilege) []model.Privilege {
-	d.check()
-	uv := d.pol.EntityVertex(model.User(user))
-	if uv == graph.NoVertex {
-		return nil
-	}
-	var out []model.Privilege
-	qq := newQuery(q)
-	for i := d.nextHeld(uv, &qq, 0); i >= 0; i = d.nextHeld(uv, &qq, i+1) {
-		out = append(out, d.privVerts[i])
-	}
-	return out
 }

@@ -152,7 +152,7 @@ func TestHeldStrongerExample4(t *testing.T) {
 		t.Fatal("Diana implicitly authorized")
 	}
 	// All stronger held privileges for Alice include the HR one (inherited).
-	all := d.StrongerHeldBy(policy.UserAlice, weak)
+	all := strongerHeldBy(d, policy.UserAlice, weak)
 	found := false
 	for _, h := range all {
 		if h.Key() == policy.PrivHRAssignBobStaff.Key() {

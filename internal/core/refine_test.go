@@ -486,9 +486,6 @@ func TestRefinedAuthorizerName(t *testing.T) {
 	if ra.Name() != "refined" || (command.Strict{}).Name() != "strict" {
 		t.Fatal("authorizer names wrong")
 	}
-	if ra.Decider() == nil {
-		t.Fatal("decider not exposed")
-	}
 	// Authorize against a different policy object falls back gracefully.
 	other := policy.Figure2()
 	if _, ok := ra.Authorize(other, command.Grant(policy.UserJane, model.User(policy.UserBob), model.Role(policy.RoleDBUsr2))); !ok {

@@ -13,9 +13,9 @@ import (
 // the commands Definition 5 accepts, and by Theorem 1 every extra command it
 // accepts leads to a policy that an allowed strict command refines.
 //
-// RefinedAuthorizer satisfies command.Authorizer. It owns a Decider and may
-// be reused across policy mutations (the Decider self-invalidates), but is
-// not safe for concurrent use.
+// RefinedAuthorizer satisfies command.Authorizer. It decides with a Decider
+// and may be reused across policy mutations (the Decider self-invalidates),
+// but is not safe for concurrent use.
 type RefinedAuthorizer struct {
 	d *Decider
 }
@@ -25,9 +25,6 @@ func NewRefinedAuthorizer(p *policy.Policy) *RefinedAuthorizer {
 	return &RefinedAuthorizer{d: NewDecider(p)}
 }
 
-// Decider exposes the underlying ordering decider (shared caches).
-func (r *RefinedAuthorizer) Decider() *Decider { return r.d }
-
 // Authorize implements command.Authorizer. The justification is the held
 // stronger privilege.
 func (r *RefinedAuthorizer) Authorize(p *policy.Policy, c command.Command) (model.Privilege, bool) {
@@ -35,7 +32,7 @@ func (r *RefinedAuthorizer) Authorize(p *policy.Policy, c command.Command) (mode
 	if err != nil {
 		return nil, false
 	}
-	if r.d.pol != p {
+	if r.d.reach.pol != p {
 		// Authorizing against a different policy object: use a fresh decider.
 		return NewDecider(p).HeldStronger(c.Actor, target)
 	}
@@ -58,8 +55,14 @@ func NewStrictAuthorizer(p *policy.Policy) *StrictAuthorizer {
 	return &StrictAuthorizer{d: NewDecider(p)}
 }
 
-// Decider exposes the underlying decider (shared caches).
-func (s *StrictAuthorizer) Decider() *Decider { return s.d }
+// Authorizer returns the write-path authorizer deciding with d: the
+// ordering-refined one when refined is set, else the strict one.
+func (d *Decider) Authorizer(refined bool) command.Authorizer {
+	if refined {
+		return &RefinedAuthorizer{d: d}
+	}
+	return &StrictAuthorizer{d: d}
+}
 
 // Authorize implements command.Authorizer with Definition 5 semantics.
 func (s *StrictAuthorizer) Authorize(p *policy.Policy, c command.Command) (model.Privilege, bool) {
@@ -67,7 +70,7 @@ func (s *StrictAuthorizer) Authorize(p *policy.Policy, c command.Command) (model
 	if err != nil {
 		return nil, false
 	}
-	if s.d.pol != p {
+	if s.d.reach.pol != p {
 		return command.Strict{}.Authorize(p, c)
 	}
 	if s.d.Holds(c.Actor, priv) {

@@ -70,13 +70,13 @@ func (d *Decider) successors(p model.Privilege, maxDepth int) []model.Privilege 
 	// Candidate sources v1 with v1 →φ v2 (the entities of the policy that
 	// reach p's source).
 	var sources []model.Entity
-	for _, name := range d.pol.Users() {
+	for _, name := range d.reach.pol.Users() {
 		u := model.User(name)
 		if d.reaches(u.Key(), pa.Src.Key()) {
 			sources = append(sources, u)
 		}
 	}
-	for _, name := range d.pol.Roles() {
+	for _, name := range d.reach.pol.Roles() {
 		r := model.Role(name)
 		if d.reaches(r.Key(), pa.Src.Key()) {
 			sources = append(sources, r)
@@ -97,7 +97,7 @@ func (d *Decider) successors(p model.Privilege, maxDepth int) []model.Privilege 
 	switch dst := pa.Dst.(type) {
 	case model.Entity:
 		// Rule (2): destinations v4 with v3 →φ v4 — role entities ...
-		for _, name := range d.pol.Roles() {
+		for _, name := range d.reach.pol.Roles() {
 			r := model.Role(name)
 			if !d.reaches(dst.Key(), r.Key()) {
 				continue
@@ -107,7 +107,7 @@ func (d *Decider) successors(p model.Privilege, maxDepth int) []model.Privilege 
 			}
 		}
 		// ... and privilege vertices of the policy graph (Example 6 hop).
-		for _, pv := range d.privVerts {
+		for _, pv := range d.reach.privVerts {
 			if !d.reaches(dst.Key(), pv.Key()) {
 				continue
 			}

@@ -336,15 +336,24 @@ func TestNewBytes(t *testing.T) {
 }
 
 // TestConcurrentCachedAuthorizeChurn is the race-detector harness for the
-// decision cache: one writer toggles the UA edge that an observed command's
-// authorization hinges on, while readers authorize it through the cache.
-// Each reader asserts (a) snapshot generations are monotone and (b) the
-// verdict matches the exact policy state its generation implies — the edge
-// is present iff the generation is odd — so a stale positive after a
-// removal (or stale negative after a grant) fails the test deterministically.
+// decision cache and the replicas' closures: one writer toggles the UA edge
+// that an observed command's authorization hinges on, while readers
+// authorize it through the cache. Each reader asserts (a) snapshot
+// generations are monotone and (b) the verdict matches the exact policy
+// state its generation implies — the edge is present iff the generation is
+// odd — so a stale positive after a removal (or stale negative after a
+// grant) fails the test deterministically. Every toggle advances a closure,
+// by a rebuild after each revoke, and only the writer may do it: a reader
+// that did would race with the others under -race.
 func TestConcurrentCachedAuthorizeChurn(t *testing.T) {
+	for _, mode := range []Mode{Strict, Refined} {
+		t.Run(mode.String(), func(t *testing.T) { concurrentChurn(t, mode) })
+	}
+}
+
+func concurrentChurn(t *testing.T, mode Mode) {
 	pol, _, _ := equivPolicy()
-	e := New(pol, Strict)
+	e := New(pol, mode)
 	alice, bob := model.User("alice"), model.User("bob")
 	c0 := model.Role("c0")
 	grant := command.Grant("admin", alice, c0)
@@ -399,4 +408,64 @@ func TestConcurrentCachedAuthorizeChurn(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFirstMissAfterRevokeBuildsNoClosure: the writer brings a replica's
+// closure up to date before it publishes the replica, so the first reader
+// of the snapshot a revoke published decides on it as it is. A reader that
+// rebuilt it would allocate at least the closure's rows, here measured as
+// what building the same policy's closure allocates.
+func TestFirstMissAfterRevokeBuildsNoClosure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement")
+	}
+	const roles, users = 64, 2048
+	pol := workload.ChurnPolicy(roles, users)
+	for i := 1; i <= 2; i++ {
+		c := workload.ChurnGrant(i, users, roles)
+		mustPA(pol, "churnadmins", model.Revoke(c.From.(model.Entity), c.To))
+	}
+	e := New(pol, Refined)
+	q := workload.ChurnGrant(0, users, roles)
+	s := e.Snapshot()
+	for i := 0; i < 3; i++ { // intern it and store its verdict
+		if _, ok := s.Authorize(q); !ok {
+			t.Fatal("churn query denied")
+		}
+	}
+	s.Close()
+	// Two grant+revoke pairs, so both replicas have published a revoke.
+	for i := 1; i <= 2; i++ {
+		for _, op := range []model.Op{model.OpGrant, model.OpRevoke} {
+			c := workload.ChurnGrant(i, users, roles)
+			c.Op = op
+			if res := e.Submit(c); res.Outcome != command.Applied {
+				t.Fatalf("churn %v %d: %v", op, i, res.Outcome)
+			}
+		}
+	}
+	s = e.Snapshot()
+	defer s.Close()
+	build := allocated(func() { core.NewReach(s.Policy()).Sync() })
+	misses := e.CacheStats().Misses
+	miss := allocated(func() {
+		if _, ok := s.Authorize(q); !ok {
+			t.Fatal("churn query denied after the revoke")
+		}
+	})
+	if e.CacheStats().Misses != misses+1 {
+		t.Fatal("the query after a revoke hit a stored verdict")
+	}
+	t.Logf("first miss after a revoke allocates %d bytes; a closure build %d", miss, build)
+	if miss >= build/4 {
+		t.Fatalf("first miss after a revoke allocates %d bytes, a closure build %d", miss, build)
+	}
+}
+
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -10,9 +10,10 @@
 // spare replica (first catching it up on the mutations it missed, replayed
 // from a bounded log), which is then published with one atomic store. The
 // previous replica becomes the next spare once its readers drain; a replica
-// is only ever mutated when its reader count is zero. Decider caches attached
-// to a replica survive publication cycles and refresh incrementally (see
-// internal/core), so a grant costs O(delta), not a closure rebuild.
+// is only ever mutated when its reader count is zero. Each replica owns one
+// reachability closure (core.Reach), which the writer advances incrementally
+// before it publishes the replica, so a grant costs O(delta), not a closure
+// rebuild; readers borrow views of it that keep only per-query state.
 //
 // Both sides of the engine batch: SubmitBatch applies a whole command queue
 // under one writer-lock acquisition and publishes at most one snapshot, and
@@ -31,8 +32,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,115 +67,25 @@ func (m Mode) String() string {
 // by cloning the current state.
 const maxEngineLog = 4096
 
-// deciderRing bounds the pre-bound deciders a replica keeps. Unlike a
-// sync.Pool, ring deciders are never reclaimed by the GC, so the warmth they
-// accumulate (interned terms, memo entries) survives for the replica's whole
-// lifetime.
-const deciderRing = 16
-
-// replica is one materialisation of the policy state. Invariant: a replica
-// is mutated only while unpublished and with zero readers.
+// replica is one materialisation of the policy state with its reachability
+// state. Invariant: a replica — policy and Reach — is mutated only while
+// unpublished and with zero readers; publishLocked syncs the Reach before it
+// publishes the replica, so readers only ever read it.
 type replica struct {
-	pol  *policy.Policy
-	auth command.Authorizer // write-path authorizer, built on first write (see authorizer)
-	pos  int                // engine log position pol reflects
-	refs atomic.Int64
-
-	// deciders are the replica's pre-bound read deciders: a fixed ring of
-	// lazily-built *core.Decider claimed with one CAS on the claimed bitmask.
-	// Slots are atomic pointers because a claimer initialising its slot races
-	// with other goroutines scanning the ring in release.
-	deciders [deciderRing]atomic.Pointer[core.Decider]
-	claimed  atomic.Uint64
-	ringLen  int
-	// overflow serves readers beyond the ring (oversubscription); entries
-	// are bound to pol like ring deciders.
-	overflow *sync.Pool
+	pol   *policy.Policy
+	reach *core.Reach // built on first use, by the writer or the first reader
+	pos   int         // engine log position pol reflects
+	refs  atomic.Int64
 }
 
-func newReplica(p *policy.Policy, mode Mode, pos int) *replica {
-	r := &replica{}
-	r.rebind(p, mode, pos)
-	return r
+func newReplica(p *policy.Policy, pos int) *replica {
+	return &replica{pol: p, reach: core.NewReach(p), pos: pos}
 }
 
-// rebind points the replica at a fresh policy materialisation, discarding
-// decider caches bound to the old one. Only called on quiescent replicas.
-func (r *replica) rebind(p *policy.Policy, mode Mode, pos int) {
-	r.pol = p
-	r.pos = pos
-	r.auth = nil
-	n := runtime.GOMAXPROCS(0)
-	if n > deciderRing {
-		n = deciderRing
-	}
-	if n < 1 {
-		n = 1
-	}
-	r.ringLen = n
-	for i := range r.deciders {
-		r.deciders[i].Store(nil)
-	}
-	r.claimed.Store(0)
-	r.overflow = &sync.Pool{New: func() any { return core.NewDecider(p) }}
-}
-
-// authorizer returns the replica's write-path authorizer, building it on the
-// first write: a replica that only ever serves reads (a cold tenant opened
-// for one batch and evicted) builds one closure, its reading decider's. The
-// authorizer's decider also fills ring slot 0 when that is still empty, so
-// the reads that follow the publication start warm instead of building
-// another. The two users never overlap: the writer runs only on an
-// unpublished replica with zero readers, and readers claim only while they
-// hold a reference.
-func (r *replica) authorizer(mode Mode) command.Authorizer {
-	if r.auth == nil {
-		var a interface {
-			command.Authorizer
-			Decider() *core.Decider
-		}
-		if mode == Refined {
-			a = core.NewRefinedAuthorizer(r.pol)
-		} else {
-			a = core.NewStrictAuthorizer(r.pol)
-		}
-		r.auth = a
-		r.deciders[0].CompareAndSwap(nil, a.Decider())
-	}
-	return r.auth
-}
-
-// claim returns a decider bound to the replica's policy for exclusive use by
-// the caller; pair with release. The fast path is one CAS; ring deciders are
-// built lazily on first claim of their slot.
-func (r *replica) claim() *core.Decider {
-	for {
-		m := r.claimed.Load()
-		free := ^m & (uint64(1)<<r.ringLen - 1)
-		if free == 0 {
-			return r.overflow.Get().(*core.Decider)
-		}
-		i := bits.TrailingZeros64(free)
-		if r.claimed.CompareAndSwap(m, m|uint64(1)<<i) {
-			if d := r.deciders[i].Load(); d != nil {
-				return d
-			}
-			d := core.NewDecider(r.pol)
-			r.deciders[i].Store(d)
-			return d
-		}
-	}
-}
-
-// release returns a claimed decider.
-func (r *replica) release(d *core.Decider) {
-	for i := 0; i < r.ringLen; i++ {
-		if r.deciders[i].Load() == d {
-			r.claimed.And(^(uint64(1) << i))
-			return
-		}
-	}
-	r.overflow.Put(d)
+// rebind points the replica at a fresh policy materialisation, with a new
+// Reach. Only called on quiescent replicas.
+func (r *replica) rebind(p *policy.Policy, pos int) {
+	r.pol, r.reach, r.pos = p, core.NewReach(p), pos
 }
 
 // Guard is a write-path veto hook: it runs against the up-to-date pre-state
@@ -256,7 +165,7 @@ func NewAt(p *policy.Policy, mode Mode, gen uint64, cached bool) *Engine {
 	}
 	ch := make(chan struct{})
 	e.published.Store(&ch)
-	r := newReplica(p, mode, int(gen))
+	r := newReplica(p, int(gen))
 	e.replicas = []*replica{r}
 	e.cur.Store(e.snapshotOf(r, gen))
 	return e
@@ -465,34 +374,30 @@ func (e *Engine) rollbackLocked(next *replica, applied []command.Command, posFlo
 // across replicas (command.FPInfo).
 func (e *Engine) resyncLocked(r *replica) {
 	pub := e.cur.Load().r
-	r.rebind(pub.pol.Clone(), e.mode, pub.pos)
+	r.rebind(pub.pol.Clone(), pub.pos)
 	e.catchUp(r)
 }
 
-// publishLocked makes next the published replica and wakes generation
-// waiters. Caller holds the writer lock.
+// publishLocked brings next's Reach to its policy, makes next the published
+// replica and wakes generation waiters. Caller holds the writer lock.
 func (e *Engine) publishLocked(next *replica) {
+	next.reach.Sync()
 	e.cur.Store(e.snapshotOf(next, uint64(next.pos)))
 	ch := make(chan struct{})
 	old := e.published.Swap(&ch)
 	close(*old)
 }
 
-// WaitGeneration blocks until the engine's generation reaches min or the
-// timeout elapses, returning the generation observed last and whether it
-// satisfies min. A zero or negative timeout polls once without blocking.
-// This is the primitive behind read-your-writes generation tokens: a reader
-// holding a write's (tenant, generation) token waits here before taking a
-// snapshot — once a generation is published, every later Snapshot() observes
-// a generation at least as large.
-func (e *Engine) WaitGeneration(min uint64, timeout time.Duration) (uint64, bool) {
-	return e.WaitGenerationCtx(context.Background(), min, timeout)
-}
-
-// WaitGenerationCtx is WaitGeneration bounded additionally by ctx, so a
-// server can abandon the wait the moment its client disconnects (a
-// replication long-poll must not hold resources for a peer that is gone).
-// It also returns early when the engine is retired (see Retire).
+// WaitGenerationCtx blocks until the engine's generation reaches min, the
+// timeout elapses or ctx is done, returning the generation observed last and
+// whether it satisfies min. A zero or negative timeout polls once without
+// blocking. This is the primitive behind read-your-writes generation tokens:
+// a reader holding a write's (tenant, generation) token waits here before
+// taking a snapshot — once a generation is published, every later Snapshot()
+// observes a generation at least as large. ctx lets a server abandon the wait
+// the moment its client disconnects (a replication long-poll must not hold
+// resources for a peer that is gone). It also returns early when the engine
+// is retired (see Retire).
 func (e *Engine) WaitGenerationCtx(ctx context.Context, min uint64, timeout time.Duration) (uint64, bool) {
 	gen := e.Generation()
 	if gen >= min || timeout <= 0 {
@@ -556,7 +461,9 @@ func (e *Engine) stepLocked(next *replica, c command.Command, guard Guard) (comm
 		}
 	}
 	nv := next.pol.Graph().NumVertices()
-	res := command.Step(next.pol, c, next.authorizer(e.mode))
+	d := next.reach.Borrow()
+	res := command.Step(next.pol, c, d.Authorizer(e.mode == Refined))
+	d.Release()
 	if res.Outcome != command.Applied {
 		return res, nil
 	}
@@ -604,7 +511,7 @@ func (e *Engine) writable(cur *Snapshot) *replica {
 			return r
 		}
 	}
-	r := newReplica(cur.r.pol.Clone(), e.mode, cur.r.pos)
+	r := newReplica(cur.r.pol.Clone(), cur.r.pos)
 	e.replicas = append(e.replicas, r)
 	return r
 }
@@ -618,7 +525,7 @@ func (e *Engine) catchUp(r *replica) {
 	}
 	if r.pos < e.logBase {
 		cur := e.cur.Load().r
-		r.rebind(cur.pol.Clone(), e.mode, head)
+		r.rebind(cur.pol.Clone(), head)
 		return
 	}
 	for i := r.pos - e.logBase; i < len(e.log); i++ {
@@ -646,10 +553,10 @@ func (e *Engine) trimLog() {
 }
 
 // Snapshot is an immutable view of the policy at one engine generation:
-// policy, reachability closure, decider caches and the verdict validity
-// floors this generation decides under. All methods are safe
-// for concurrent use by multiple goroutines until Close releases the reader
-// reference; using a snapshot after Close is a bug.
+// policy, reachability closure and the verdict validity floors this
+// generation decides under. All methods are safe for concurrent use by
+// multiple goroutines until Close releases the reader reference; using a
+// snapshot after Close is a bug.
 type Snapshot struct {
 	e        *Engine
 	r        *replica
@@ -684,17 +591,21 @@ func (s *Snapshot) ValidityFloors() (pos, neg uint64) { return s.posFloor, s.neg
 //
 // This is the service's per-query kernel: the command is fingerprinted at
 // the boundary (allocation-free once interned), its cached verdict is
-// consulted under the snapshot's validity floors, and only a miss claims a
+// consulted under the snapshot's validity floors, and only a miss borrows a
 // decider and runs the decision procedure. The steady-state path performs
 // no allocations.
 func (s *Snapshot) Authorize(c command.Command) (model.Privilege, bool) {
-	r := s.authorize(c, nil)
+	var d *core.Decider
+	r := s.authorize(c, &d)
+	if d != nil {
+		d.Release()
+	}
 	return r.Justification, r.OK
 }
 
-// authorize decides one command. d is a pre-claimed decider (batch path) or
-// nil, in which case a decider is claimed only if the verdict misses.
-func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
+// authorize decides one command. A verdict miss decides with *d, borrowing
+// it first when it is nil; the caller releases it.
+func (s *Snapshot) authorize(c command.Command, d **core.Decider) AuthzResult {
 	info := s.e.interner.Command(c)
 	if info != nil && !info.WellFormed() {
 		return AuthzResult{} // ill-formed: denied in every regime
@@ -709,15 +620,14 @@ func (s *Snapshot) authorize(c command.Command, d *core.Decider) AuthzResult {
 		}
 		s.e.misses.Add(1)
 	}
-	if d == nil {
-		d = s.r.claim()
-		defer s.r.release(d)
+	if *d == nil {
+		*d = s.r.reach.Borrow()
 	}
 	if info == nil {
 		// First sight, or the interner at capacity: decide uninterned.
-		return s.authorizeWith(d, c)
+		return s.authorizeWith(*d, c)
 	}
-	just, ok := d.AuthorizeFP(s.e.interner, info, s.e.mode == Refined)
+	just, ok := (*d).AuthorizeFP(s.e.interner, info, s.e.mode == Refined)
 	if s.e.cached {
 		pid := command.PrivID(0)
 		if ok {
@@ -743,9 +653,10 @@ type AuthzResult struct {
 	OK bool
 }
 
-// AuthorizeBatchInto decides every command against this one snapshot with a
-// single claimed decider, amortising snapshot acquisition and decider
-// traffic across the batch — the read-side analogue of SubmitBatch. The
+// AuthorizeBatchInto decides every command against this one snapshot with at
+// most one borrowed decider, taken at the first verdict miss, amortising
+// snapshot acquisition and decider traffic across the batch — the read-side
+// analogue of SubmitBatch. The
 // i-th result decides cmds[i]; all decisions are taken at the same
 // generation. Results go into out's backing array when its capacity
 // suffices, so request loops reuse one buffer across batches; it returns out
@@ -755,10 +666,12 @@ func (s *Snapshot) AuthorizeBatchInto(cmds []command.Command, out []AuthzResult)
 		out = make([]AuthzResult, len(cmds))
 	}
 	out = out[:len(cmds)]
-	d := s.r.claim()
-	defer s.r.release(d)
+	var d *core.Decider
 	for i, c := range cmds {
-		out[i] = s.authorize(c, d)
+		out[i] = s.authorize(c, &d)
+	}
+	if d != nil {
+		d.Release()
 	}
 	return out
 }
@@ -802,22 +715,22 @@ func (s *Snapshot) ExplainCommand(c command.Command) string {
 
 // Weaker reports p Ãφ q under the snapshot's policy.
 func (s *Snapshot) Weaker(p, q model.Privilege) bool {
-	d := s.r.claim()
-	defer s.r.release(d)
+	d := s.r.reach.Borrow()
+	defer d.Release()
 	return d.Weaker(p, q)
 }
 
 // HeldStronger reports whether the user holds a privilege at least as strong
 // as q, returning the first witness.
 func (s *Snapshot) HeldStronger(user string, q model.Privilege) (model.Privilege, bool) {
-	d := s.r.claim()
-	defer s.r.release(d)
+	d := s.r.reach.Borrow()
+	defer d.Release()
 	return d.HeldStronger(user, q)
 }
 
 // Explain decides strong Ãφ weak and produces a derivation witness.
 func (s *Snapshot) Explain(strong, weak model.Privilege) (*core.Derivation, bool) {
-	d := s.r.claim()
-	defer s.r.release(d)
+	d := s.r.reach.Borrow()
+	defer d.Release()
 	return d.Explain(strong, weak)
 }

@@ -128,7 +128,7 @@ func TestUndoneGrantKeepsVertexIDs(t *testing.T) {
 				// then again in the other order.
 				for _, s := range []*Snapshot{s1, s2, s2, s1} {
 					fresh := core.NewDecider(s.r.pol.Clone())
-					d := s.r.claim()
+					d := s.r.reach.Borrow()
 					for _, c := range cmds {
 						info := e.interner.Command(c)
 						priv, _ := c.Privilege()
@@ -141,7 +141,7 @@ func TestUndoneGrantKeepsVertexIDs(t *testing.T) {
 							t.Errorf("generation %d: %v strict = %v, %v, want %v", s.gen, c, j, ok, want)
 						}
 					}
-					s.r.release(d)
+					d.Release()
 				}
 			})
 		}

@@ -40,20 +40,6 @@ func (p *Policy) AuthorizedUsers(role string) []string {
 	return out
 }
 
-// AssignedRoles returns the roles the user is directly assigned to (UA
-// edges), sorted. Contrast with RolesActivatableBy, which closes over the
-// hierarchy.
-func (p *Policy) AssignedRoles(user string) []string {
-	var out []string
-	if id := p.EntityVertex(model.User(user)); id != graph.NoVertex {
-		for _, t := range p.g.Successors(id) {
-			out = append(out, p.verts[t].(model.Entity).Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // UsersWithPerm returns every user who can obtain the user privilege through
 // some activatable role, sorted — the standard's permission review.
 func (p *Policy) UsersWithPerm(perm model.UserPrivilege) []string {
@@ -63,32 +49,6 @@ func (p *Policy) UsersWithPerm(perm model.UserPrivilege) []string {
 			out = append(out, u)
 		}
 	}
-	return out
-}
-
-// RolesWithPerm returns every role that reaches the user privilege, sorted.
-func (p *Policy) RolesWithPerm(perm model.UserPrivilege) []string {
-	var out []string
-	for _, r := range p.Roles() {
-		if p.Reaches(model.Role(r), perm) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// DirectPrivileges returns the privileges assigned to the role by a direct
-// PA edge (no inheritance), sorted by key.
-func (p *Policy) DirectPrivileges(role string) []model.Privilege {
-	var out []model.Privilege
-	if id := p.EntityVertex(model.Role(role)); id != graph.NoVertex {
-		for _, t := range p.g.Successors(id) {
-			if pr, ok := p.verts[t].(model.Privilege); ok {
-				out = append(out, pr)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
@@ -105,24 +65,6 @@ func (p *Policy) Seniors(role string) []string {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// Juniors returns the roles reachable from the given role through RH edges
-// alone (its descendants, excluding itself), sorted.
-func (p *Policy) Juniors(role string) []string {
-	rg := p.roleGraph()
-	id := rg.Lookup(role)
-	if id == graph.NoVertex {
-		return nil
-	}
-	var out []string
-	for i, in := range rg.ReachableFrom(id) {
-		if name := rg.Key(i); in && name != role {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -2,7 +2,10 @@ package policy
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+
+	"adminrefine/internal/model"
 )
 
 func TestAssignedVsAuthorizedUsers(t *testing.T) {
@@ -24,16 +27,28 @@ func TestAssignedVsAuthorizedUsers(t *testing.T) {
 	}
 }
 
+// directly lists the targets of kind edges from v, sorted by key.
+func directly(p *Policy, kind EdgeKind, v model.Vertex) []string {
+	var out []string
+	for _, e := range p.EdgesOf(kind) {
+		if e.From.Key() == v.Key() {
+			out = append(out, e.To.Key())
+		}
+	}
+	return out
+}
+
 func TestAssignedRoles(t *testing.T) {
 	p := Figure2()
-	if got := p.AssignedRoles(UserDiana); !reflect.DeepEqual(got, []string{RoleNurse, RoleStaff}) {
-		t.Errorf("AssignedRoles(diana) = %v", got)
+	nurse, staff := model.Role(RoleNurse).Key(), model.Role(RoleStaff).Key()
+	if got := directly(p, EdgeUA, model.User(UserDiana)); !reflect.DeepEqual(got, []string{nurse, staff}) {
+		t.Errorf("diana's UA edges reach %v", got)
 	}
-	if got := p.AssignedRoles(UserBob); len(got) != 0 {
-		t.Errorf("AssignedRoles(bob) = %v", got)
+	if got := directly(p, EdgeUA, model.User(UserBob)); len(got) != 0 {
+		t.Errorf("bob's UA edges reach %v", got)
 	}
 	// Direct vs activatable: diana activates 5 roles but is assigned to 2.
-	if len(p.RolesActivatableBy(UserDiana)) <= len(p.AssignedRoles(UserDiana)) {
+	if len(p.RolesActivatableBy(UserDiana)) <= 2 {
 		t.Error("activatable set should strictly contain assigned set here")
 	}
 }
@@ -43,11 +58,6 @@ func TestPermReview(t *testing.T) {
 	if got := p.UsersWithPerm(PermWriteT3); !reflect.DeepEqual(got, []string{UserDiana}) {
 		t.Errorf("UsersWithPerm(write t3) = %v", got)
 	}
-	roles := p.RolesWithPerm(PermWriteT3)
-	want := []string{RoleDBUsr2, RoleStaff}
-	if !reflect.DeepEqual(roles, want) {
-		t.Errorf("RolesWithPerm(write t3) = %v, want %v", roles, want)
-	}
 	if got := p.UsersWithPerm(PermReadT1); len(got) != 1 {
 		t.Errorf("UsersWithPerm(read t1) = %v", got)
 	}
@@ -55,24 +65,24 @@ func TestPermReview(t *testing.T) {
 
 func TestDirectPrivileges(t *testing.T) {
 	p := Figure2()
-	hr := p.DirectPrivileges(RoleHR)
-	if len(hr) != 3 {
-		t.Fatalf("DirectPrivileges(HR) = %v", hr)
+	if hr := directly(p, EdgePA, model.Role(RoleHR)); len(hr) != 3 {
+		t.Fatalf("HR's PA edges reach %v", hr)
 	}
 	// nurse holds only its print privilege directly; reads come from dbusr1.
-	nurse := p.DirectPrivileges(RoleNurse)
-	if len(nurse) != 1 || nurse[0].Key() != PermPrntBlack.Key() {
-		t.Errorf("DirectPrivileges(nurse) = %v", nurse)
+	if nurse := directly(p, EdgePA, model.Role(RoleNurse)); len(nurse) != 1 || nurse[0] != PermPrntBlack.Key() {
+		t.Errorf("nurse's PA edges reach %v", nurse)
 	}
-	if got := p.DirectPrivileges("ghost"); len(got) != 0 {
-		t.Errorf("DirectPrivileges(ghost) = %v", got)
+	if got := directly(p, EdgePA, model.Role("ghost")); len(got) != 0 {
+		t.Errorf("ghost's PA edges reach %v", got)
 	}
 }
 
 func TestSeniorsJuniors(t *testing.T) {
 	p := Figure2()
-	if got := p.Juniors(RoleStaff); !reflect.DeepEqual(got, []string{RoleDBUsr1, RoleDBUsr2, RoleNurse, RolePrntUsr}) {
-		t.Errorf("Juniors(staff) = %v", got)
+	for _, junior := range []string{RoleDBUsr1, RoleDBUsr2, RoleNurse, RolePrntUsr} {
+		if !slices.Contains(p.Seniors(junior), RoleStaff) {
+			t.Errorf("Seniors(%s) = %v, misses staff", junior, p.Seniors(junior))
+		}
 	}
 	if got := p.Seniors(RoleDBUsr1); !reflect.DeepEqual(got, []string{RoleDBUsr2, RoleNurse, RoleStaff}) {
 		t.Errorf("Seniors(dbusr1) = %v", got)
@@ -80,8 +90,8 @@ func TestSeniorsJuniors(t *testing.T) {
 	if got := p.Seniors(RoleSO); len(got) != 0 {
 		t.Errorf("Seniors(SO) = %v", got)
 	}
-	if got := p.Juniors("ghost"); got != nil {
-		t.Errorf("Juniors(ghost) = %v", got)
+	if got := p.Seniors("ghost"); got != nil {
+		t.Errorf("Seniors(ghost) = %v", got)
 	}
 	// UA/PA edges must not leak into the role graph: diana is not a senior.
 	for _, s := range p.Seniors(RoleNurse) {

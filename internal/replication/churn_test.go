@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -85,7 +86,7 @@ func TestReplicatedChurnMultiTenant(t *testing.T) {
 		fol := followers[op.Node]
 		if op.MinGeneration > 0 {
 			tokenReads++
-			gen, ok, err := fol.WaitGeneration(op.Tenant, op.MinGeneration, 10*time.Second)
+			gen, ok, err := fol.WaitGenerationCtx(context.Background(), op.Tenant, op.MinGeneration, 10*time.Second)
 			if err != nil || !ok {
 				t.Fatalf("op %d: follower %d stuck at %d for token %d on %s (err %v)",
 					i, op.Node, gen, op.MinGeneration, op.Tenant, err)
@@ -121,7 +122,7 @@ func TestReplicatedChurnMultiTenant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, fol := range followers {
-			if gen, ok, err := fol.WaitGeneration(name, want.Generation, 10*time.Second); err != nil || !ok {
+			if gen, ok, err := fol.WaitGenerationCtx(context.Background(), name, want.Generation, 10*time.Second); err != nil || !ok {
 				t.Fatalf("follower %d stuck at %d on %s, want %d (err %v)", i, gen, name, want.Generation, err)
 			}
 		}

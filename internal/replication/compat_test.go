@@ -93,7 +93,7 @@ func TestFollowerAppliesV1PullBody(t *testing.T) {
 	if err := fol.Ensure("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if gen, ok, err := folReg.WaitGeneration("alpha", 11, 5*time.Second); err != nil || !ok {
+	if gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", 11, 5*time.Second); err != nil || !ok {
 		t.Fatalf("follower stuck at generation %d (err %v)", gen, err)
 	}
 	if v1Records.Load() < 11 || snapshots.Load() != 1 {

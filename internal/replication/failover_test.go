@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -311,7 +312,7 @@ func TestFollowerConvergesThroughFlakyTransport(t *testing.T) {
 				t.Helper()
 				waitFor(t, fmt.Sprintf("generation %d through the flaky transport", want), func() bool {
 					fol.Ensure("alpha") // first syncs may fault; the loop retries
-					gen, ok, err := folReg.WaitGeneration("alpha", want, 100*time.Millisecond)
+					gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", want, 100*time.Millisecond)
 					return err == nil && ok && gen >= want
 				})
 			}

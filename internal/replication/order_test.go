@@ -274,7 +274,7 @@ func cursorAt(t *testing.T, f *replication.Follower, gen uint64) {
 
 func generation(t *testing.T, reg *tenant.Registry) uint64 {
 	t.Helper()
-	gen, _, err := reg.WaitGeneration("t", 0, 0)
+	gen, _, err := reg.WaitGenerationCtx(context.Background(), "t", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestReplicaPublishesBeforeItsFsyncPrimaryAfter(t *testing.T) {
 		applied <- err
 	}()
 	c.d.awaitParked(t)
-	if gen, ok, err := c.fol.WaitGeneration("t", g, 5*time.Second); err != nil || !ok {
+	if gen, ok, err := c.fol.WaitGenerationCtx(context.Background(), "t", g, 5*time.Second); err != nil || !ok {
 		t.Fatalf("replica: generation %d not observable while its fsync is parked (at %d, %v)", g, gen, err)
 	}
 	select {
@@ -323,7 +323,7 @@ func TestReplicaPublishesBeforeItsFsyncPrimaryAfter(t *testing.T) {
 		acked <- err
 	}()
 	pd.awaitParked(t)
-	if gen, ok, _ := c.prim.WaitGeneration("t", g+1, 50*time.Millisecond); ok || gen != g {
+	if gen, ok, _ := c.prim.WaitGenerationCtx(context.Background(), "t", g+1, 50*time.Millisecond); ok || gen != g {
 		t.Fatalf("primary: generation %d observable before its fsync (ok=%v)", gen, ok)
 	}
 	select {
@@ -402,7 +402,7 @@ func TestReplicaLateFsyncFailureReinstalls(t *testing.T) {
 				return
 			default:
 			}
-			gen, _, err := c.fol.WaitGeneration("t", 0, 0)
+			gen, _, err := c.fol.WaitGenerationCtx(context.Background(), "t", 0, 0)
 			if err == nil && gen < last {
 				sampled <- fmt.Errorf("replica served generation %d after %d", gen, last)
 				return
@@ -513,12 +513,12 @@ func TestReplicaCrashBetweenPublishAndFsync(t *testing.T) {
 
 	re := tenant.New(tenant.Options{Dir: view, Mode: engine.Refined, Sync: true})
 	defer re.Close()
-	if gen, ok, err := re.WaitGeneration("t", g, 50*time.Millisecond); err != nil || ok || gen != g-1 {
+	if gen, ok, err := re.WaitGenerationCtx(context.Background(), "t", g, 50*time.Millisecond); err != nil || ok || gen != g-1 {
 		t.Fatalf("reopened crash view: generation %d ok=%v (%v); want %d and a token for %d left waiting", gen, ok, err, g-1, g)
 	}
 	f2 := c.follow(t, re)
 	cursorAt(t, f2, g)
-	if gen, ok, _ := re.WaitGeneration("t", g, 5*time.Second); !ok || gen != g {
+	if gen, ok, _ := re.WaitGenerationCtx(context.Background(), "t", g, 5*time.Second); !ok || gen != g {
 		t.Fatalf("re-pull converged to %d, want the primary's head %d", gen, g)
 	}
 }

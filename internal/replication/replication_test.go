@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -67,7 +68,7 @@ func TestFollowerReplicatesAndConverges(t *testing.T) {
 	if err := fol.Ensure("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if gen, ok, err := folReg.WaitGeneration("alpha", 20, 5*time.Second); err != nil || !ok {
+	if gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", 20, 5*time.Second); err != nil || !ok {
 		t.Fatalf("follower stuck at generation %d (err %v)", gen, err)
 	}
 
@@ -77,7 +78,7 @@ func TestFollowerReplicatesAndConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if gen, ok, err := folReg.WaitGeneration("alpha", 40, 5*time.Second); err != nil || !ok {
+	if gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", 40, 5*time.Second); err != nil || !ok {
 		t.Fatalf("follower stuck at generation %d after more writes (err %v)", gen, err)
 	}
 
@@ -129,7 +130,7 @@ func TestFollowerBootstrapsPastCompaction(t *testing.T) {
 	if err := fol.Ensure("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if gen, ok, err := folReg.WaitGeneration("alpha", 11, 5*time.Second); err != nil || !ok {
+	if gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", 11, 5*time.Second); err != nil || !ok {
 		t.Fatalf("follower stuck at generation %d (err %v)", gen, err)
 	}
 	lag, _ := fol.LagStats("alpha")
@@ -178,7 +179,7 @@ func TestFollowerServesReadsWithUpstreamDown(t *testing.T) {
 	if err := fol.Ensure("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := folReg.WaitGeneration("alpha", 5, 5*time.Second); err != nil || !ok {
+	if _, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", 5, 5*time.Second); err != nil || !ok {
 		t.Fatal("follower did not converge before upstream drop")
 	}
 
@@ -225,7 +226,7 @@ func TestFollowerRetiresIdleTenants(t *testing.T) {
 	if err := fol.Ensure("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := folReg.WaitGeneration("alpha", 1, 5*time.Second); !ok {
+	if _, ok, _ := folReg.WaitGenerationCtx(context.Background(), "alpha", 1, 5*time.Second); !ok {
 		t.Fatal("follower did not converge")
 	}
 
@@ -246,7 +247,7 @@ func TestFollowerRetiresIdleTenants(t *testing.T) {
 	if err := fol.Ensure("alpha"); err != nil {
 		t.Fatal(err)
 	}
-	if gen, ok, err := folReg.WaitGeneration("alpha", 2, 5*time.Second); err != nil || !ok {
+	if gen, ok, err := folReg.WaitGenerationCtx(context.Background(), "alpha", 2, 5*time.Second); err != nil || !ok {
 		t.Fatalf("resumed follower stuck at %d (err %v)", gen, err)
 	}
 }

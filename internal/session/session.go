@@ -87,8 +87,8 @@ type Table struct {
 
 	// vids caches privilege-id → graph-vertex-id per policy materialisation,
 	// one table for each of the two replicas an engine alternates its
-	// readers between: a replica's numbering can drift from its twin's (a
-	// rolled-back command leaves its vertices behind), an installed policy
+	// readers between. The replicas of one engine number their vertices
+	// alike (an undone grant resyncs its replica), but an installed policy
 	// or a replica bootstrap numbers its own, and the table outlives all.
 	vids  [2]atomic.Pointer[vidTable]
 	vmu   sync.Mutex // serialises vidTable replacement/growth

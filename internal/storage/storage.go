@@ -518,11 +518,11 @@ func (s *Store) AppendStep(seq int, res command.StepResult) error {
 
 // StageCommit buffers one applied engine step — its step record plus its
 // audit record, which land in one write so a crash truncates to a CRC-valid
-// prefix: nothing, the step alone, or both — for the next FlushStaged. It
+// prefix: nothing, the step alone, or both — for the next commit flush. It
 // performs no file I/O: the per-command half of group commit, run from the
 // engine's CommitHook while the covering flush hook amortises the write and
 // fsync across every command (and every submitter) in the group. The records
-// are not durable, and the step must not be acknowledged, until FlushStaged
+// are not durable, and the step must not be acknowledged, until the flush
 // returns nil. Safe for concurrent use, though the engine already serialises
 // stage/flush pairs under its writer lock.
 func (s *Store) StageCommit(seq int, res command.StepResult) error {
@@ -535,19 +535,17 @@ func (s *Store) StageCommit(seq int, res command.StepResult) error {
 	return nil
 }
 
-// FlushStaged lands every staged record with one file write and syncs it (one
-// fsync under Options.Sync) — the group half of group commit. The records are
+// flushStaged is the engine's commit flush (see engine.SetCommitFlush): it
+// lands every staged record with one file write and syncs it (one fsync under
+// Options.Sync) — the group half of group commit. The records are
 // epoch-stamped and audit-indexed at flush time, in stage order. On failure
 // the staged buffer is discarded and the log has already been truncated back
 // to the last known-good frame boundary, so the on-disk state is exactly as
 // if the group never happened — the engine turns that into a rollback of
 // every command the group covered. A flush with nothing staged is a no-op.
-// Safe for concurrent use.
-func (s *Store) FlushStaged() error { return s.flushStaged(true) }
-
-// flushStaged is the engine's commit flush (see engine.SetCommitFlush). With
-// sync false it stops after the write: the replica's order, where the caller
-// publishes first and owes the covering Sync before it reports the position.
+// With sync false it stops after the write: the replica's order, where the
+// caller publishes first and owes the covering Sync before it reports the
+// position. Safe for concurrent use.
 func (s *Store) flushStaged(sync bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

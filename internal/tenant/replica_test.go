@@ -246,7 +246,7 @@ func TestWaitGenerationSurvivesEngineSwap(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		gen, ok, err := fol.WaitGeneration("t", seq, 10*time.Second)
+		gen, ok, err := fol.WaitGenerationCtx(context.Background(), "t", seq, 10*time.Second)
 		done <- result{gen, ok, err}
 	}()
 	time.Sleep(50 * time.Millisecond) // let the waiter block on the old engine

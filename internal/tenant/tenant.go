@@ -517,17 +517,12 @@ func (r *Registry) AuthorizeBatchInto(name string, cmds []command.Command, out [
 	return s.AuthorizeBatchInto(cmds, out), s.Generation(), nil
 }
 
-// WaitGeneration blocks until the tenant's engine generation reaches min or
-// the timeout elapses, returning the generation last observed and whether it
+// WaitGenerationCtx blocks until the tenant's engine generation reaches min,
+// the timeout elapses or ctx is done (a server abandons the wait when its
+// client disconnects), returning the generation last observed and whether it
 // satisfies min — the serving side of the min_generation consistency token.
 // On a follower the generation advances as replicated records are applied;
-// on a primary it advances with local writes.
-func (r *Registry) WaitGeneration(name string, min uint64, timeout time.Duration) (uint64, bool, error) {
-	return r.WaitGenerationCtx(context.Background(), name, min, timeout)
-}
-
-// WaitGenerationCtx is WaitGeneration bounded additionally by ctx (a server
-// abandons the wait when its client disconnects). A wait survives engine
+// on a primary it advances with local writes. A wait survives engine
 // replacement: when a replica snapshot bootstrap installs a successor
 // engine mid-wait, the retired engine wakes its waiters and the wait
 // resumes against the successor for the remaining budget.
@@ -624,7 +619,7 @@ type submitWaiter struct {
 // submitGrouped funnels one submission through the tenant's commit group:
 // enqueue, contend for the writer lock, and whichever submitter wins commits
 // every queued submission as one engine batch — one WAL write, one fsync
-// (see storage.FlushStaged) — before releasing the drained waiters. Group
+// (storage.OpenEngine's commit flush) — before releasing the drained waiters. Group
 // size self-tunes: an uncontended submitter forms a group of one (identical
 // to the direct path), while under N concurrent -sync submitters the fsync
 // is amortised across whatever queued while the previous group was flushing.

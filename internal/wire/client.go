@@ -126,17 +126,6 @@ func (c *Client) Do(req *Request, resp *Response) error {
 	return cc.do(req, resp, c.opts.CallTimeout)
 }
 
-// Ping round-trips an OpPing and returns the node's fencing epoch.
-func (c *Client) Ping() (epoch uint64, err error) {
-	var req Request
-	var resp Response
-	req.Op = OpPing
-	if err := c.Do(&req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
-}
-
 // pendingCall is one in-flight request awaiting its FIFO response.
 type pendingCall struct {
 	op   Opcode
